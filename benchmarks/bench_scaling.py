@@ -126,37 +126,6 @@ def test_m_sweep_fractional(benchmark):
     assert exponent > 1.2  # the n m^2 history term
 
 
-def test_m_sweep_fractional_fft_history(benchmark):
-    """Extension: blocked-FFT history drops the m-exponent below 2."""
-    ms = [400, 800, 1600, 3200]
-    system = chain_system(200, alpha=0.5)
-    times = []
-
-    def run():
-        times.clear()
-        for m in ms:
-            best = np.inf
-            for _ in range(3):
-                res = simulate_opm(system, 1.0, (1.0, m), history="fft")
-                best = min(best, res.wall_time)
-            times.append(best)
-        return times
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    exponent, _, r2 = fit_power_law(ms, times)
-    register_row(
-        TABLE,
-        COLUMNS,
-        [
-            "m (alpha=1/2, n=200, history='fft')",
-            f"{exponent:.2f}",
-            f"{r2:.3f}",
-            "~1.5 (extension)",
-        ],
-    )
-    assert exponent < 1.9  # clearly below the direct path's ~2
-
-
 def _power_grid_mna(nx: int, ny: int) -> DescriptorSystem:
     """First-order MNA model of an ``nx x ny`` two-layer power grid."""
     netlist = power_grid(nx, ny, nz=2)

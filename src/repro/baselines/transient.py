@@ -27,9 +27,9 @@ import time
 import numpy as np
 
 from .._validation import check_positive_float, check_positive_int
-from ..core.column_solver import PencilCache
 from ..core.lti import DescriptorSystem
 from ..core.result import SampledResult
+from ..engine.backends import PencilBank, select_backend
 from ..errors import ModelError, SolverError
 
 __all__ = ["simulate_transient", "TRANSIENT_METHODS"]
@@ -109,8 +109,9 @@ def simulate_transient(
     u_vals = _sample_input(u, p, times)
     Bu = system.B @ u_vals
 
-    cache = PencilCache(system.E, system.A)
     E, A = system.E, system.A
+    # host-only stepping loop: never rerouted to an array-API backend
+    cache = PencilBank(select_backend(E, A, allow_env=False))
     X = np.zeros((n, n_steps + 1))
     if system.x0 is not None:
         X[:, 0] = system.x0

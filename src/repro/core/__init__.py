@@ -52,13 +52,10 @@ _EXPORTS = {
     "equidistributed_steps": ".opm_adaptive",
     "krylov_reduce": ".mor",
     "project_input": "..engine",
-    "PencilCache": ".column_solver",
     "PencilBank": "..engine",
     "DenseBackend": "..engine",
     "SparseBackend": "..engine",
     "select_backend": "..engine",
-    "solve_columns_toeplitz": ".column_solver",
-    "solve_columns_general": ".column_solver",
     "simulate_netlist": "..engine",
     "NetlistRun": "..engine",
     "AcScan": "..engine",

@@ -32,11 +32,6 @@ Since the engine refactor the sweep lives in
 accepts batched right-hand sides) and this function is a thin wrapper
 over a throwaway :class:`~repro.engine.session.Simulator`; reuse a
 session directly for repeated multi-term solves.
-
-(The blocked-FFT history of
-:func:`repro.engine.kernels.sweep_toeplitz` currently accelerates
-single-term fractional systems only; extending it to the per-term
-tails here is mechanical but not implemented.)
 """
 
 from __future__ import annotations

@@ -43,8 +43,9 @@ import numpy as np
 from ..basis.base import BasisSet
 from ..basis.block_pulse import BlockPulseBasis
 from ..basis.pwconst import PiecewiseConstantBasis
+from ..engine import kernels
+from ..engine.backends import PencilBank, select_backend
 from ..errors import SolverError
-from .column_solver import PencilCache
 from .lti import DescriptorSystem
 from .result import SimulationResult
 
@@ -141,18 +142,16 @@ def simulate_opm_integral(
         R = R + np.outer(offset, ones_coeffs)
 
     if _is_upper_triangular(F):
-        # Column sweep: (E - F_jj A) z_j = r_j + A sum_{i<j} F_ij z_i.
-        # PencilCache solves sigma*E' - A'; with E' = -A, A' = -E the
-        # pencil at sigma = F_jj is exactly E - F_jj A.
-        A_mat, E_mat = system.A, system.E
-        cache = PencilCache(-1.0 * A_mat, -1.0 * E_mat)
-        Z = np.empty((n, m))
-        for j in range(m):
-            rhs = R[:, j].copy()
-            if j > 0:
-                rhs = rhs + A_mat @ (Z[:, :j] @ F[:j, j])
-            Z[:, j] = cache.solve(float(F[j, j]), rhs)
-        factorisations = cache.factorisations
+        # Column sweep: (E - F_jj A) z_j = r_j + A sum_{i<j} F_ij z_i,
+        # i.e. the differential-form sweep over the pencil (E', A') =
+        # (-A, -E): sigma E' - A' = E - F_jj A at sigma = F_jj, and the
+        # tail r_j - E' s = r_j + A s exactly.  Host-only, like every
+        # reference baseline.
+        bank = PencilBank(
+            select_backend(-1.0 * system.A, -1.0 * system.E, allow_env=False)
+        )
+        Z = kernels.sweep_general(bank, R, F)
+        factorisations = bank.factorisations
         method = f"opm-integral[{construction}]"
     else:
         # Walsh/Haar: the conjugated F is dense, so solve the (small)

@@ -61,7 +61,6 @@ def simulate_opm(
     basis=None,
     projection: str | None = None,
     adaptive_method: str = "auto",
-    history: str = "direct",
     backend: str = "auto",
     reduce=None,
     memory="exact",
@@ -97,13 +96,6 @@ def simulate_opm(
         Construction of ``D~^alpha`` on adaptive grids: ``'auto'``,
         ``'eig'``, ``'schur'`` (see
         :func:`repro.opmat.fractional.fractional_differentiation_matrix_adaptive`).
-    history:
-        Fractional-tail accumulation on uniform grids: ``'direct'``
-        (the paper's ``O(n m^2)`` sweep) or ``'fft'`` (blocked online
-        convolution, ``O(n m^{1.5} sqrt(log m))``, identical solution
-        to round-off -- an extension beyond the paper; see
-        :func:`repro.engine.kernels.sweep_toeplitz`).
-        Ignored on the first-order fast path and adaptive grids.
     backend:
         Linear-algebra backend selection, ``'auto'`` / ``'dense'`` /
         ``'sparse'`` (see :func:`repro.engine.backends.select_backend`).
@@ -152,7 +144,6 @@ def simulate_opm(
         basis=basis,
         projection=projection,
         adaptive_method=adaptive_method,
-        history=history,
         backend=backend,
         reduce=reduce,
         memory=memory,

@@ -901,7 +901,7 @@ class ParallelExecutor:
             Shared time grid: a :class:`~repro.basis.grid.TimeGrid`,
             ``(t_end, m)`` tuple, or a ready
             :class:`~repro.basis.base.BasisSet` instance.
-        basis, u, projection, adaptive_method, history, solver_backend:
+        basis, u, projection, adaptive_method, solver_backend:
             See :meth:`iter_chunks`.
 
         Raises
@@ -954,7 +954,7 @@ class ParallelExecutor:
             :class:`~repro.engine.session.Simulator`).
         u:
             Default input for members whose ``u`` is ``None``.
-        projection, adaptive_method, history:
+        projection, adaptive_method:
             Forwarded to each worker's session.
         solver_backend:
             Dense/sparse pencil-backend mode (``'auto'`` default) --
@@ -999,7 +999,6 @@ class ParallelExecutor:
         u=None,
         projection: str | None = None,
         adaptive_method: str = "auto",
-        history: str = "direct",
         solver_backend: str = "auto",
         reduce=None,
         memory="exact",
@@ -1022,7 +1021,6 @@ class ParallelExecutor:
             "basis": None,
             "projection": None,
             "adaptive_method": adaptive_method,
-            "history": history,
             "backend": solver_backend,
             "memory": memory,
             "memory_rtol": memory_rtol,

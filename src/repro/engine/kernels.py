@@ -1,4 +1,4 @@
-"""Batched column-sweep kernels for the OPM matrix equation.
+"""Column-sweep kernels for the OPM matrix equation.
 
 The paper's key computational observation (end of sections III-A and
 IV) is that the operational matrix is upper triangular, so the matrix
@@ -6,21 +6,39 @@ equation
 
 .. math::  E X D = A X + R    \\qquad (R = B U)
 
-never needs the ``nm x nm`` Kronecker solve of eq. (15)/(27): column
-``j`` is one shifted-pencil solve with a right-hand side assembled from
-already-solved columns.  These kernels implement that sweep over a
-:class:`~repro.engine.backends.PencilBank` with three accumulation
-strategies (Toeplitz / alternating / general -- see
-:mod:`repro.core.column_solver` for the complexity discussion), plus
-the engine's extension: **batched right-hand sides**.
+never needs the ``nm x nm`` Kronecker solve of eq. (15)/(27).  Writing
+``d_{ij}`` for the entries of ``D``, column ``j`` of the equation reads
 
-Every kernel accepts ``R`` of shape ``(n, m)`` (one input) or
-``(n, m, k)`` (``k`` stacked inputs) and returns ``X`` of the same
-shape.  In the batched form each column step performs a single
-multi-RHS substitution for all ``k`` inputs -- one ``lu_solve`` per
-column for the whole sweep, which is what makes
-:meth:`repro.engine.session.Simulator.sweep` dramatically cheaper than
-a loop of single-input runs.
+.. math::
+
+    (d_{jj} E - A)\\, x_j = r_j - E \\sum_{i<j} d_{ij}\\, x_i ,
+
+a sequence of ``m`` shifted-pencil solves over a
+:class:`~repro.engine.backends.PencilBank`, which caches one
+factorisation per shift ``sigma = d_{jj}``.  With a constant step there
+is exactly one factorisation, matching the paper's claim that OPM costs
+roughly one transient-analysis sweep.  Three accumulation strategies:
+
+* ``toeplitz`` (:func:`sweep_toeplitz`) -- uniform grids:
+  ``d_{ij} = c_{j-i}`` with ``c`` the first-row coefficients; tail
+  accumulated by an O(n j) dot product per column, total
+  ``O(n^beta m + n m^2)`` -- the paper's fractional cost;
+* ``alternating`` (``sweep_toeplitz(..., alternating_tail=True)``) --
+  first order (``alpha = 1``): the tail
+  ``sum_{i<j} (-1)^{j-i} 2 x_i`` obeys the O(n) recurrence
+  ``t_j = x_{j-1} - t_{j-1}``, total ``O(n^beta m)`` -- the paper's
+  linear-system cost, on par with trapezoidal/Gear;
+* ``general`` (:func:`sweep_general`) -- adaptive grids (paper eqs.
+  (18), (25)-(27)): arbitrary upper-triangular ``D`` with per-column
+  diagonal, one cached factorisation per distinct diagonal value.
+
+The engine's extension is **batched right-hand sides**: every kernel
+accepts ``R`` of shape ``(n, m)`` (one input) or ``(n, m, k)`` (``k``
+stacked inputs) and returns ``X`` of the same shape.  In the batched
+form each column step performs a single multi-RHS substitution for
+all ``k`` inputs -- one ``lu_solve`` per column for the whole sweep,
+which is what makes :meth:`repro.engine.session.Simulator.sweep`
+dramatically cheaper than a loop of single-input runs.
 
 The first-order (alternating-tail) sweep -- every integer-order
 block-pulse run -- works *time-major*: it copies ``R`` into an
@@ -47,12 +65,6 @@ from ..errors import SolverError
 from .backends import PencilBank
 
 __all__ = ["sweep_toeplitz", "sweep_general", "sweep_multiterm"]
-
-
-def _kernel_namespace(bank: PencilBank):
-    """The bank backend's ``(namespace, is_host)`` pair."""
-    backend = bank.backend
-    return getattr(backend, "xp", np), getattr(backend, "is_host", True)
 
 
 def _require_host(bank: PencilBank, kernel: str) -> None:
@@ -106,8 +118,6 @@ def sweep_toeplitz(
     coeffs: np.ndarray,
     *,
     alternating_tail: bool = False,
-    history: str = "direct",
-    block_size: int | None = None,
 ) -> np.ndarray:
     """Solve ``E X T = A X + R`` for upper-triangular Toeplitz ``T``.
 
@@ -123,12 +133,6 @@ def sweep_toeplitz(
         Activate the O(n)-per-column recurrence valid when the tail
         coefficients satisfy ``c_k = -c_{k-1}`` for ``k >= 2`` (the
         first-order pattern); verified defensively.
-    history:
-        ``'direct'`` (paper's O(n j) dot product per column) or
-        ``'fft'`` (blocked online convolution) tail accumulation when
-        ``alternating_tail`` is off.
-    block_size:
-        Block length for ``history='fft'``.
 
     Returns
     -------
@@ -137,19 +141,12 @@ def sweep_toeplitz(
     """
     coeffs = np.asarray(coeffs, dtype=float)
     m = coeffs.size
-    xp, host = _kernel_namespace(bank)
+    xp = getattr(bank.backend, "xp", np)
     R3, squeeze = _as_batched(R, xp)
     n, k = R3.shape[0], R3.shape[2]
     if R3.shape[1] != m:
         shape = tuple(R3.shape[:2]) if squeeze else tuple(R3.shape)
         raise SolverError(f"R must be (n, {m}), got {shape}")
-    if history not in ("direct", "fft"):
-        raise SolverError(f"history must be 'direct' or 'fft', got {history!r}")
-    if not host and history == "fft":
-        raise SolverError(
-            "history='fft' is numpy-only; use history='direct' with an "
-            "array-API backend"
-        )
     if alternating_tail and m > 2:
         tail = coeffs[1:]
         if not np.allclose(tail[1:], -tail[:-1], rtol=1e-12, atol=0.0):
@@ -165,9 +162,6 @@ def sweep_toeplitz(
     apply_E = bank.backend.apply_E
     if alternating_tail:
         X = _sweep_alternating(solve, apply_E, R3, coeffs[1] if m > 1 else 0.0, xp)
-    elif history == "fft" and m > 8:
-        X = xp.empty((n, m, k), dtype=R3.dtype)
-        _sweep_toeplitz_fft(bank, solve, R3, coeffs, X, block_size)
     else:
         X = xp.empty((n, m, k), dtype=R3.dtype)
         # reversed-coefficient copy so the per-column tail weights
@@ -217,65 +211,6 @@ def _sweep_alternating(solve, apply_E, R3, c1: float, xp):
     X = xp.empty((n, m, k), dtype=R3.dtype)
     X[...] = xp.moveaxis(Xt, 0, 1)
     return X
-
-
-def _sweep_toeplitz_fft(
-    bank: PencilBank,
-    solve,
-    R3: np.ndarray,
-    coeffs: np.ndarray,
-    X: np.ndarray,
-    block_size: int | None,
-) -> None:
-    """Blocked online-convolution column sweep (``history='fft'``).
-
-    Columns are processed in blocks of ``B``.  Before a block starts,
-    the tail contributions of every *completed* block are added with an
-    FFT segment convolution (all ``n`` state rows -- and all ``k``
-    batch members -- transformed at once); inside the block only the
-    short within-block history remains, paid directly.  Each column's
-    tail therefore equals ``sum_i c_i x_{j-i}`` exactly (up to FFT
-    round-off), and the asymptotic history cost drops from ``O(n m^2)``
-    to ``O(n (m/B) m log B + n m B)``, minimised near
-    ``B ~ sqrt(m log m)``.
-    """
-    n, m, k = R3.shape
-    if block_size is None:
-        block_size = max(8, int(np.sqrt(m * max(np.log2(m), 1.0))))
-    B = int(block_size)
-
-    rev = np.ascontiguousarray(coeffs[::-1])  # contiguous (c_j..c_1) slices
-    tail = np.zeros((n, m, k))  # accumulated cross-block contributions
-    for start in range(0, m, B):
-        end = min(start + B, m)
-        # cross contributions of this block to ALL later columns are
-        # added as soon as the block completes (see end of loop body);
-        # here we only sweep within the block.
-        for j in range(start, end):
-            s = tail[:, j, :].copy()
-            if j > start:
-                d = j - start
-                s += _tail_dot(X[:, start:, :], d, rev[m - 1 - d : m - 1])
-            rhs = R3[:, j, :] - bank.apply_E(s) if j > 0 else R3[:, 0, :]
-            X[:, j, :] = solve(rhs)
-        if end >= m:
-            break
-        # FFT segment convolution: contribution of x_i (i in [start,end))
-        # to s_j (j in [end, m)) is sum_i c_{j-i} x_i with lags
-        # j - i in [1, m - 1 - start].
-        length = end - start
-        lags = coeffs[1 : m - start]  # c_1 ... c_{m-1-start}
-        n_fft = int(2 ** np.ceil(np.log2(length + lags.size - 1)))
-        fx = np.fft.rfft(X[:, start:end, :], n=n_fft, axis=1)
-        fc = np.fft.rfft(lags, n=n_fft)
-        conv = np.fft.irfft(fx * fc[None, :, None], n=n_fft, axis=1)
-        # conv[:, t] = sum_i x_{start+i} c_{1+t-i} -> lands on column
-        # j = start + 1 + t.  Columns inside this block (j < end) were
-        # already served by the direct within-block sweep, so only
-        # j >= end receives the convolution (t >= length - 1).
-        n_cols = min(m - (start + 1), length + lags.size - 1)
-        first_t = length - 1  # first t with start + 1 + t >= end
-        tail[:, end : start + 1 + n_cols, :] += conv[:, first_t:n_cols, :]
 
 
 def sweep_general(bank: PencilBank, R: np.ndarray, D: np.ndarray) -> np.ndarray:

@@ -520,7 +520,7 @@ def _march_triangular(sim, u, t_end: float, events=()) -> MarchingResult:
                 H = tail.tail(m)
                 if H is not None:
                     R = R - bank.apply_E(H)
-                X = kernels.sweep_toeplitz(bank, R, coeffs, history=plan.history)
+                X = kernels.sweep_toeplitz(bank, R, coeffs)
                 tail.append(X)
                 if x0 is not None:
                     X = X + x0[:, None]

@@ -343,7 +343,7 @@ def from_netlist(
     sparse, use_ic:
         Forwarded to :func:`build_system`.
     **session_kwargs:
-        Forwarded to :class:`Simulator` (``projection``, ``history``,
+        Forwarded to :class:`Simulator` (``projection``,
         ``adaptive_method``).
 
     The parsed source waveforms are bound to the session

@@ -207,14 +207,10 @@ class _DescriptorPlan:
         system: DescriptorSystem,
         bundle: OperatorBundle,
         adaptive_method: str,
-        history: str,
         backend: str,
     ) -> None:
-        if history not in ("direct", "fft"):
-            raise SolverError(f"history must be 'direct' or 'fft', got {history!r}")
         self.system = system
         self.bundle = bundle
-        self.history = history
         alpha = system.alpha
         grid = bundle.grid
         if grid is not None and not grid.is_uniform:
@@ -236,7 +232,7 @@ class _DescriptorPlan:
             elif bundle.kind == "toeplitz":
                 self.method = "opm-toeplitz[laguerre]"
             else:
-                self.method = "opm-toeplitz" if history == "direct" else "opm-toeplitz-fft"
+                self.method = "opm-toeplitz"
         self.backend_mode = backend
         self.bank = PencilBank(select_backend(system.E, system.A, mode=backend))
         ones = bundle.ones_coefficients()
@@ -264,11 +260,7 @@ class _DescriptorPlan:
             X = kernels.sweep_general(self.bank, R, self.D)
         else:
             X = kernels.sweep_toeplitz(
-                self.bank,
-                R,
-                self.coeffs,
-                alternating_tail=self.first_order,
-                history=self.history,
+                self.bank, R, self.coeffs, alternating_tail=self.first_order
             )
         if not host:
             X = backend.to_host(X)
@@ -593,9 +585,6 @@ class Simulator:
     adaptive_method:
         Fractional matrix-power construction on adaptive grids
         (``'auto'``/``'eig'``/``'schur'``).
-    history:
-        Fractional-tail accumulation on uniform grids, ``'direct'`` or
-        ``'fft'`` (ignored on the first-order fast path).
     backend:
         ``'auto'`` (default; sparse backend for large sparse systems,
         dense otherwise), ``'dense'``, or ``'sparse'``.
@@ -656,7 +645,6 @@ class Simulator:
         basis=None,
         projection: str | None = None,
         adaptive_method: str = "auto",
-        history: str = "direct",
         backend: str = "auto",
         method=None,
         reduce=None,
@@ -682,7 +670,6 @@ class Simulator:
         self._solve_basis = solver.basis
         self._transform = bundle.transform
         self._adaptive_method = adaptive_method
-        self._history = history
         self._backend_mode = backend
         # validated at bind: a typo'd memory mode must fail here, not
         # deep inside the first march
@@ -739,7 +726,6 @@ class Simulator:
         # fingerprint group and ships only the small reduced pencils
         self._executor_options = {
             "adaptive_method": adaptive_method,
-            "history": history,
             "solver_backend": backend,
             "reduce": reduce,
             "memory": memory,
@@ -769,7 +755,6 @@ class Simulator:
                     system,
                     solver,
                     self._adaptive_method,
-                    self._history,
                     self._backend_mode,
                 )
             return _SpectralPlan(system, solver, self._backend_mode)
@@ -909,7 +894,6 @@ class Simulator:
             system_key,
             self._bundle.fingerprint(),
             self._adaptive_method,
-            self._history,
             self._backend_mode,
             # memory compression changes march arithmetic, so compressed
             # and exact sessions must never unify in a keyed cache
@@ -1215,7 +1199,7 @@ class Simulator:
         """Execute a circuit ensemble on this session's grid and basis.
 
         The session supplies the solve configuration (grid, basis,
-        dense/sparse backend mode, fractional-history settings); the
+        dense/sparse backend mode, fractional-memory settings); the
         ensemble supplies the per-member systems and inputs.  Work is
         sharded across ``jobs`` workers through a
         :class:`~repro.engine.executor.ParallelExecutor`, grouping

@@ -45,9 +45,9 @@ import time
 import numpy as np
 
 from .._validation import check_positive_int
-from ..core.column_solver import PencilCache
 from ..core.lti import DescriptorSystem
 from ..core.result import SampledResult
+from ..engine.backends import PencilBank, select_backend
 from ..errors import ModelError
 from .definitions import cached_gl_weights
 from .history import history_dot
@@ -134,8 +134,9 @@ def simulate_grunwald_letnikov(
     offset = system.shifted_input_offset()
     weights = cached_gl_weights(alpha, n_steps + 1)
     scale = h**-alpha
-    cache = PencilCache(system.E, system.A)
     E = system.E
+    # host-only stepping loop: never rerouted to an array-API backend
+    cache = PencilBank(select_backend(E, system.A, allow_env=False))
 
     # optional SOE memory compression: keep L recent lags exact, fold
     # older history into P mode states updated by one AXPY per step

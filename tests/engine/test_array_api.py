@@ -13,7 +13,15 @@ import importlib.util
 import numpy as np
 import pytest
 
-from repro.core import DescriptorSystem, MultiTermSystem, Simulator
+from repro.baselines.transient import TRANSIENT_METHODS, simulate_transient
+from repro.basis import BlockPulseBasis, TimeGrid
+from repro.core import (
+    DescriptorSystem,
+    FractionalDescriptorSystem,
+    MultiTermSystem,
+    Simulator,
+    simulate_opm_integral,
+)
 from repro.engine.array_api import (
     ARRAY_BACKEND_ENV,
     KNOWN_ARRAY_BACKENDS,
@@ -28,6 +36,7 @@ from repro.engine.backends import (
     select_backend,
 )
 from repro.errors import SolverError
+from repro.fractional.grunwald import simulate_grunwald_letnikov
 
 GRID = (5.0, 48)
 
@@ -214,3 +223,40 @@ class TestSessionRoutes:
         monkeypatch.setenv(ARRAY_BACKEND_ENV, "numpy")
         res = Simulator(rc_system(), (5.0, 16), basis="chebyshev").run(1.0)
         assert np.all(np.isfinite(res.coefficients))
+
+
+class TestReferenceBaselinesStayHost:
+    """The reference steppers and the integral-form sweep are host-only
+    loops: the ``REPRO_ARRAY_BACKEND`` opt-in must not reroute them."""
+
+    @staticmethod
+    def results():
+        system = rc_system()
+        fractional = FractionalDescriptorSystem(0.6, system.E, system.A, system.B)
+
+        def u(t):
+            return np.sin(3.0 * np.asarray(t))
+
+        out = [
+            simulate_transient(system, u, 5.0, 120, method=method).states(
+                np.linspace(0.0, 5.0, 31)
+            )
+            for method in TRANSIENT_METHODS
+        ]
+        out.append(
+            simulate_grunwald_letnikov(fractional, u, 5.0, 120).states(
+                np.linspace(0.0, 5.0, 31)
+            )
+        )
+        basis = BlockPulseBasis(TimeGrid.uniform(5.0, 48))
+        out.append(simulate_opm_integral(system, u, basis).coefficients)
+        return out
+
+    def test_env_opt_in_leaves_results_byte_identical(self, monkeypatch):
+        monkeypatch.delenv(ARRAY_BACKEND_ENV, raising=False)
+        unset = self.results()
+        monkeypatch.setenv(ARRAY_BACKEND_ENV, "numpy")
+        opted_in = self.results()
+        assert len(opted_in) == 5
+        for ref, got in zip(unset, opted_in):
+            assert got.tobytes() == ref.tobytes()

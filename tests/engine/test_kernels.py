@@ -1,17 +1,17 @@
-"""Tests for the column-by-column OPM equation solver."""
+"""Tests for the column-sweep kernels of the OPM matrix equation."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import PencilCache, solve_columns_general, solve_columns_toeplitz
+from repro.engine import kernels
+from repro.engine.backends import PencilBank, select_backend
 from repro.errors import SolverError
 from repro.opmat import (
     differentiation_coefficients,
     differentiation_matrix,
     fractional_differentiation_coefficients,
     fractional_differentiation_matrix,
-    upper_toeplitz,
 )
 
 
@@ -20,6 +20,10 @@ def brute_force(E, A, R, D):
     n, m = R.shape
     big = np.kron(D.T, E) - np.kron(np.eye(m), A)
     return np.linalg.solve(big, R.T.reshape(-1)).reshape(m, n).T
+
+
+def bank(E, A, mode="auto"):
+    return PencilBank(select_backend(E, A, mode=mode))
 
 
 @pytest.fixture
@@ -36,17 +40,18 @@ class TestToeplitzSolve:
         E, A, R = small_system
         m, h = R.shape[1], 0.2
         coeffs = differentiation_coefficients(m, h)
-        X, cache = solve_columns_toeplitz(E, A, R, coeffs, alternating_tail=True)
+        pencils = bank(E, A)
+        X = kernels.sweep_toeplitz(pencils, R, coeffs, alternating_tail=True)
         np.testing.assert_allclose(
             X, brute_force(E, A, R, differentiation_matrix(m, h)), rtol=1e-9
         )
-        assert cache.factorisations == 1
+        assert pencils.factorisations == 1
 
     def test_matches_brute_force_fractional(self, small_system):
         E, A, R = small_system
         m, h, alpha = R.shape[1], 0.2, 0.6
         coeffs = fractional_differentiation_coefficients(alpha, m, h)
-        X, _ = solve_columns_toeplitz(E, A, R, coeffs)
+        X = kernels.sweep_toeplitz(bank(E, A), R, coeffs)
         np.testing.assert_allclose(
             X,
             brute_force(E, A, R, fractional_differentiation_matrix(alpha, m, h)),
@@ -56,16 +61,16 @@ class TestToeplitzSolve:
     def test_alternating_and_general_paths_agree(self, small_system):
         E, A, R = small_system
         coeffs = differentiation_coefficients(R.shape[1], 0.37)
-        X_fast, _ = solve_columns_toeplitz(E, A, R, coeffs, alternating_tail=True)
-        X_slow, _ = solve_columns_toeplitz(E, A, R, coeffs, alternating_tail=False)
+        X_fast = kernels.sweep_toeplitz(bank(E, A), R, coeffs, alternating_tail=True)
+        X_slow = kernels.sweep_toeplitz(bank(E, A), R, coeffs, alternating_tail=False)
         np.testing.assert_allclose(X_fast, X_slow, rtol=1e-10)
 
     def test_sparse_and_dense_agree(self, small_system):
         E, A, R = small_system
         coeffs = differentiation_coefficients(R.shape[1], 0.1)
-        X_dense, _ = solve_columns_toeplitz(E, A, R, coeffs)
-        X_sparse, _ = solve_columns_toeplitz(
-            sp.csr_matrix(E), sp.csr_matrix(A), R, coeffs
+        X_dense = kernels.sweep_toeplitz(bank(E, A), R, coeffs)
+        X_sparse = kernels.sweep_toeplitz(
+            bank(sp.csr_matrix(E), sp.csr_matrix(A)), R, coeffs
         )
         np.testing.assert_allclose(X_dense, X_sparse, rtol=1e-9)
 
@@ -73,25 +78,27 @@ class TestToeplitzSolve:
         E, A, R = small_system
         coeffs = fractional_differentiation_coefficients(0.5, R.shape[1], 0.1)
         with pytest.raises(SolverError, match="alternat"):
-            solve_columns_toeplitz(E, A, R, coeffs, alternating_tail=True)
+            kernels.sweep_toeplitz(bank(E, A), R, coeffs, alternating_tail=True)
 
     def test_rejects_rhs_shape(self, small_system):
         E, A, R = small_system
         with pytest.raises(SolverError):
-            solve_columns_toeplitz(E, A, R[:, :3], differentiation_coefficients(9, 0.1))
+            kernels.sweep_toeplitz(
+                bank(E, A), R[:, :3], differentiation_coefficients(9, 0.1)
+            )
 
     def test_singular_pencil_raises(self):
         E = np.zeros((2, 2))
         A = np.zeros((2, 2))
         R = np.ones((2, 3))
         with pytest.raises(SolverError, match="singular"):
-            solve_columns_toeplitz(E, A, R, differentiation_coefficients(3, 0.1))
+            kernels.sweep_toeplitz(bank(E, A), R, differentiation_coefficients(3, 0.1))
 
     def test_m_equals_one(self, small_system):
         E, A, _ = small_system
         R = np.ones((4, 1))
         coeffs = differentiation_coefficients(1, 0.5)
-        X, _ = solve_columns_toeplitz(E, A, R, coeffs, alternating_tail=True)
+        X = kernels.sweep_toeplitz(bank(E, A), R, coeffs, alternating_tail=True)
         np.testing.assert_allclose(
             X[:, 0], np.linalg.solve(coeffs[0] * E - A, R[:, 0])
         )
@@ -102,7 +109,7 @@ class TestGeneralSolve:
         E, A, R = small_system
         m = R.shape[1]
         D = np.triu(rng.standard_normal((m, m))) + 5.0 * np.eye(m)
-        X, _ = solve_columns_general(E, A, R, D)
+        X = kernels.sweep_general(bank(E, A), R, D)
         np.testing.assert_allclose(X, brute_force(E, A, R, D), rtol=1e-8)
 
     def test_caches_by_diagonal(self, small_system):
@@ -110,41 +117,18 @@ class TestGeneralSolve:
         m = R.shape[1]
         diag = np.array([2.0, 3.0, 2.0, 3.0, 2.0, 3.0, 2.0, 3.0, 2.0])
         D = np.diag(diag) + np.triu(np.ones((m, m)), 1)
-        _, cache = solve_columns_general(E, A, R, D)
-        assert cache.factorisations == 2
+        pencils = bank(E, A)
+        kernels.sweep_general(pencils, R, D)
+        assert pencils.factorisations == 2
 
     def test_rejects_lower_triangular(self, small_system):
         E, A, R = small_system
         m = R.shape[1]
         D = np.tril(np.ones((m, m)))
         with pytest.raises(SolverError, match="upper triangular"):
-            solve_columns_general(E, A, R, D)
+            kernels.sweep_general(bank(E, A), R, D)
 
     def test_rejects_nonsquare_d(self, small_system):
         E, A, R = small_system
         with pytest.raises(SolverError):
-            solve_columns_general(E, A, R, np.ones((3, 9)))
-
-
-class TestPencilCache:
-    def test_reuses_factorisation(self):
-        E, A = np.eye(2), -np.eye(2)
-        cache = PencilCache(E, A)
-        cache.solve(1.0, np.ones(2))
-        cache.solve(1.0, np.zeros(2))
-        assert cache.factorisations == 1
-        cache.solve(2.0, np.ones(2))
-        assert cache.factorisations == 2
-
-    def test_solution_correct(self):
-        E = np.array([[2.0, 0.0], [0.0, 1.0]])
-        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        cache = PencilCache(E, A)
-        rhs = np.array([1.0, 2.0])
-        x = cache.solve(3.0, rhs)
-        np.testing.assert_allclose((3.0 * E - A) @ x, rhs)
-
-    def test_sparse_mode(self):
-        cache = PencilCache(sp.identity(3), -sp.identity(3))
-        x = cache.solve(1.0, np.ones(3))
-        np.testing.assert_allclose(x, 0.5 * np.ones(3))
+            kernels.sweep_general(bank(E, A), R, np.ones((3, 9)))

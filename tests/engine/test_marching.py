@@ -178,14 +178,6 @@ class TestFractionalMarch:
         diff = np.max(np.abs(marched.states_smooth(t) - gl.states(t)))
         assert diff <= 1e-4
 
-    def test_fft_history_window_matches_direct(self):
-        system = dense_system(alpha=0.5)
-        direct = Simulator(system, (0.5, 64), history="direct").march(sine, 3.0)
-        fft = Simulator(system, (0.5, 64), history="fft").march(sine, 3.0)
-        np.testing.assert_allclose(
-            direct.coefficients, fft.coefficients, atol=1e-9
-        )
-
 
 class TestEvents:
     def test_restamp_caches_both_pencils(self):

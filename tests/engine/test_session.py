@@ -44,13 +44,6 @@ class TestSessionBasics:
         sim.run(2.0)
         assert sim.factorisations == 1
 
-    def test_fft_history_session(self, scalar_fde):
-        sim = Simulator(scalar_fde, (2.0, 128), history="fft")
-        ref = Simulator(scalar_fde, (2.0, 128)).run(1.0)
-        res = sim.run(1.0)
-        assert res.info["method"] == "opm-toeplitz-fft"
-        np.testing.assert_allclose(res.coefficients, ref.coefficients, atol=1e-9)
-
     def test_adaptive_grid_session(self, rng):
         system = stable_dense_system(rng, 4)
         grid = TimeGrid.geometric(2.0, 64, 1.05)
@@ -99,10 +92,6 @@ class TestSessionBasics:
     def test_rejects_bad_grid(self, scalar_ode):
         with pytest.raises(TypeError, match="grid"):
             Simulator(scalar_ode, 5.0)
-
-    def test_rejects_bad_history(self, scalar_ode):
-        with pytest.raises(SolverError, match="history"):
-            Simulator(scalar_ode, (1.0, 8), history="magic")
 
 
 class TestBackendChoice:

@@ -48,15 +48,6 @@ class TestSweepMatchesLoop:
                 got.coefficients, ref.coefficients, atol=1e-12
             )
 
-    def test_fractional_fft_history(self, scalar_fde):
-        sweep, loop = sweep_vs_loop(
-            scalar_fde, (2.0, 96), INPUT_FAMILY, history="fft"
-        )
-        for got, ref in zip(sweep, loop):
-            np.testing.assert_allclose(
-                got.coefficients, ref.coefficients, atol=1e-12
-            )
-
     def test_adaptive_general(self, rng):
         system = stable_dense_system(rng, 3)
         grid = TimeGrid.geometric(2.0, 48, 1.04)
