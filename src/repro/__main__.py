@@ -139,6 +139,7 @@ from .circuits.netlist import Netlist
 from .core.dispatch import FRACTIONAL_ZOO_METHODS, SIMULATION_METHODS
 from .core.result import MarchingResult
 from .engine.bundle import basis_names
+from .engine.inputs import scaled_input
 from .engine.netlist_session import (
     _solve_ensemble,
     _solve_transient,
@@ -325,15 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scaled_input(u_fn, scale: float):
-    """Input callable scaled by a constant factor."""
-
-    def scaled(times, _u=u_fn, _s=scale):
-        return _s * np.asarray(_u(times))
-
-    return scaled
-
-
 def _print_times(args, options) -> np.ndarray:
     """The sample times printed by both single-run and sweep tables."""
     t_end = options.t_end
@@ -451,7 +443,7 @@ def _run_sweep(args, options, netlist, system, outputs) -> int:
     sim = options.session(system)
     base_u = netlist.input_function()
     sweep = sim.sweep(
-        [_scaled_input(base_u, s) for s in scales],
+        [scaled_input(base_u, s) for s in scales],
         jobs=args.jobs,
         parallel=args.parallel,
     )

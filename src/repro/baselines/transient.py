@@ -110,8 +110,7 @@ def simulate_transient(
     Bu = system.B @ u_vals
 
     E, A = system.E, system.A
-    # host-only stepping loop: never rerouted to an array-API backend
-    cache = PencilBank(select_backend(E, A, allow_env=False))
+    cache = PencilBank(select_backend(E, A))
     X = np.zeros((n, n_steps + 1))
     if system.x0 is not None:
         X[:, 0] = system.x0

@@ -45,7 +45,7 @@ from ..basis.block_pulse import BlockPulseBasis
 from ..basis.pwconst import PiecewiseConstantBasis
 from ..engine import kernels
 from ..engine.backends import PencilBank, select_backend
-from ..errors import SolverError
+from ..errors import BasisError, SolverError
 from .lti import DescriptorSystem
 from .result import SimulationResult
 
@@ -57,9 +57,7 @@ MAX_DENSE_SIZE = 6000
 
 def _integration_matrix(basis: BasisSet, alpha: float, construction: str) -> np.ndarray:
     if alpha == 1.0:
-        if isinstance(basis, BlockPulseBasis) and construction == "rl":
-            # RL and the classical matrix coincide at alpha = 1.
-            return basis.integration_matrix()
+        # every construction reduces to the classical matrix at alpha = 1
         return basis.integration_matrix()
     if isinstance(basis, BlockPulseBasis):
         return basis.fractional_integration_matrix(alpha, construction=construction)
@@ -98,7 +96,9 @@ def simulate_opm_integral(
     construction:
         For block-pulse bases, the fractional integration matrix to
         use: ``'tustin'`` (inverse of the paper's ``D^alpha``) or
-        ``'rl'`` (classical Riemann-Liouville projection).
+        ``'rl'`` (classical Riemann-Liouville projection).  Any other
+        value raises :class:`~repro.errors.BasisError`, whatever the
+        basis and order.
 
     Examples
     --------
@@ -116,6 +116,10 @@ def simulate_opm_integral(
         raise TypeError(f"system must be a DescriptorSystem, got {type(system).__name__}")
     if not isinstance(basis, BasisSet):
         raise TypeError(f"basis must be a BasisSet, got {type(basis).__name__}")
+    if construction not in ("tustin", "rl"):
+        raise BasisError(
+            f"construction must be 'tustin' or 'rl', got {construction!r}"
+        )
 
     start = time.perf_counter()
     F = _integration_matrix(basis, system.alpha, construction)
@@ -145,11 +149,8 @@ def simulate_opm_integral(
         # Column sweep: (E - F_jj A) z_j = r_j + A sum_{i<j} F_ij z_i,
         # i.e. the differential-form sweep over the pencil (E', A') =
         # (-A, -E): sigma E' - A' = E - F_jj A at sigma = F_jj, and the
-        # tail r_j - E' s = r_j + A s exactly.  Host-only, like every
-        # reference baseline.
-        bank = PencilBank(
-            select_backend(-1.0 * system.A, -1.0 * system.E, allow_env=False)
-        )
+        # tail r_j - E' s = r_j + A s exactly.
+        bank = PencilBank(select_backend(-1.0 * system.A, -1.0 * system.E))
         Z = kernels.sweep_general(bank, R, F)
         factorisations = bank.factorisations
         method = f"opm-integral[{construction}]"

@@ -4,11 +4,8 @@ This subsystem owns the input-independent machinery every OPM solver
 shares, so that repeated-solve workloads amortise it across calls:
 
 * :mod:`~repro.engine.backends` -- the dense/sparse linear-algebra
-  backend protocol, automatic selection from system sparsity, the
-  :class:`PencilBank` factorisation cache, and the array-API
-  :class:`ArrayApiBackend` (numpy/CuPy/torch namespaces);
-* :mod:`~repro.engine.array_api` -- array-API namespace resolution and
-  the ``REPRO_ARRAY_BACKEND`` accelerator opt-in;
+  backend protocol, automatic selection from system sparsity, and the
+  :class:`PencilBank` factorisation cache;
 * :mod:`~repro.engine.reduction` -- certified model-order reduction at
   session bind: :class:`ReductionPlan` / :class:`ReducedModel`, the
   bind-time transfer-residual bound, and the per-run residual check
@@ -69,14 +66,10 @@ _EXPORTS = {
     "resolve_basis": ".bundle",
     "DenseBackend": ".backends",
     "SparseBackend": ".backends",
-    "ArrayApiBackend": ".backends",
     "PencilBank": ".backends",
     "select_backend": ".backends",
     "matrix_density": ".backends",
     "pencil_fingerprint": ".backends",
-    "ARRAY_BACKEND_ENV": ".array_api",
-    "KNOWN_ARRAY_BACKENDS": ".array_api",
-    "resolve_namespace": ".array_api",
     "ReductionPlan": ".reduction",
     "ReducedModel": ".reduction",
     "OffsetDescriptorSystem": ".reduction",
@@ -85,6 +78,7 @@ _EXPORTS = {
     "clear_model_cache": ".reduction",
     "project_input": ".inputs",
     "normalise_input_callable": ".inputs",
+    "scaled_input": ".inputs",
     "resolve_grid": ".session",
     "simulate_netlist": ".netlist_session",
     "from_netlist": ".netlist_session",

@@ -14,12 +14,6 @@ storage-agnostic:
 * :func:`select_backend` -- automatic choice from the system's size and
   fill ratio (the paper's complexity analysis assumes ``O(n)`` nonzeros
   for circuit matrices, which is exactly when the sparse backend wins);
-* :class:`ArrayApiBackend` -- dense pencil operations through any
-  `array API standard <https://data-apis.org/array-api/latest/>`_
-  namespace (``numpy`` always; ``cupy``/``torch`` when installed), so
-  batched sweeps can run on an accelerator without custom kernels;
-  opt in per call (``mode='cupy'``) or process-wide via the
-  ``REPRO_ARRAY_BACKEND`` environment variable;
 * :class:`PencilBank` -- the factorisation cache shared by every sweep:
   one LU per distinct shift ``sigma``, reused across columns, calls,
   and batched multi-RHS sweeps.
@@ -41,13 +35,10 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from ..errors import SingularPencilError, SolverError
-from .array_api import KNOWN_ARRAY_BACKENDS, env_backend, resolve_namespace
-from .array_api import to_host as _array_to_host
 
 __all__ = [
     "DenseBackend",
     "SparseBackend",
-    "ArrayApiBackend",
     "PencilBank",
     "select_backend",
     "matrix_density",
@@ -99,33 +90,10 @@ class PencilBackend(abc.ABC):
     #: Short human-readable backend name (``'dense'`` / ``'sparse'``).
     name: str = "abstract"
 
-    #: Array namespace the backend's solves live in (host backends:
-    #: numpy).  Kernels allocate their work arrays through this.
-    xp = np
-
-    #: True when :meth:`solve` returns host ``numpy`` arrays.  Non-host
-    #: backends (device array-API namespaces) require the caller to
-    #: wrap sweeps in :meth:`prepare_rhs` / :meth:`to_host`.
-    is_host: bool = True
-
     @property
     @abc.abstractmethod
     def n(self) -> int:
         """State dimension (number of pencil rows)."""
-
-    def prepare_rhs(self, rhs):
-        """Stage a host right-hand-side block for this backend's solves
-        (device backends transfer it into their namespace)."""
-        return np.asarray(rhs, dtype=float)
-
-    def to_host(self, x) -> np.ndarray:
-        """Bring a solve result back to a host ``numpy`` array."""
-        return np.asarray(x)
-
-    def all_finite(self, x) -> bool:
-        """Whether every entry of a solve result is finite (evaluated
-        in the backend's own namespace -- no device transfer)."""
-        return bool(np.all(np.isfinite(x)))
 
     @abc.abstractmethod
     def factorize(self, sigma: float):
@@ -159,7 +127,7 @@ class PencilBackend(abc.ABC):
         """Matrix-vector/matrix product ``E @ x`` (used by history tails)."""
 
 
-def _raise_singular(sigma: float, exc: Exception | None):
+def _raise_singular(sigma: float, exc: Exception):
     raise SingularPencilError(
         f"shifted pencil sigma*E - A is singular at sigma={sigma:g}; "
         "for circuit models this usually means a structural defect -- "
@@ -275,127 +243,45 @@ class SparseBackend(PencilBackend):
         return self.E @ x
 
 
-class ArrayApiBackend(PencilBackend):
-    """Dense pencil operations through an array-API-standard namespace.
-
-    The factorisation handle is the *explicit inverse* of the shifted
-    pencil: a one-time ``O(n^3)`` ``linalg.inv`` turns every subsequent
-    multi-RHS column solve into a single GEMM -- the primitive
-    accelerators are built around (substitution-style ``lu_solve`` is
-    latency-bound on a GPU, a batched GEMM is throughput-bound).  On
-    the host this trades a little accuracy headroom for the portable
-    code path, which is why :class:`DenseBackend` stays the default;
-    the numpy namespace here is primarily the CI-testable contract for
-    the CuPy/torch device paths.
-
-    ``E``/``A`` are densified into the target namespace on
-    construction; right-hand sides transfer per solve block (one
-    host-to-device copy per sweep, amortised over all ``m`` columns by
-    :meth:`prepare_rhs`).
-    """
-
-    def __init__(self, E, A, *, namespace: str = "numpy") -> None:
-        self.xp, backend_name = resolve_namespace(namespace)
-        self.name = f"array-api[{backend_name}]"
-        self.backend_name = backend_name
-        self.is_host = self.xp is np
-        E = E.toarray() if sp.issparse(E) else np.asarray(E, dtype=float)
-        A = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-        self.E = self.xp.asarray(E, dtype=self.xp.float64)
-        self.A = self.xp.asarray(A, dtype=self.xp.float64)
-
-    @property
-    def n(self) -> int:
-        """State dimension (number of pencil rows)."""
-        return int(self.E.shape[0])
-
-    def factorize(self, sigma: float):
-        """Invert ``sigma E - A`` in the backend namespace.
-
-        Singularity surfaces either as the namespace's own error or as
-        non-finite entries (device solvers may return garbage instead
-        of raising); both become the engine's typed error.
-        """
-        xp = self.xp
-        pencil = sigma * self.E - self.A
-        try:
-            inverse = xp.linalg.inv(pencil)
-        except Exception as exc:  # LinAlgError / RuntimeError, per library
-            _raise_singular(sigma, exc)
-        if not self.all_finite(inverse):
-            _raise_singular(sigma, None)
-        return inverse
-
-    def solve(self, handle, rhs):
-        """One GEMM per multi-RHS block: ``x = (sigma E - A)^{-1} rhs``."""
-        return handle @ rhs
-
-    def apply_E(self, x):
-        """Product ``E @ x`` in the backend namespace."""
-        return self.E @ x
-
-    def prepare_rhs(self, rhs):
-        """Transfer a host right-hand-side block into the namespace."""
-        return self.xp.asarray(np.asarray(rhs, dtype=float), dtype=self.xp.float64)
-
-    def to_host(self, x) -> np.ndarray:
-        """Transfer a solve result back to a host ``numpy`` array."""
-        return _array_to_host(x)
-
-    def all_finite(self, x) -> bool:
-        """Finite check evaluated in the backend namespace (the scalar
-        reduction is the only device synchronisation point)."""
-        xp = self.xp
-        return bool(xp.all(xp.isfinite(x)))
-
-
-def select_backend(E, A, *, mode: str = "auto", allow_env: bool = True) -> PencilBackend:
+def select_backend(E, A, *, mode: str = "auto") -> PencilBackend:
     """Choose a pencil backend for the system matrices ``E``, ``A``.
 
     Parameters
     ----------
     E, A:
         Square system matrices, dense ndarray or scipy sparse.
-    allow_env:
-        Honour the ``REPRO_ARRAY_BACKEND`` opt-in under ``'auto'``
-        (default).  Host-only callers (the spectral Kronecker and
-        multi-term plans, whose operators must never be densified into
-        a device namespace) pass ``False``.
     mode:
         ``'auto'`` -- sparse backend for systems with at least
         :data:`SPARSE_SIZE_THRESHOLD` states whose combined fill ratio
         is at most :data:`SPARSE_DENSITY_THRESHOLD` (regardless of the
-        *storage* the caller happened to use); dense otherwise.  When
-        the ``REPRO_ARRAY_BACKEND`` environment variable names an
-        array-API backend, ``'auto'`` dispatches to it instead (the
-        process-wide accelerator opt-in).
-        ``'dense'`` / ``'sparse'`` force the classic choice; an
-        array-API backend name (``'numpy'``, ``'cupy'``, ``'torch'``)
-        forces an :class:`ArrayApiBackend` over that namespace.
+        *storage* the caller happened to use); dense otherwise.
+        ``'dense'`` / ``'sparse'`` force that backend.
 
     Returns
     -------
     PencilBackend
-        A :class:`DenseBackend`, :class:`SparseBackend`, or
-        :class:`ArrayApiBackend`.
+        A :class:`DenseBackend` or :class:`SparseBackend`.
+
+    Raises
+    ------
+    SolverError
+        For any other ``mode``.
+
+    Examples
+    --------
+    >>> select_backend(np.eye(3), -np.eye(3)).name
+    'dense'
+    >>> type(select_backend(np.eye(3), -np.eye(3), mode="sparse")).__name__
+    'SparseBackend'
     """
-    array_modes = KNOWN_ARRAY_BACKENDS + tuple(
-        f"array-api:{name}" for name in KNOWN_ARRAY_BACKENDS
-    )
-    if mode in array_modes:
-        return ArrayApiBackend(E, A, namespace=mode)
-    if mode not in ("auto", "dense", "sparse"):
-        raise SolverError(
-            f"backend mode must be 'auto', 'dense', 'sparse', or an "
-            f"array-API backend name {KNOWN_ARRAY_BACKENDS}, got {mode!r}"
-        )
     if mode == "dense":
         return DenseBackend(E, A)
     if mode == "sparse":
         return SparseBackend(E, A)
-    env = env_backend() if allow_env else None
-    if env is not None:
-        return ArrayApiBackend(E, A, namespace=env)
+    if mode != "auto":
+        raise SolverError(
+            f"backend mode must be 'auto', 'dense' or 'sparse', got {mode!r}"
+        )
     n = E.shape[0]
     density = 0.5 * (matrix_density(E) + matrix_density(A))
     if n >= SPARSE_SIZE_THRESHOLD and density <= SPARSE_DENSITY_THRESHOLD:
@@ -434,17 +320,14 @@ def pencil_fingerprint(E, A=None) -> tuple:
 def handle_nbytes(handle, n: int) -> int:
     """Estimated resident bytes of one factorisation handle.
 
-    Covers the three handle species the backends produce -- a dense
-    ``(lu, piv)`` pair, a SuperLU object (``L``/``U`` CSC factors plus
-    the two permutation vectors), and an explicit-inverse array-API
-    handle -- with a dense ``n^2`` float64 fallback for anything
-    unrecognised, so the byte accounting errs on the safe (large) side.
+    Covers the two handle species the backends produce -- a dense
+    ``(lu, piv)`` pair and a SuperLU object (``L``/``U`` CSC factors
+    plus the two permutation vectors) -- with a dense ``n^2`` float64
+    fallback for anything unrecognised, so the byte accounting errs on
+    the safe (large) side.
     """
     if isinstance(handle, tuple):  # scipy.linalg.lu_factor: (lu, piv)
         return int(sum(getattr(part, "nbytes", 0) for part in handle))
-    nbytes = getattr(handle, "nbytes", None)
-    if nbytes is not None:  # array-API explicit inverse
-        return int(nbytes)
     L, U = getattr(handle, "L", None), getattr(handle, "U", None)
     if L is not None and U is not None:  # SuperLU
         total = 0
@@ -658,6 +541,25 @@ class PencilBank:
         """Product ``E @ x`` through the active backend (history-tail helper)."""
         return self.backend.apply_E(x)
 
+    def _handle(self, sigma: float):
+        """The active stamp's factorisation at ``sigma`` (caller holds
+        the lock): a hit refreshes its LRU slot, a miss factorises,
+        records its bytes and evicts down to the bounds."""
+        key = (self._stamp, sigma)
+        handle = self._cache.get(key)
+        if handle is not None:
+            self._hits += 1
+            self._cache.move_to_end(key)
+            return handle
+        self._misses += 1
+        handle = self.backend.factorize(sigma)
+        self._factorisations += 1
+        self._cache[key] = handle
+        self._handle_bytes[key] = handle_nbytes(handle, self.backend.n)
+        self._nbytes += self._handle_bytes[key]
+        self._evict(keep=key)
+        return handle
+
     def solve(self, sigma: float, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(sigma E - A) x = rhs``, factorising at most once per
         ``(stamp, sigma)`` while it stays resident.
@@ -668,21 +570,8 @@ class PencilBank:
         cannot swap the active pencil out from under the substitution.
         """
         with self._lock:
-            key = (self._stamp, sigma)
-            handle = self._cache.get(key)
-            if handle is None:
-                self._misses += 1
-                handle = self.backend.factorize(sigma)
-                self._factorisations += 1
-                self._cache[key] = handle
-                self._handle_bytes[key] = handle_nbytes(handle, self.backend.n)
-                self._nbytes += self._handle_bytes[key]
-                self._evict(keep=key)
-            else:
-                self._hits += 1
-                self._cache.move_to_end(key)
-            out = self.backend.solve(handle, rhs)
-        if not self.backend.all_finite(out):
+            out = self.backend.solve(self._handle(sigma), rhs)
+        if not np.isfinite(out).all():
             raise SingularPencilError(
                 f"pencil solve at sigma={sigma:g} produced non-finite values "
                 "(singular or extremely ill-conditioned pencil); for circuit "
@@ -705,17 +594,4 @@ class PencilBank:
         pencil under a sweep that already bound its solver.
         """
         with self._lock:
-            key = (self._stamp, sigma)
-            handle = self._cache.get(key)
-            if handle is None:
-                self._misses += 1
-                handle = self.backend.factorize(sigma)
-                self._factorisations += 1
-                self._cache[key] = handle
-                self._handle_bytes[key] = handle_nbytes(handle, self.backend.n)
-                self._nbytes += self._handle_bytes[key]
-                self._evict(keep=key)
-            else:
-                self._hits += 1
-                self._cache.move_to_end(key)
-            return self.backend.column_solver(handle)
+            return self.backend.column_solver(self._handle(sigma))

@@ -13,7 +13,9 @@ reconciled:
   waveforms undefined at isolated points work as long as the quadrature
   nodes avoid them;
 * :func:`project_input` maps any accepted input form to the coefficient
-  matrix ``U`` of shape ``(n_inputs, m)``.
+  matrix ``U`` of shape ``(n_inputs, m)``;
+* :func:`scaled_input` scales any accepted input form by a factor (the
+  members of a ``--sweep`` or a service sweep).
 
 Every solver and the :class:`~repro.engine.session.Simulator` session
 route through these two helpers, so all entry points accept exactly the
@@ -30,7 +32,7 @@ from ..basis.base import BasisSet
 from ..basis.block_pulse import BlockPulseBasis
 from ..errors import ModelError
 
-__all__ = ["normalise_input_callable", "project_input"]
+__all__ = ["normalise_input_callable", "project_input", "scaled_input"]
 
 
 def normalise_input_callable(u: Callable, n_inputs: int) -> Callable:
@@ -117,3 +119,21 @@ def project_input(u, basis: BasisSet, n_inputs: int) -> np.ndarray:
             f"input coefficients must have shape ({n_inputs}, {m}), got {u_arr.shape}"
         )
     return u_arr
+
+
+def scaled_input(u, scale: float):
+    """The input ``u`` (callable, scalar or coefficients) scaled by a factor.
+
+    A unit factor returns ``u`` itself; callables are wrapped lazily,
+    so the waveform is still evaluated only at projection time.
+    """
+    if scale == 1.0:
+        return u
+    if callable(u):
+        def scaled(times, _u=u, _s=scale):
+            return _s * np.asarray(_u(times))
+
+        return scaled
+    if np.isscalar(u):
+        return float(u) * scale
+    return np.asarray(u, dtype=float) * scale

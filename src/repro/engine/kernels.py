@@ -48,13 +48,6 @@ solution block, and transposes once at the end into a C-contiguous
 ``(n, m, k)`` result.  The arithmetic and its order are those of the
 column-strided loop, so results are bit-identical; only the memory
 layout changed.
-
-The Toeplitz sweep is additionally *namespace-generic*: when the bank's
-backend is an :class:`~repro.engine.backends.ArrayApiBackend`, all work
-arrays live in that backend's array-API namespace (CuPy/torch on an
-accelerator; numpy as the host contract), and the per-column math uses
-only standard-portable operations.  The numpy code path is untouched --
-host sweeps stay bit-identical to the pre-generalisation kernels.
 """
 
 from __future__ import annotations
@@ -67,24 +60,9 @@ from .backends import PencilBank
 __all__ = ["sweep_toeplitz", "sweep_general", "sweep_multiterm"]
 
 
-def _require_host(bank: PencilBank, kernel: str) -> None:
-    """Refuse non-host backends for kernels that are numpy-only."""
-    if not getattr(bank.backend, "is_host", True):
-        raise SolverError(
-            f"{kernel} supports host (numpy) backends only, got "
-            f"{bank.backend.name!r}; use backend='auto'/'dense'/'sparse' "
-            "for this solve route"
-        )
-
-
-def _as_batched(R, xp=np) -> tuple:
-    """Return ``R`` as ``(n, m, k)`` plus a flag to squeeze the result.
-
-    Host callers get the classic ``np.asarray`` coercion; device arrays
-    (already staged by ``prepare_rhs``) pass through untouched.
-    """
-    if xp is np:
-        R = np.asarray(R, dtype=float)
+def _as_batched(R) -> tuple:
+    """Return ``R`` as ``(n, m, k)`` plus a flag to squeeze the result."""
+    R = np.asarray(R, dtype=float)
     if R.ndim == 2:
         return R[:, :, None], True
     if R.ndim == 3:
@@ -92,20 +70,14 @@ def _as_batched(R, xp=np) -> tuple:
     raise SolverError(f"R must be 2-D or 3-D, got ndim={R.ndim}")
 
 
-def _tail_dot(X, j: int, weights, xp=np):
+def _tail_dot(X, j: int, weights):
     """Weighted history sum ``sum_{i<j} w_i x_i`` for all batch members.
 
     ``X`` is ``(n, m, k)``; ``weights`` has length ``j`` and is applied
     to the solved columns ``x_0 .. x_{j-1}`` in order (Toeplitz callers
     pass the reversed coefficient slice ``(c_j, ..., c_1)``, the general
     sweep passes ``D[:j, j]`` directly).  Returns ``(n, k)``.
-
-    The non-numpy branch avoids ``einsum`` (not in the array API
-    standard): a broadcast multiply plus an axis reduction compiles to
-    the same contraction on every backend.
     """
-    if xp is not np:
-        return xp.sum(X[:, :j, :] * xp.reshape(weights, (1, -1, 1)), axis=1)
     if X.shape[2] == 1:
         # single-input fast path: plain GEMV on a 2-D view
         return (X[:, :j, 0] @ weights)[:, None]
@@ -141,8 +113,7 @@ def sweep_toeplitz(
     """
     coeffs = np.asarray(coeffs, dtype=float)
     m = coeffs.size
-    xp = getattr(bank.backend, "xp", np)
-    R3, squeeze = _as_batched(R, xp)
+    R3, squeeze = _as_batched(R)
     n, k = R3.shape[0], R3.shape[2]
     if R3.shape[1] != m:
         shape = tuple(R3.shape[:2]) if squeeze else tuple(R3.shape)
@@ -161,24 +132,23 @@ def sweep_toeplitz(
     solve = bank.solver(sigma)
     apply_E = bank.backend.apply_E
     if alternating_tail:
-        X = _sweep_alternating(solve, apply_E, R3, coeffs[1] if m > 1 else 0.0, xp)
+        X = _sweep_alternating(solve, apply_E, R3, coeffs[1] if m > 1 else 0.0)
     else:
-        X = xp.empty((n, m, k), dtype=R3.dtype)
+        X = np.empty((n, m, k), dtype=R3.dtype)
         # reversed-coefficient copy so the per-column tail weights
-        # (c_j, ..., c_1) are positive-step *contiguous* slices: device
-        # tensors do not support negative-step slicing, and on the host
-        # a negative-stride GEMV operand forces numpy off the fast BLAS
+        # (c_j, ..., c_1) are positive-step *contiguous* slices: a
+        # negative-stride GEMV operand forces numpy off the fast BLAS
         # path (~3x slower per column)
-        rev = xp.asarray(np.ascontiguousarray(coeffs[::-1]))
+        rev = np.ascontiguousarray(coeffs[::-1])
         for j in range(m):
             if j == 0:
                 rhs = R3[:, 0, :]
             else:
                 # s_j = sum_{i=1..j} c_i x_{j-i}
-                s = _tail_dot(X, j, rev[m - 1 - j : m - 1], xp)
+                s = _tail_dot(X, j, rev[m - 1 - j : m - 1])
                 rhs = R3[:, j, :] - apply_E(s)
             X[:, j, :] = solve(rhs)
-    if not bank.backend.all_finite(X):
+    if not np.isfinite(X).all():
         raise SolverError(
             f"pencil solve at sigma={sigma:g} produced non-finite values "
             "(singular or extremely ill-conditioned pencil)"
@@ -186,7 +156,7 @@ def sweep_toeplitz(
     return X[:, :, 0] if squeeze else X
 
 
-def _sweep_alternating(solve, apply_E, R3, c1: float, xp):
+def _sweep_alternating(solve, apply_E, R3, c1: float):
     """First-order (alternating-tail) sweep over time-major blocks.
 
     ``tail_j = sum_{i<j} c_{j-i} x_i = c_1 * t_j`` with
@@ -197,10 +167,10 @@ def _sweep_alternating(solve, apply_E, R3, c1: float, xp):
     C-contiguous ``(n, m, k)`` block.
     """
     n, m, k = R3.shape
-    Rt = xp.empty((m, n, k), dtype=R3.dtype)
-    Rt[...] = xp.moveaxis(R3, 1, 0)
-    Xt = xp.empty((m, n, k), dtype=R3.dtype)
-    t = xp.zeros((n, k), dtype=R3.dtype)
+    Rt = np.empty((m, n, k), dtype=R3.dtype)
+    Rt[...] = np.moveaxis(R3, 1, 0)
+    Xt = np.empty((m, n, k), dtype=R3.dtype)
+    t = np.zeros((n, k), dtype=R3.dtype)
     for j in range(m):
         if j == 0:
             rhs = Rt[0]
@@ -208,8 +178,8 @@ def _sweep_alternating(solve, apply_E, R3, c1: float, xp):
             t = Xt[j - 1] - t
             rhs = Rt[j] - c1 * apply_E(t)
         Xt[j] = solve(rhs)
-    X = xp.empty((n, m, k), dtype=R3.dtype)
-    X[...] = xp.moveaxis(Xt, 0, 1)
+    X = np.empty((n, m, k), dtype=R3.dtype)
+    X[...] = np.moveaxis(Xt, 0, 1)
     return X
 
 
@@ -226,7 +196,6 @@ def sweep_general(bank: PencilBank, R: np.ndarray, D: np.ndarray) -> np.ndarray:
         If ``D`` has nonzero entries below the diagonal (the column
         sweep would be invalid) or the shapes disagree.
     """
-    _require_host(bank, "sweep_general")
     D = np.asarray(D, dtype=float)
     m = D.shape[0]
     if D.shape != (m, m):
@@ -282,7 +251,6 @@ def sweep_multiterm(
 
     Accepts batched ``R`` like the other kernels.
     """
-    _require_host(bank, "sweep_multiterm")
     R3, squeeze = _as_batched(R)
     n, m, k = R3.shape
     uses_alt = bool(first_terms or second_terms)
@@ -313,7 +281,7 @@ def sweep_multiterm(
         if uses_alt:
             alt_b = b_j
             alt_a = X[:, j, :] - alt_a
-    if not bank.backend.all_finite(X):
+    if not np.isfinite(X).all():
         raise SolverError(
             "pencil solve at sigma=1 produced non-finite values "
             "(singular or extremely ill-conditioned pencil)"

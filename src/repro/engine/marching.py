@@ -359,12 +359,6 @@ def march(sim, u, t_end: float, *, events=()) -> MarchingResult:
             "(the Krylov subspace is built for one pencil); march the "
             "full model (reduce=None) for switching circuits"
         )
-    if not getattr(plan.bank.backend, "is_host", True):
-        raise SolverError(
-            "march's window state carry is host-only; use "
-            "backend='auto'/'dense'/'sparse' (device array-API backends "
-            "support run() and sweep())"
-        )
     if plan.kind == "spectral":
         return _march_spectral(sim, u, t_end, events)
     return _march_triangular(sim, u, t_end, events)

@@ -76,6 +76,7 @@ import numpy as np
 
 from ..circuits.cards import AnalysisSpec
 from ..errors import ReproError, ServiceError
+from .inputs import scaled_input
 from .session import PARALLEL_SWEEP_MIN_COLUMNS, Simulator
 
 __all__ = [
@@ -123,20 +124,6 @@ def _percentile(sorted_values: list[float], q: float) -> float:
         return 0.0
     rank = min(len(sorted_values) - 1, max(0, int(q * len(sorted_values))))
     return sorted_values[rank]
-
-
-def _scaled_input(u, scale: float):
-    """The input ``u`` (callable or coefficients) scaled by a factor."""
-    if scale == 1.0:
-        return u
-    if callable(u):
-        def scaled(times, _u=u, _s=scale):
-            return _s * np.asarray(_u(times))
-
-        return scaled
-    if np.isscalar(u):
-        return float(u) * scale
-    return np.asarray(u, dtype=float) * scale
 
 
 def _parse_system(spec: dict):
@@ -629,7 +616,7 @@ class SimulationService:
                 f"{type(u).__name__}"
             )
         try:
-            return [_scaled_input(u, float(s)) for s in scales]
+            return [scaled_input(u, float(s)) for s in scales]
         except (TypeError, ValueError) as exc:
             raise ServiceError(f"bad 'scale(s)' value: {exc}") from exc
 

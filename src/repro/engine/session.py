@@ -48,7 +48,6 @@ from ..errors import SolverError
 from ..fractional.methods import resolve_method
 from ..fractional.soe import resolve_memory
 from . import assembly, kernels
-from .array_api import KNOWN_ARRAY_BACKENDS
 from .backends import PencilBank, pencil_fingerprint, select_backend
 from .bundle import OperatorBundle, resolve_basis
 from .inputs import project_input
@@ -140,23 +139,6 @@ def _resolve_session_basis(grid, basis, projection: str | None) -> BasisSet:
     return resolve_basis(basis, g, projection=projection or "average")
 
 
-def _host_backend_mode(mode: str, plan: str) -> str:
-    """Validate a backend mode for the host-only solve plans.
-
-    The spectral Kronecker and multi-term operators must never be
-    densified into a device namespace (a ``(n m)^2`` Kronecker operator
-    on a GPU is exactly the thing the triangular structure avoids), so
-    those plans accept only the classic modes.
-    """
-    if mode in KNOWN_ARRAY_BACKENDS or str(mode).startswith("array-api"):
-        raise SolverError(
-            f"{plan} plans are host-only; array-API backend {mode!r} is "
-            "not supported on this solve route -- use backend='auto', "
-            "'dense', or 'sparse'"
-        )
-    return mode
-
-
 def _offset_columns(vector, ones: np.ndarray) -> np.ndarray | None:
     """Per-column coefficients of the constant vector function ``vector``."""
     if vector is None:
@@ -245,25 +227,13 @@ class _DescriptorPlan:
         return _system_rhs(self.system, U, self._offset_cols)
 
     def solve(self, R: np.ndarray) -> np.ndarray:
-        """Column sweep for one (``(n, m)``) or many (``(n, m, k)``) inputs.
-
-        Non-host (array-API device) backends stage the right-hand-side
-        block into their namespace once, sweep there, and transfer the
-        solution back -- two transfers per call, amortised over all
-        ``m`` columns.
-        """
-        backend = self.bank.backend
-        host = getattr(backend, "is_host", True)
-        if not host:
-            R = backend.prepare_rhs(R)
+        """Column sweep for one (``(n, m)``) or many (``(n, m, k)``) inputs."""
         if self.D is not None:
             X = kernels.sweep_general(self.bank, R, self.D)
         else:
             X = kernels.sweep_toeplitz(
                 self.bank, R, self.coeffs, alternating_tail=self.first_order
             )
-        if not host:
-            X = backend.to_host(X)
         return _add_columns(X, self._x0_cols)
 
     def info(self) -> dict:
@@ -308,14 +278,7 @@ class _MultiTermPlan:
             if sp.issparse(pencil)
             else np.zeros(pencil.shape)
         )
-        self.bank = PencilBank(
-            select_backend(
-                pencil,
-                zero,
-                mode=_host_backend_mode(backend, "multi-term"),
-                allow_env=False,
-            )
-        )
+        self.bank = PencilBank(select_backend(pencil, zero, mode=backend))
         # Integer orders 1 and 2 admit O(n)-per-column tail recurrences
         # (see kernels.sweep_multiterm); other positive orders pay the
         # O(n j) dot product.
@@ -405,7 +368,7 @@ class _SpectralPlan:
         m = self.bundle.size
         E_big = sp.kron(sp.identity(m, format="csr"), sp.csr_matrix(system.E))
         A_big = sp.kron(sp.csr_matrix(self.F.T), sp.csr_matrix(system.A))
-        mode = _host_backend_mode(self.backend_mode, "spectral integral-form")
+        mode = self.backend_mode
         if E_big.shape[0] > MAX_DENSE_KRON:
             # decide BEFORE any densification: an (n m)^2 dense operator
             # this large must never be materialised
@@ -415,8 +378,9 @@ class _SpectralPlan:
                     f"exceeds {MAX_DENSE_KRON}; use backend='sparse' or a "
                     "smaller spectral order m"
                 )
-            mode = "sparse"
-        return select_backend(E_big, A_big, mode=mode, allow_env=False)
+            if mode == "auto":
+                mode = "sparse"
+        return select_backend(E_big, A_big, mode=mode)
 
     def right_hand_side(self, U: np.ndarray) -> np.ndarray:
         """``R = B U`` plus the constant zero-IC shift ``A x0`` (if any)."""
@@ -506,10 +470,7 @@ class _MethodPlan(_SpectralPlan):
             and np.min(np.abs(np.diag(F))) > 1e-14 * scale
         )
         if self._triangular:
-            mode = _host_backend_mode(backend, f"method {method.name!r}")
-            self.bank = PencilBank(
-                select_backend(system.E, system.A, mode=mode, allow_env=False)
-            )
+            self.bank = PencilBank(select_backend(system.E, system.A, mode=backend))
         else:
             self.bank = PencilBank(self.kron_backend(system))
         self.method = f"{method.name}[{bundle.name}]"

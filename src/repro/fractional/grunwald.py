@@ -135,8 +135,7 @@ def simulate_grunwald_letnikov(
     weights = cached_gl_weights(alpha, n_steps + 1)
     scale = h**-alpha
     E = system.E
-    # host-only stepping loop: never rerouted to an array-API backend
-    cache = PencilBank(select_backend(E, system.A, allow_env=False))
+    cache = PencilBank(select_backend(E, system.A))
 
     # optional SOE memory compression: keep L recent lags exact, fold
     # older history into P mode states updated by one AXPY per step

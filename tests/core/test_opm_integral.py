@@ -15,6 +15,7 @@ from repro.core import (
     simulate_opm,
     simulate_opm_integral,
 )
+from repro.errors import BasisError
 from repro.fractional import fde_step_response
 
 
@@ -150,6 +151,21 @@ class TestValidation:
     def test_rejects_non_basis(self, scalar_ode):
         with pytest.raises(TypeError):
             simulate_opm_integral(scalar_ode, 1.0, "basis")
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            BlockPulseBasis(TimeGrid.uniform(1.0, 16)),
+            LegendreBasis(1.0, 8),
+            ChebyshevBasis(1.0, 8),
+        ],
+        ids=["block-pulse", "legendre", "chebyshev"],
+    )
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_rejects_unknown_construction(self, basis, alpha):
+        system = FractionalDescriptorSystem(alpha, [[1.0]], [[-1.0]], [[1.0]])
+        with pytest.raises(BasisError, match="'tustin' or 'rl'.*'bogus'"):
+            simulate_opm_integral(system, 1.0, basis, construction="bogus")
 
     def test_method_labels(self, scalar_ode):
         basis = BlockPulseBasis(TimeGrid.uniform(1.0, 16))

@@ -4,16 +4,28 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.baselines.transient import TRANSIENT_METHODS, simulate_transient
+from repro.basis import BlockPulseBasis, TimeGrid
+from repro.circuits import Netlist
+from repro.core import (
+    DescriptorSystem,
+    FractionalDescriptorSystem,
+    MultiTermSystem,
+    simulate_opm_integral,
+)
 from repro.engine import (
     DenseBackend,
     PencilBank,
+    Simulator,
     SparseBackend,
     matrix_density,
     pencil_fingerprint,
     select_backend,
+    simulate_netlist,
 )
 from repro.engine.backends import SPARSE_SIZE_THRESHOLD, handle_nbytes
 from repro.errors import SolverError
+from repro.fractional.grunwald import simulate_grunwald_letnikov
 
 
 def tridiag(n: int) -> sp.csr_matrix:
@@ -205,7 +217,7 @@ class TestPencilBankLRU:
         bank.solve(1.0, np.ones(2))  # was evicted: a miss again
         assert (bank.hits, bank.misses, bank.evictions) == (1, 3, 2)
 
-    @pytest.mark.parametrize("mode", ["dense", "sparse", "numpy"])
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
     def test_nbytes_tracks_handle_estimates(self, mode):
         n = 16
         bank = PencilBank(select_backend(np.eye(n), -tridiag(n).toarray(), mode=mode))
@@ -304,11 +316,6 @@ class TestHandleNbytes:
         )
         assert nbytes == csc_parts + 2 * n * np.dtype(np.intc).itemsize
 
-    def test_array_api_inverse(self):
-        backend = select_backend(np.eye(4), -np.eye(4), mode="numpy")
-        handle = backend.factorize(1.0)
-        assert handle_nbytes(handle, 4) == 4 * 4 * 8
-
     def test_unknown_handle_falls_back_dense(self):
         assert handle_nbytes(object(), 10) == 10 * 10 * 8
 
@@ -385,3 +392,85 @@ class TestRestamp:
         np.testing.assert_allclose(bank.solve(1.0, np.ones(2)), 0.5 * np.ones(2))
         with pytest.raises(SolverError, match="unknown pencil stamp"):
             bank.use(5)
+
+
+def rc_chain(n: int) -> DescriptorSystem:
+    """Sparse RC chain ``x' = T x + e_0 u`` (T tridiagonal)."""
+    B = np.zeros((n, 1))
+    B[0, 0] = 1.0
+    return DescriptorSystem(sp.identity(n, format="csr"), tridiag(n), B)
+
+
+def drive(t):
+    return np.sin(3.0 * np.asarray(t))
+
+
+def _transient(method: str):
+    return lambda: simulate_transient(rc_chain(12), drive, 5.0, 120, method=method).states(
+        np.linspace(0.0, 5.0, 31)
+    )
+
+
+def _fractional() -> FractionalDescriptorSystem:
+    system = rc_chain(12)
+    return FractionalDescriptorSystem(0.6, system.E, system.A, system.B)
+
+
+#: Every solve route, as a thunk returning its result array.
+ROUTES = {
+    "block-pulse-dense": lambda: Simulator(rc_chain(12), (5.0, 48)).run(drive).coefficients,
+    "block-pulse-sparse": lambda: Simulator(
+        rc_chain(SPARSE_SIZE_THRESHOLD), (5.0, 48)
+    ).run(drive).coefficients,
+    "sweep": lambda: Simulator(rc_chain(12), (5.0, 48)).sweep([0.5, drive]).coefficients,
+    "chebyshev": lambda: Simulator(rc_chain(12), (5.0, 16), basis="chebyshev")
+    .run(1.0)
+    .coefficients,
+    "multi-term": lambda: Simulator(
+        MultiTermSystem(
+            [(1.0, np.eye(2)), (0.5, 0.1 * np.eye(2)), (0.0, np.eye(2))],
+            np.ones((2, 1)),
+        ),
+        (1.0, 16),
+    )
+    .run(1.0)
+    .coefficients,
+    "method-gl": lambda: Simulator(_fractional(), (5.0, 48), method="gl")
+    .run(drive)
+    .coefficients,
+    **{f"transient-{method}": _transient(method) for method in TRANSIENT_METHODS},
+    "grunwald-letnikov": lambda: simulate_grunwald_letnikov(
+        _fractional(), drive, 5.0, 120
+    ).states(np.linspace(0.0, 5.0, 31)),
+    "opm-integral": lambda: simulate_opm_integral(
+        rc_chain(12), drive, BlockPulseBasis(TimeGrid.uniform(5.0, 48))
+    ).coefficients,
+}
+
+
+class TestNoArrayBackendSwitch:
+    """Backends are exactly 'auto', 'dense' and 'sparse': no environment
+    variable reroutes a solve, and array-library names are refused."""
+
+    @pytest.mark.parametrize("value", ["numpy", "cupy"])
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_environment_is_inert(self, route, value, monkeypatch):
+        monkeypatch.delenv("REPRO_ARRAY_BACKEND", raising=False)
+        unset = ROUTES[route]()
+        monkeypatch.setenv("REPRO_ARRAY_BACKEND", value)
+        assert ROUTES[route]().tobytes() == unset.tobytes()
+
+    def test_auto_picks_both_host_backends(self):
+        assert Simulator(rc_chain(12), (5.0, 48)).run(1.0).info["backend"] == "dense"
+        big = Simulator(rc_chain(SPARSE_SIZE_THRESHOLD), (5.0, 48))
+        assert big.run(1.0).info["backend"] == "sparse"
+
+    @pytest.mark.parametrize("mode", ["numpy", "cupy", "torch", "array-api:numpy"])
+    def test_array_library_names_rejected(self, mode):
+        modes = "'auto', 'dense' or 'sparse'"
+        with pytest.raises(SolverError, match=modes) as info:
+            Simulator(rc_chain(4), (1.0, 8), backend=mode)
+        assert repr(mode) in str(info.value)
+        deck = f"I1 0 n1 1m\nR1 n1 0 1k\nC1 n1 0 1u\n.tran 50u 5m\n.options backend={mode}\n"
+        with pytest.raises(SolverError, match=modes):
+            simulate_netlist(Netlist.from_spice(deck))

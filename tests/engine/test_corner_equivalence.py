@@ -27,7 +27,6 @@ from repro.circuits.components import (
 from repro.core import DescriptorSystem, FractionalDescriptorSystem, MultiTermSystem
 from repro.engine.backends import (
     SPARSE_SIZE_THRESHOLD,
-    ArrayApiBackend,
     DenseBackend,
     PencilBank,
     SparseBackend,
@@ -490,7 +489,6 @@ def pencil(n: int = 12):
 BACKENDS = {
     "dense": lambda E, A: DenseBackend(E, A),
     "sparse": lambda E, A: SparseBackend(sp.csr_matrix(E), sp.csr_matrix(A)),
-    "array-api-numpy": lambda E, A: ArrayApiBackend(E, A, namespace="numpy"),
 }
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.basis import BlockPulseBasis, TimeGrid, WalshBasis
 from repro.core import DescriptorSystem, project_input, simulate_opm
-from repro.engine import normalise_input_callable
+from repro.engine import normalise_input_callable, scaled_input
 from repro.errors import ModelError
 
 
@@ -130,3 +130,14 @@ class TestProjectInputRegressions:
             project_input(coeffs, basis, 2)
         with pytest.raises(ModelError, match="shape"):
             project_input(np.ones((2, 5)), basis, 2)
+
+
+class TestScaledInput:
+    def test_unit_scale_is_identity(self):
+        assert scaled_input(np.sin, 1.0) is np.sin
+
+    def test_every_input_form_scales(self):
+        t = np.linspace(0.1, 0.9, 5)
+        np.testing.assert_array_equal(scaled_input(np.sin, 2.0)(t), 2.0 * np.sin(t))
+        assert scaled_input(3, 0.5) == 1.5
+        np.testing.assert_array_equal(scaled_input([1, 2], 2.0), [2.0, 4.0])
