@@ -68,13 +68,8 @@ where ``corners.json`` holds, e.g.::
     {"mode": "monte-carlo", "n": 64, "seed": 7,
      "params": {"R1": 0.2, "C1": [0.9e-6, 1.1e-6]}}
 
-(``--parallel thread|serial`` selects the executor backend; a
+(``--parallel serial`` runs the same task plan on one core; a
 ``"mode": "cartesian"`` spec lists explicit values per element.)
-``--jobs`` also shards a large ``--sweep`` batch across workers, and
-on a deck whose circuit graph has several connected components a plain
-``--jobs N`` run solves each independent sub-circuit as its own
-sub-pencil in parallel and re-stitches the monolithic result
-bit-identically.
 
 With ``--windows K`` the horizon is solved by windowed time-marching:
 ``K`` consecutive windows of ``steps/K`` block pulses each on one
@@ -143,7 +138,6 @@ from .engine.inputs import scaled_input
 from .engine.netlist_session import (
     _solve_ensemble,
     _solve_transient,
-    _split_graph,
     ac_scan,
     build_system,
     resolve_deck_options,
@@ -240,14 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker count for --ensemble (default: all cores) and for "
-        "sharding a large --sweep batch (default: in-process batch)",
+        help="worker count for --ensemble (default: all cores)",
     )
     parser.add_argument(
         "--parallel",
-        choices=("process", "thread", "serial"),
+        choices=("process", "serial"),
         default="process",
-        help="ensemble/sweep executor backend (default: process; "
+        help="ensemble executor backend (default: process; "
         "'serial' runs the same task plan on one core)",
     )
     parser.add_argument(
@@ -380,10 +373,7 @@ def _run_lint(netlist) -> int:
 
 
 def _run_transient(args, options, netlist, system, outputs, events) -> int:
-    result = _solve_transient(
-        netlist, system, options, events=events, jobs=args.jobs,
-        parallel=args.parallel,
-    )
+    result = _solve_transient(netlist, system, options, events=events)
     info = result.info
     print(f"{netlist!r}")
     print(f"model: {system!r}")
@@ -413,13 +403,6 @@ def _run_transient(args, options, netlist, system, outputs, events) -> int:
                 f"(rtol {mor['rtol']:g})"
             )
     _print_memory(info)
-    split_info = info.get("split") or {}
-    if split_info:
-        print(
-            f"component split: {split_info['components']} independent "
-            f"sub-pencils across {split_info.get('jobs')} worker(s) "
-            f"({split_info.get('executor')} executor)"
-        )
     print()
 
     t_print = _print_times(args, options)
@@ -442,24 +425,14 @@ def _run_sweep(args, options, netlist, system, outputs) -> int:
     scales = list(args.sweep)
     sim = options.session(system)
     base_u = netlist.input_function()
-    sweep = sim.sweep(
-        [scaled_input(base_u, s) for s in scales],
-        jobs=args.jobs,
-        parallel=args.parallel,
-    )
-
-    sharded = (
-        f" across {sweep.info['jobs']} {sweep.info['parallel']} worker(s)"
-        if "jobs" in sweep.info
-        else ""
-    )
+    sweep = sim.sweep([scaled_input(base_u, s) for s in scales])
     print(f"{netlist!r}")
     print(f"model: {system!r}")
     print(
         f"swept {len(scales)} scaled inputs over [0, {options.t_end:g}) s "
         f"with m={options.steps} ({sweep.info.get('basis', 'BlockPulse')} basis, "
         f"{sweep.info['backend']} backend, "
-        f"{sweep.info['factorisations']} factorisation(s) shared{sharded}, "
+        f"{sweep.info['factorisations']} factorisation(s) shared, "
         f"{sweep.wall_time * 1e3:.2f} ms total)\n"
     )
 
@@ -702,11 +675,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "(default: unbounded)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="shard batches of >= 16 runs across this many worker "
-        "processes (default: solve in-process)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=4, metavar="N",
         help="solve-thread pool size (default %(default)s)",
     )
@@ -728,7 +696,6 @@ def _run_serve(argv) -> int:
         max_sessions=args.max_sessions,
         bank_entries=args.bank_entries,
         bank_bytes=bank_bytes,
-        jobs=args.jobs,
         workers=args.workers,
     )
     return 0
@@ -945,17 +912,9 @@ def run(argv=None) -> int:
         code = 0
         if args.jobs is not None and args.jobs < 1:
             raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
-        if (
-            args.jobs is not None
-            and args.ensemble is None
-            and not args.sweep
-            and _split_graph(netlist, options, args.jobs) is None
-        ):
+        if args.jobs is not None and args.ensemble is None:
             raise ReproError(
-                "--jobs shards --ensemble members, a --sweep batch, or the "
-                "independent sub-circuits of a multi-component deck; pass "
-                "--ensemble/--sweep with it, or point it at a deck whose "
-                "circuit graph has more than one connected component"
+                "--jobs shards --ensemble members; pass --ensemble with it"
             )
         if options.t_end is not None:
             if not options.native and (args.event or args.ensemble is not None):

@@ -14,11 +14,8 @@ terminal pairs) and answers the structural questions that matter
   with it they fail fast, naming the offending nodes and elements and
   suggesting a fix.
 * **Connected components** (:attr:`CircuitGraph.components`): electrically
-  independent sub-circuits sharing one deck.  The engine splits a
-  multi-component deck into per-component sub-netlists
-  (:meth:`CircuitGraph.split`) and solves them in parallel --
-  bit-identically to the monolithic solve, because the monolithic
-  pencil is a permuted block-diagonal of the component pencils.
+  independent sub-circuits sharing one deck; the monolithic pencil is a
+  permuted block-diagonal of the component pencils.
 * **Degree statistics** (:meth:`CircuitGraph.degree` /
   :meth:`CircuitGraph.summary`): quick structural fingerprints for
   logging and benchmarks.
@@ -29,10 +26,10 @@ Element terminals ``a``/``b`` contribute edges and node degree.  A VCCS
 control pair ``c``/``d`` contributes *no* degree (a control-only node
 has an all-zero KCL row and is reported as floating) but does merge
 components: the transconductance stamp couples rows ``a``/``b`` with
-columns ``c``/``d``, so splitting them apart would break the
-block-diagonal structure.  A ``K`` mutual coupling likewise merges the
-components of its two inductors.  Ground never merges components --
-two sub-circuits that only share the reference node are independent.
+columns ``c``/``d``, so they belong to one diagonal block.  A ``K``
+mutual coupling likewise merges the components of its two inductors.
+Ground never merges components -- two sub-circuits that only share the
+reference node are independent.
 
 A component is **grounded** when at least one element that can carry
 the component's KCL current into the reference -- resistor, capacitor,
@@ -65,7 +62,6 @@ from .components import (
     CPE,
     VCCS,
     Capacitor,
-    CurrentSource,
     Inductor,
     Resistor,
     VoltageSource,
@@ -295,8 +291,7 @@ class CircuitGraph:
         """Elements belonging to no component (every terminal grounded).
 
         Such degenerate elements stamp nothing useful but may still own
-        a state row (a voltage source), so the engine refuses to
-        component-split a deck that has any.
+        a state row (a voltage source).
         """
         return tuple(
             name for name, index in self._elements_of.items() if index is None
@@ -398,88 +393,3 @@ class CircuitGraph:
         """Raise :class:`NetlistError` naming every lint defect; else ``self``."""
         self.lint().raise_if_issues()
         return self
-
-    # ------------------------------------------------------------------
-    # component split
-    # ------------------------------------------------------------------
-    def split(self) -> tuple[Netlist, ...]:
-        """Per-component sub-netlists, element order preserved.
-
-        Each sub-netlist keeps its elements in original insertion order
-        (so node ordering within a component matches the monolithic
-        deck), re-numbers input channels compactly with the original
-        waveforms and AC magnitudes attached, shares the parent's
-        ``.tran``/``.ac``/``.options`` cards, and routes ``.ic``
-        entries to the component that owns each node.  A single-
-        component graph returns ``(netlist,)`` -- the parent itself.
-        """
-        if self.n_components <= 1:
-            return (self.netlist,)
-        from .cards import AnalysisSpec
-
-        parent = self.netlist
-        subs: list[Netlist] = []
-        for component in self.components:
-            sub = Netlist(
-                f"{parent.title} [component {component.index}]"
-                if parent.title
-                else f"component {component.index}"
-            )
-            channel_map: dict[int, int] = {}
-            for element in parent.elements:
-                if self._elements_of[element.name] != component.index:
-                    continue
-                if isinstance(element, VCCS):
-                    sub.add_vccs(
-                        element.name,
-                        element.a,
-                        element.b,
-                        element.c,
-                        element.d,
-                        element.gm,
-                    )
-                elif isinstance(element, (CurrentSource, VoltageSource)):
-                    channel = channel_map.get(element.channel)
-                    if channel is None:
-                        channel = len(channel_map)
-                        channel_map[element.channel] = channel
-                        waveform = parent._waveforms.get(element.channel)
-                        if waveform is not None:
-                            sub._waveforms[channel] = waveform
-                        magnitude = parent._ac_magnitudes.get(element.channel)
-                        if magnitude is not None:
-                            sub._ac_magnitudes[channel] = magnitude
-                    adder = (
-                        sub.add_current_source
-                        if isinstance(element, CurrentSource)
-                        else sub.add_voltage_source
-                    )
-                    adder(
-                        element.name,
-                        element.a,
-                        element.b,
-                        channel=channel,
-                        scale=element.scale,
-                    )
-                else:
-                    sub.add(element)  # frozen dataclass records can be shared
-            for pair in parent.couplings:
-                if self._elements_of[pair.name] != component.index:
-                    continue
-                sub.add_mutual(
-                    pair.name, pair.inductor1, pair.inductor2, pair.coupling
-                )
-            analysis = parent.analysis
-            sub.analysis = AnalysisSpec(
-                tran=analysis.tran,
-                ac=analysis.ac,
-                ic={
-                    node: value
-                    for node, value in analysis.ic.items()
-                    if node in sub._node_index
-                },
-                options=dict(analysis.options),
-                extra_options=dict(analysis.extra_options),
-            )
-            subs.append(sub)
-        return tuple(subs)

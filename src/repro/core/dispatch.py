@@ -107,12 +107,11 @@ def simulate(
     jobs:
         Worker count for ensemble execution (default: the usable CPU
         count).  Only meaningful when ``system`` is an
-        :class:`~repro.engine.executor.Ensemble`; batched multi-input
-        sharding on a single system lives on
-        :meth:`repro.Simulator.sweep`.
+        :class:`~repro.engine.executor.Ensemble`; many inputs on a
+        single system are one batched :meth:`repro.Simulator.sweep`.
     parallel:
-        Ensemble executor backend: ``'process'`` (default),
-        ``'thread'``, or ``'serial'``.
+        Ensemble executor backend: ``'process'`` (default) or
+        ``'serial'``.
     basis:
         Basis family for the basis-generic OPM methods (``'opm'`` and
         ``'opm-windowed'``): ``None`` (block pulse), a name from
@@ -146,7 +145,7 @@ def simulate(
     if jobs is not None:
         raise SolverError(
             "jobs= is only meaningful when simulating an Ensemble; for "
-            "many inputs on one system use Simulator.sweep(inputs, jobs=...)"
+            "many inputs on one system use Simulator.sweep(inputs)"
         )
     # netlists assemble on the fly
     netlist_module = sys.modules.get("repro.circuits.netlist")

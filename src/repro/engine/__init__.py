@@ -31,7 +31,7 @@ shares, so that repeated-solve workloads amortise it across calls:
   re-stamps);
 * :mod:`~repro.engine.executor` -- the parallel ensemble executor:
   :class:`Ensemble` specs (cartesian / seeded Monte-Carlo netlist
-  variations), the :class:`ParallelExecutor` process/thread/serial
+  variations), the :class:`ParallelExecutor` process/serial
   sharding engine with fingerprint grouping and zero-copy
   shared-memory pencil shipping, and the :class:`EnsembleResult`
   container;

@@ -18,16 +18,15 @@ embarrassingly parallel, and this module shards it across cores:
   draws are made eagerly in the parent from
   ``numpy.random.default_rng(seed)`` -- the member list is therefore
   bit-identical regardless of ``jobs`` or executor backend.
-* :class:`ParallelExecutor` -- ``backend='process' | 'thread' |
-  'serial'`` with ``jobs=N`` workers, in a pool created on the first
-  run and reused by later ones until :meth:`ParallelExecutor.close`
-  (or the end of a ``with`` block).  Members are grouped by pencil
+* :class:`ParallelExecutor` -- ``backend='process' | 'serial'`` with
+  ``jobs=N`` workers, in a pool created on the first run and reused by
+  later ones until :meth:`ParallelExecutor.close` (or the end of a
+  ``with`` block).  Members are grouped by pencil
   fingerprint (:func:`~repro.engine.backends.pencil_fingerprint`), so
   each worker factorises every distinct pencil exactly once and sweeps
   all of that pencil's inputs in one batched multi-RHS call through its
   local :class:`~repro.engine.backends.PencilBank`.  Oversized groups
-  (one pencil, hundreds of inputs -- the ``sweep(jobs=)`` case) are
-  split into column shards.
+  (one pencil shared by many members) are split into column shards.
 * zero-copy shipping -- for the process backend, dense pencils and the
   pre-projected input coefficients travel to workers through
   ``multiprocessing.shared_memory`` (one segment per task, reconstructed
@@ -45,15 +44,14 @@ embarrassingly parallel, and this module shards it across cores:
   :class:`EnsembleResult` in member order.
 
 Inputs are projected onto the session basis *in the parent*, so worker
-tasks never pickle user callables, and serial/thread/process backends
+tasks never pickle user callables, and the serial and process backends
 consume byte-identical coefficient arrays -- the foundation of the
 bit-identical-across-backends guarantee asserted by the benchmark
 suite.
 
-Guidance: prefer ``backend='process'`` for ensembles (the column sweep
-is Python-loop-heavy, so threads serialise on the GIL); set
-``OMP_NUM_THREADS=1`` when launching many workers, as oversubscribed
-BLAS thread pools otherwise thrash the cores the workers need.
+Guidance: set ``OMP_NUM_THREADS=1`` when launching many workers, as
+oversubscribed BLAS thread pools otherwise thrash the cores the workers
+need.
 """
 
 from __future__ import annotations
@@ -90,7 +88,7 @@ __all__ = [
 ]
 
 #: Executor backends accepted by :class:`ParallelExecutor`.
-EXECUTOR_BACKENDS = ("process", "thread", "serial")
+EXECUTOR_BACKENDS = ("process", "serial")
 
 #: Below this many bytes of dense payload a process task is pickled
 #: rather than shipped through shared memory (segment setup costs more
@@ -104,6 +102,11 @@ def default_jobs() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: ``int`` (numpy included) but never ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _limit_worker_blas() -> None:
@@ -392,10 +395,12 @@ class Ensemble:
             {"mode": "monte-carlo", "n": 64, "seed": 7,
              "params": {"R1": 0.2, "C1": [0.9e-6, 1.1e-6]}}
 
-        ``mode`` defaults to ``'cartesian'``; unknown keys raise.  An
-        explicit ``outputs=`` argument (the CLI's ``--outputs``) wins
-        over the spec's ``"outputs"`` entry; ``ic`` is forwarded to
-        :meth:`variations`.
+        ``mode`` defaults to ``'cartesian'``; unknown keys raise, and so
+        do JSON values of the wrong type: ``n`` must be a positive
+        integer, ``seed`` a non-negative integer or ``null``, ``outputs``
+        a list of node names.  An explicit ``outputs=`` argument (the CLI's
+        ``--outputs``) wins over the spec's ``"outputs"`` entry; ``ic``
+        is forwarded to :meth:`variations`.
         """
         allowed = {"mode", "n", "seed", "params", "outputs"}
         unknown = set(spec) - allowed
@@ -409,13 +414,32 @@ class Ensemble:
                 "ensemble spec requires a 'params' mapping of element "
                 "name -> values/spread"
             )
+        n, seed = spec.get("n"), spec.get("seed")
+        if n is not None and (not _is_int(n) or n < 1):
+            raise EnsembleError(
+                f"ensemble spec 'n' must be a positive integer, got {n!r}"
+            )
+        if seed is not None and (not _is_int(seed) or seed < 0):
+            raise EnsembleError(
+                "ensemble spec 'seed' must be a non-negative integer or null, "
+                f"got {seed!r}"
+            )
+        spec_outputs = spec.get("outputs")
+        if spec_outputs is not None and not (
+            isinstance(spec_outputs, list)
+            and all(isinstance(name, str) for name in spec_outputs)
+        ):
+            raise EnsembleError(
+                "ensemble spec 'outputs' must be a list of node names, "
+                f"got {spec_outputs!r}"
+            )
         return cls.variations(
             base,
             spec["params"],
             mode=spec.get("mode", "cartesian"),
-            n=spec.get("n"),
-            seed=spec.get("seed"),
-            outputs=outputs if outputs is not None else spec.get("outputs"),
+            n=n,
+            seed=seed,
+            outputs=outputs if outputs is not None else spec_outputs,
             ic=ic,
         )
 
@@ -769,14 +793,13 @@ def _attach_shm(name: str):
 def _execute_task(task: _Task) -> tuple[int, list]:
     """Worker body: per unit, rebuild the system, factorise once, sweep.
 
-    Runs inline (serial), on a thread, or in a worker process; the only
-    difference is where the payload arrays live.  Returns
-    ``(task_id, results)`` with one ``(unit_index, status, value)``
-    entry per unit: ``("ok", (X | None, factorisations, wall))`` --
-    ``X`` is ``None`` when the coefficients were written into the
-    parent-owned output segment instead of being pickled back -- or
-    ``("error", exception)`` for a unit whose solve failed (its
-    siblings still complete).
+    Runs inline (serial) or in a worker process; the only difference is
+    where the payload arrays live.  Returns ``(task_id, results)`` with
+    one ``(unit_index, status, value)`` entry per unit:
+    ``("ok", (X | None, factorisations, wall))`` -- ``X`` is ``None``
+    when the coefficients were written into the parent-owned output
+    segment instead of being pickled back -- or ``("error", exception)``
+    for a unit whose solve failed (its siblings still complete).
     """
     payload = task.payload
     shm = out = None
@@ -844,20 +867,17 @@ class ParallelExecutor:
     Parameters
     ----------
     backend:
-        ``'process'`` (default) -- a ``ProcessPoolExecutor``; the only
-        backend that scales the Python-loop-heavy column sweep across
-        cores.  ``'thread'`` -- a ``ThreadPoolExecutor``; useful when
-        the work is dominated by BLAS calls that release the GIL, and
-        for debugging.  ``'serial'`` -- run the very same task plan
-        inline in submission order (the baseline the benchmarks compare
-        against).
+        ``'process'`` (default) -- a ``ProcessPoolExecutor`` that
+        scales the Python-loop-heavy column sweep across cores.
+        ``'serial'`` -- run the very same task plan inline in
+        submission order (the baseline the benchmarks compare against).
     jobs:
         Worker count (default: the usable CPU count).  The task plan
         depends on ``jobs`` but not on ``backend``, so
         ``ParallelExecutor('serial', jobs=8)`` performs bit-identical
         arithmetic to ``ParallelExecutor('process', jobs=8)``.
 
-    The process/thread pool starts on the first :meth:`run` and serves
+    The process pool starts on the first :meth:`run` and serves
     every later run; a pool that lost a worker is replaced on the next
     run.  :meth:`close` (or leaving a ``with`` block) shuts it down and
     waits for the workers to exit.
@@ -958,7 +978,7 @@ class ParallelExecutor:
             Forwarded to each worker's session.
         solver_backend:
             Dense/sparse pencil-backend mode (``'auto'`` default) --
-            distinct from the executor's own process/thread backend.
+            distinct from the executor's own process/serial backend.
         reduce:
             Reduction specification (``'auto'`` / moment count /
             :class:`~repro.engine.reduction.ReductionPlan`).  The
@@ -1190,16 +1210,11 @@ class ParallelExecutor:
             self.close()
             pool = None
         if pool is None:
-            if self.backend == "thread":
-                from concurrent.futures import ThreadPoolExecutor
+            from concurrent.futures import ProcessPoolExecutor
 
-                pool = ThreadPoolExecutor(max_workers=self.jobs)
-            else:
-                from concurrent.futures import ProcessPoolExecutor
-
-                pool = ProcessPoolExecutor(
-                    max_workers=self.jobs, initializer=_limit_worker_blas
-                )
+            pool = ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=_limit_worker_blas
+            )
             self._pool = pool
         return pool
 
@@ -1248,7 +1263,7 @@ class ParallelExecutor:
             if model is not None:
                 # lift the reduced shifted coefficients back to full
                 # order: x = V z + x0 (deterministic parent-side GEMM,
-                # so serial/thread/process stay bit-identical)
+                # so serial and process stay bit-identical)
                 X = np.einsum("nr,krm->knm", model.V, X)
                 x0 = model.full.x0
                 if x0 is not None:

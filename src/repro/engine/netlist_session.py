@@ -27,15 +27,8 @@ This module turns a parsed :class:`~repro.circuits.netlist.Netlist`
 * :func:`simulate_netlist` -- the one-call driver: parse,
   graph-analyse, assemble, run every requested analysis (``.tran``
   through ``run``/``march``, ``.ac`` through the frequency sweep), and
-  return a :class:`NetlistRun`.  With ``jobs > 1`` a deck whose
-  circuit graph has several connected components is split into
-  per-component sub-pencils and solved in parallel through the
-  :class:`~repro.engine.executor.ParallelExecutor` -- bit-identical to
-  the monolithic solve (the monolithic pencil is a permuted
-  block-diagonal of the component pencils, so dense partial-pivoted LU
-  performs exactly the same arithmetic per block), re-stitched into a
-  single :class:`~repro.core.result.SimulationResult` in the original
-  monolithic state order.
+  return a :class:`NetlistRun`.  An ``ensemble=`` runs its members
+  through the :class:`~repro.engine.executor.ParallelExecutor`.
 
 Example
 -------
@@ -60,7 +53,7 @@ from ..circuits.cards import AcCard
 from ..circuits.graph import CircuitGraph, LintReport
 from ..circuits.mna import assemble_mna
 from ..circuits.netlist import Netlist
-from ..errors import NetlistError
+from ..errors import NetlistError, SolverError
 from ..fractional.methods import FractionalMethod, validate_method_name
 from .reduction import combine_reduce_options
 from .session import Simulator
@@ -473,127 +466,6 @@ def ac_scan(netlist, system=None, card=None, *, outputs=None) -> AcScan:
     )
 
 
-def _component_state_rows(parent: Netlist, sub: Netlist) -> list[int]:
-    """Monolithic state indices of one component's states, in sub order.
-
-    MNA state order is node voltages (netlist node order), then
-    inductor branch currents, then voltage-source branch currents, each
-    in declaration order -- and a component sub-netlist preserves the
-    parent's relative declaration order, so every sub state maps to a
-    unique monolithic row by name.
-    """
-    n_nodes = parent.n_nodes
-    l_row = {el.name: n_nodes + k for k, el in enumerate(parent.inductors)}
-    n_l = len(l_row)
-    v_row = {
-        el.name: n_nodes + n_l + k
-        for k, el in enumerate(parent.voltage_sources)
-    }
-    rows = [parent.node_index(node) for node in sub.nodes]
-    rows += [l_row[el.name] for el in sub.inductors]
-    rows += [v_row[el.name] for el in sub.voltage_sources]
-    return rows
-
-
-def _split_graph(netlist: Netlist, options: DeckOptions, jobs) -> CircuitGraph | None:
-    """The deck's circuit graph when ``jobs > 1`` can solve its
-    connected components as independent sub-pencils, else ``None``.
-
-    Applies to a plain single-window ``opm`` transient without
-    reduction (ROM bases differ per block) and with exact memory; the
-    graph is built only once those cheap conditions hold.
-    """
-    if (
-        jobs is None
-        or jobs < 2
-        or options.t_end is None
-        or options.method != "opm"
-        or options.windows > 1
-        or options.reduce is not None
-        or not _memory_is_exact(options.memory)
-    ):
-        return None
-    graph = CircuitGraph(netlist)
-    if graph.n_components > 1 and not graph.orphan_elements:
-        return graph
-    return None
-
-
-def _solve_split_components(
-    netlist: Netlist,
-    graph: CircuitGraph,
-    system,
-    options: DeckOptions,
-    *,
-    sparse: str,
-    use_ic: bool,
-    jobs: int,
-    parallel: str,
-):
-    """Solve each connected component as its own pencil, in parallel.
-
-    Returns a :class:`~repro.core.result.SimulationResult` whose
-    coefficients live in the *monolithic* state order -- bit-identical
-    to the serial monolithic solve, because the monolithic pencil is a
-    permuted block-diagonal of the component pencils: partial-pivoted
-    LU never mixes blocks (cross-block entries are exactly zero), so
-    each block sees exactly the arithmetic the sub-solve performs.
-    """
-    from ..core.result import SimulationResult
-    from .executor import Ensemble, EnsembleMember, ParallelExecutor
-
-    subs = graph.split()
-    members = []
-    for sub in subs:
-        sub_system = build_system(
-            sub, outputs=list(sub.nodes), sparse=sparse, use_ic=use_ic,
-            lint=False,  # the parent deck was linted as a whole
-        )
-        members.append(
-            EnsembleMember(
-                system=sub_system, u=sub.input_function(), label=sub.title
-            )
-        )
-    with ParallelExecutor(parallel, jobs=jobs) as executor:
-        ensemble_result = executor.run(
-            Ensemble(members), options.grid(), basis=options.basis,
-            solver_backend=options.backend, memory=options.memory,
-            memory_rtol=options.memory_rtol,
-        )
-
-    first = ensemble_result[0]
-    n_states = netlist.n_nodes + len(netlist.inductors) + len(netlist.voltage_sources)
-    coefficients = np.zeros((n_states, first.basis.size))
-    input_coefficients = np.zeros((netlist.n_channels, first.basis.size))
-    source_channel = {
-        el.name: el.channel
-        for el in netlist.elements
-        if hasattr(el, "channel")
-    }
-    wall_time = 0.0
-    for sub, result in zip(subs, ensemble_result):
-        coefficients[_component_state_rows(netlist, sub)] = result.coefficients
-        for el in sub.elements:
-            if hasattr(el, "channel"):
-                input_coefficients[source_channel[el.name]] = (
-                    result.input_coefficients[el.channel]
-                )
-        wall_time += result.wall_time or 0.0
-    info = dict(first.info)
-    info["split"] = {
-        "components": len(subs),
-        **{k: v for k, v in ensemble_result.info.items() if k != "basis"},
-    }
-    return SimulationResult(
-        first.basis,
-        coefficients,
-        system,
-        input_coefficients,
-        wall_time=wall_time,
-        info=info,
-    )
-
-
 @dataclass(frozen=True)
 class NetlistRun:
     """Everything one deck's analyses produced.
@@ -636,24 +508,13 @@ class NetlistRun:
         )
 
 
-def _solve_transient(
-    netlist: Netlist,
-    system,
-    options: DeckOptions,
-    *,
-    events=(),
-    jobs=None,
-    parallel: str = "process",
-    sparse: str = "auto",
-    use_ic: bool = True,
-):
+def _solve_transient(netlist: Netlist, system, options: DeckOptions, *, events=()):
     """Run the deck's transient on the route ``options`` select.
 
     Non-session methods go through :func:`repro.core.dispatch.simulate`;
     ``windows > 1`` (or ``'opm-windowed'``) marches one cached session,
-    firing ``events`` at window boundaries; a multi-component deck with
-    ``jobs > 1`` solves its components as parallel sub-pencils; anything
-    else is one session run.
+    firing ``events`` at window boundaries; anything else is one session
+    run.
     """
     t_end, m = options.grid()
     u = netlist.input_function()
@@ -680,12 +541,6 @@ def _solve_transient(
             raise NetlistError(f"steps={m} must be divisible by windows={windows}")
         sim = options.session(system, (t_end / windows, m // windows))
         return sim.march(u, t_end, events=events)
-    graph = _split_graph(netlist, options, jobs)
-    if graph is not None:
-        return _solve_split_components(
-            netlist, graph, system, options,
-            sparse=sparse, use_ic=use_ic, jobs=jobs, parallel=parallel,
-        )
     return options.session(system).run(u)
 
 
@@ -780,12 +635,10 @@ def simulate_netlist(
         (``parallel`` backend) and returned as
         :attr:`NetlistRun.ensemble`.
     jobs, parallel:
-        Worker count and executor backend.  Besides sharding ensembles,
-        ``jobs > 1`` lets a deck whose circuit graph has several
-        connected components solve each component as an independent
-        sub-pencil in parallel (plain ``opm`` transient, no reduction,
-        exact memory) -- bit-identical to the serial monolithic solve
-        and re-stitched into one result in monolithic state order.
+        Ensemble worker count and executor backend (``'process'`` or
+        ``'serial'``); ``jobs`` without ``ensemble`` raises
+        :class:`~repro.errors.SolverError`, as in
+        :func:`repro.core.dispatch.simulate`.
 
     Examples
     --------
@@ -801,6 +654,11 @@ def simulate_netlist(
     >>> run.outputs
     ('in', 'out')
     """
+    if jobs is not None and ensemble is None:
+        raise SolverError(
+            "jobs= is only meaningful with ensemble=; a deck's own "
+            "transient is one in-process session solve"
+        )
     netlist = _as_netlist(source, title)
     spec = netlist.analysis
     output_names = tuple(outputs) if outputs is not None else tuple(netlist.nodes)
@@ -821,10 +679,7 @@ def simulate_netlist(
 
     tran = None
     if options.t_end is not None:
-        tran = _solve_transient(
-            netlist, system, options,
-            jobs=jobs, parallel=parallel, sparse=sparse, use_ic=use_ic,
-        )
+        tran = _solve_transient(netlist, system, options)
     ensemble_result = None
     if ensemble is not None:
         ensemble_result = _solve_ensemble(

@@ -16,13 +16,9 @@ turns that observation into a server:
   same-fingerprint requests inside a micro-batching window into one
   batched :meth:`~repro.engine.session.Simulator.sweep` -- one
   ``lu_solve`` per column for *all* waiting clients.  Solves run on a
-  worker thread pool (LAPACK/SuperLU release the GIL); batches of at
-  least :data:`~repro.engine.session.PARALLEL_SWEEP_MIN_COLUMNS`
-  columns additionally shard across ``jobs`` worker *processes*
-  through the :mod:`~repro.engine.executor` shared-memory machinery.
-  Results stream back as chunked JSON or CSV; a ``stats`` op exposes
-  cache hit rates, the coalesce ratio, queue depth, and p50/p99
-  request latency.
+  worker thread pool (LAPACK/SuperLU release the GIL).  Results stream
+  back as chunked JSON or CSV; a ``stats`` op exposes cache hit rates,
+  the coalesce ratio, queue depth, and p50/p99 request latency.
 * :class:`ServiceClient` -- the blocking socket client used by the CLI
   ``client`` mode, the load benchmark, and the CI smoke test.
 
@@ -66,6 +62,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import socket
 import time
 from collections import OrderedDict, deque
@@ -77,7 +74,7 @@ import numpy as np
 from ..circuits.cards import AnalysisSpec
 from ..errors import ReproError, ServiceError
 from .inputs import scaled_input
-from .session import PARALLEL_SWEEP_MIN_COLUMNS, Simulator
+from .session import Simulator
 
 __all__ = [
     "SimulationService",
@@ -126,6 +123,11 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[rank]
 
 
+def _is_number(value) -> bool:
+    """A JSON number (``int`` or ``float``), never a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_system(spec: dict):
     """Build a descriptor system from a JSON system spec."""
     from ..core.lti import DescriptorSystem, FractionalDescriptorSystem
@@ -142,11 +144,33 @@ def _parse_system(spec: dict):
         raise ServiceError(f"bad system matrix payload: {exc}") from exc
     x0 = spec.get("x0")
     if x0 is not None:
+        if not isinstance(x0, (list, tuple)) or not all(map(_is_number, x0)):
+            raise ServiceError(f"'x0' must be a list of numbers, got {x0!r}")
         x0 = np.asarray(x0, dtype=float)
-    alpha = float(spec.get("alpha", 1.0))
+    alpha = spec.get("alpha", 1.0)
+    if not _is_number(alpha):
+        raise ServiceError(f"'alpha' must be a number, got {alpha!r}")
+    alpha = float(alpha)
     if alpha == 1.0:
         return DescriptorSystem(E, A, B, x0=x0)
     return FractionalDescriptorSystem(alpha, E, A, B, x0=x0)
+
+
+def _parse_grid(grid) -> tuple[float, int]:
+    """A request's ``[t_end, m]``: finite ``t_end > 0``, integral ``m >= 1``."""
+    try:
+        t_end, m = grid
+        if _is_number(t_end) and _is_number(m):
+            t_end, m_float = float(t_end), float(m)
+            valid = math.isfinite(t_end) and t_end > 0 and m_float >= 1
+            if valid and m_float.is_integer():
+                return t_end, int(m)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ServiceError(
+        "'grid' must be a [t_end, m] pair with t_end > 0 and m a positive "
+        f"integer, got {grid!r}"
+    )
 
 
 def _validate_output_options(request: dict) -> None:
@@ -218,16 +242,15 @@ class _SessionSpec:
             outputs = tuple(outputs)
         grid = request.get("grid")
         if grid is not None:
-            try:
-                t_end, m = grid
-                grid = (float(t_end), int(m))
-            except (TypeError, ValueError) as exc:
-                raise ServiceError(
-                    f"'grid' must be a [t_end, m] pair, got {grid!r}"
-                ) from exc
+            grid = _parse_grid(grid)
         elif system is not None:
             raise ServiceError("a 'system' request requires 'grid': [t_end, m]")
         options = {name: request.get(name) for name in _SOLVE_OPTIONS}
+        for name in ("basis", "backend"):
+            if options[name] is not None and not isinstance(options[name], str):
+                raise ServiceError(
+                    f"{name!r} must be a name string, got {options[name]!r}"
+                )
         memory = options["memory"]
         if memory is not None and not isinstance(memory, str):
             raise ServiceError(
@@ -325,12 +348,6 @@ class SimulationService:
     bank_entries, bank_bytes:
         Per-session :meth:`PencilBank.limit
         <repro.engine.backends.PencilBank.limit>` bounds.
-    jobs:
-        When a dispatched batch has at least
-        :data:`~repro.engine.session.PARALLEL_SWEEP_MIN_COLUMNS`
-        columns, shard it across this many worker processes (the
-        :mod:`~repro.engine.executor` shared-memory path).  ``None``
-        keeps every batch in-process.
     workers:
         Solve-thread pool size (default 4).
     """
@@ -345,7 +362,6 @@ class SimulationService:
         max_sessions: int = DEFAULT_MAX_SESSIONS,
         bank_entries: int | None = None,
         bank_bytes: int | None = None,
-        jobs: int | None = None,
         workers: int = 4,
     ) -> None:
         if max_batch < 1:
@@ -359,7 +375,6 @@ class SimulationService:
         self.max_sessions = int(max_sessions)
         self.bank_entries = bank_entries
         self.bank_bytes = bank_bytes
-        self.jobs = jobs
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, int(workers)), thread_name_prefix="repro-solve"
         )
@@ -707,8 +722,7 @@ class SimulationService:
         """One batched multi-RHS solve for every queued request.
 
         Runs on a worker thread.  A single-run batch goes through
-        ``run``; anything larger is one ``sweep`` (sharded across
-        worker processes when large enough and ``jobs`` is set).
+        ``run``; anything larger is one ``sweep``.
         """
         sim = batch[0].session.sim
         inputs = [u for p in batch for u in p.inputs]
@@ -716,13 +730,7 @@ class SimulationService:
         if len(inputs) == 1:
             results = [sim.run(inputs[0])]
         else:
-            jobs = (
-                self.jobs
-                if self.jobs and len(inputs) >= PARALLEL_SWEEP_MIN_COLUMNS
-                else None
-            )
-            sweep = sim.sweep(inputs, jobs=jobs)
-            results = list(sweep)
+            results = list(sim.sweep(inputs))
         payloads = []
         offset = 0
         for p in batch:

@@ -62,11 +62,6 @@ InputLike = Union[Callable, np.ndarray, list, tuple, float, int]
 #: (rows); the sparse backend has no such limit.
 MAX_DENSE_KRON = 20_000
 
-#: Below this many inputs a ``sweep(jobs=...)`` call stays serial: one
-#: batched multi-RHS sweep already amortises the factorisation, and the
-#: per-worker session rebuild would cost more than it saves.
-PARALLEL_SWEEP_MIN_COLUMNS = 16
-
 
 def resolve_grid(grid) -> TimeGrid:
     """Accept a :class:`TimeGrid` or an ``(t_end, m)`` convenience tuple."""
@@ -1037,14 +1032,7 @@ class Simulator:
             self._basis, X, self._system, U, wall_time=wall, info=info
         )
 
-    def sweep(
-        self,
-        inputs: Iterable[InputLike],
-        *,
-        jobs: int | None = None,
-        parallel: str = "process",
-        min_columns: int | None = None,
-    ) -> SweepResult:
+    def sweep(self, inputs: Iterable[InputLike]) -> SweepResult:
         """Simulate many inputs in one batched multi-RHS column sweep.
 
         All inputs are projected, stacked, and solved together: every
@@ -1057,19 +1045,6 @@ class Simulator:
         inputs:
             Iterable of input specifications (each anything
             :meth:`run` accepts).
-        jobs:
-            ``None`` (default) solves the whole batch in-process.  An
-            integer ``>= 2`` shards the batch across that many workers
-            through a :class:`~repro.engine.executor.ParallelExecutor`
-            once it has at least ``min_columns`` inputs (default
-            :data:`PARALLEL_SWEEP_MIN_COLUMNS`) -- each worker
-            factorises the pencil once and sweeps its column shard;
-            the merged result is bit-identical to the serial batch.
-        parallel:
-            Executor backend for the sharded path: ``'process'``
-            (default), ``'thread'``, or ``'serial'``.
-        min_columns:
-            Override the sharding threshold (mainly for tests).
 
         Returns
         -------
@@ -1080,17 +1055,6 @@ class Simulator:
         inputs = list(inputs)
         if not inputs:
             raise SolverError("sweep requires at least one input")
-        threshold = PARALLEL_SWEEP_MIN_COLUMNS if min_columns is None else min_columns
-        # zoo-method sessions stay on the in-process batched sweep:
-        # executor workers rebuild sessions from _executor_options,
-        # which deliberately excludes method= (see run_ensemble)
-        if (
-            jobs is not None
-            and int(jobs) > 1
-            and self._method is None
-            and len(inputs) >= threshold
-        ):
-            return self._sweep_sharded(inputs, int(jobs), parallel)
         with self._lock:
             warm = self.is_warm
             start = time.perf_counter()
@@ -1107,42 +1071,6 @@ class Simulator:
         return SweepResult(
             self._basis,
             np.moveaxis(X, 2, 0),
-            self._system,
-            U,
-            wall_time=wall,
-            info=info,
-        )
-
-    def _sweep_sharded(self, inputs: list, jobs: int, parallel: str) -> SweepResult:
-        """Shard a large multi-RHS batch across executor workers.
-
-        The session's system and settings are shipped to ``jobs``
-        workers; every worker factorises the pencil once and sweeps a
-        contiguous column shard.  The task plan depends only on
-        ``jobs``, so the merged coefficients are bit-identical to the
-        serial batch.
-        """
-        from .executor import Ensemble, EnsembleMember, ParallelExecutor
-
-        start = time.perf_counter()
-        members = [EnsembleMember(system=self._system, u=u) for u in inputs]
-        with ParallelExecutor(parallel, jobs=jobs) as executor:
-            result = executor.run(
-                Ensemble(members), self._basis, **self._executor_options
-            )
-        wall = time.perf_counter() - start
-        self._runs += 1
-        info = self._finalise_info(self._plan.info())
-        info["warm"] = self.is_warm
-        info["batch"] = len(inputs)
-        info["jobs"] = jobs
-        info["parallel"] = parallel
-        info["n_tasks"] = result.info["n_tasks"]
-        info["factorisations"] = result.info["factorisations"]
-        U = result.input_coefficients
-        return SweepResult(
-            self._basis,
-            result.coefficients,
             self._system,
             U,
             wall_time=wall,
@@ -1177,7 +1105,7 @@ class Simulator:
         jobs:
             Worker count (default: the machine's usable CPU count).
         parallel:
-            ``'process'`` (default), ``'thread'``, or ``'serial'``.
+            ``'process'`` (default) or ``'serial'``.
         u:
             Default input for members that carry none (``u=None``
             members of explicit ensembles).

@@ -1,17 +1,13 @@
-"""Circuit-graph layer: connectivity, lint, and component split.
+"""Circuit-graph layer: connectivity and lint.
 
 The lint must flag exactly the two structural defects that make the
 MNA pencil singular -- floating nodes (all-zero KCL rows) and
 connected components with no conductive path to ground -- and stay
 silent on every well-formed deck, including every shipped example.
-``split()`` must partition a multi-component netlist into
-sub-netlists whose per-component structure matches the monolithic
-deck exactly.
 """
 
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.circuits import CircuitGraph, Netlist, SpiceSin
@@ -156,29 +152,3 @@ class TestLint:
     @pytest.mark.parametrize("deck", sorted(EXAMPLES.glob("*.cir")))
     def test_every_example_deck_is_clean(self, deck):
         assert not lint_netlist(deck.read_text(), title=deck.stem)
-
-
-class TestSplit:
-    def test_split_preserves_component_structure(self):
-        nl = two_component_netlist()
-        subs = CircuitGraph(nl).split()
-        assert len(subs) == 2
-        assert subs[0].nodes == ["a1"]
-        assert subs[1].nodes == ["b1", "b2"]
-        assert [e.name for e in subs[0].elements] == ["I1", "R1", "C1"]
-        assert [e.name for e in subs[1].elements] == ["V2", "R2", "L2"]
-
-    def test_split_renumbers_channels_and_keeps_waveforms(self):
-        nl = two_component_netlist()
-        subs = CircuitGraph(nl).split()
-        t = np.linspace(0.0, 1e-3, 33)
-        u = nl.input_function()(t)
-        np.testing.assert_array_equal(subs[0].input_function()(t), u[:1])
-        np.testing.assert_array_equal(subs[1].input_function()(t), u[1:])
-
-    def test_single_component_returns_original(self):
-        nl = Netlist("rc")
-        nl.add_voltage_source("V1", "in", "0", SpiceSin(0.0, 1.0, 100.0))
-        nl.add_resistor("R1", "in", "0", 1e3)
-        (only,) = CircuitGraph(nl).split()
-        assert only is nl

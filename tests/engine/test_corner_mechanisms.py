@@ -149,7 +149,7 @@ class TestPersistentPool:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
-    @pytest.mark.parametrize("backend", ["process", "thread"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_close_leaves_no_live_workers(self, shipped, backend):
         before = live_children()
         executor = ParallelExecutor(backend, jobs=2)

@@ -4,8 +4,7 @@ The deterministic-seeding and bit-identity tests here are the
 regression suite for the executor's central guarantee: a seeded
 ensemble produces *identical* member lists and *bit-identical* results
 regardless of ``jobs`` and backend.  The nightly CI workflow re-runs
-this module with ``REPRO_TEST_JOBS`` raised on both the process and
-thread backends.
+this module with ``REPRO_TEST_JOBS`` set explicitly.
 """
 
 from __future__ import annotations
@@ -26,17 +25,9 @@ from repro.engine.executor import (
 )
 from repro.errors import EnsembleError, NetlistError, SolverError
 
-#: worker count used by the parallel tests (the nightly workflow runs
-#: with REPRO_TEST_JOBS=2 explicitly on both backends)
+#: worker count used by the parallel tests (the nightly workflow sets
+#: REPRO_TEST_JOBS explicitly)
 JOBS = max(2, int(os.environ.get("REPRO_TEST_JOBS", "2")))
-
-#: pool backends exercised by the parametrised tests; the nightly
-#: workflow narrows this to one backend per step via
-#: REPRO_TEST_EXECUTOR_BACKENDS=process|thread
-_BACKENDS_ENV = os.environ.get("REPRO_TEST_EXECUTOR_BACKENDS", "")
-PARALLEL_BACKENDS = [
-    backend.strip() for backend in _BACKENDS_ENV.split(",") if backend.strip()
-] or ["thread", "process"]
 
 RC_DECK = """
 I1 0 n1 1m
@@ -164,6 +155,26 @@ class TestEnsembleSpec:
         with pytest.raises(EnsembleError, match="'params' mapping"):
             Ensemble.from_spec(rc_netlist, {"mode": "cartesian"})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n", 2.7),
+            ("n", "3"),
+            ("n", True),
+            ("n", 0),
+            ("seed", 1.5),
+            ("seed", -1),
+            ("seed", "7"),
+            ("seed", False),
+            ("outputs", "n1"),
+            ("outputs", ["n1", 2]),
+        ],
+    )
+    def test_from_spec_rejects_mistyped_json(self, rc_netlist, key, value):
+        spec = {"mode": "monte-carlo", "n": 3, "params": {"R1": 0.1}, key: value}
+        with pytest.raises(EnsembleError, match=f"'{key}'"):
+            Ensemble.from_spec(rc_netlist, spec)
+
     def test_pairs_and_members(self):
         ens = Ensemble([(rc_system(), 1.0), EnsembleMember(rc_system(2.0), 2.0)])
         assert len(ens) == 2
@@ -188,7 +199,7 @@ class TestExecutorCorrectness:
             ref = Simulator(member.system, GRID).run(member.u)
             assert np.array_equal(ref.coefficients, res.coefficients)
 
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+    @pytest.mark.parametrize("backend", ["process"])
     def test_parallel_bit_identical_to_serial(self, rc_netlist, backend):
         ens = mc_ensemble(rc_netlist, n=8, seed=11)
         serial = ParallelExecutor("serial", jobs=JOBS).run(ens, GRID)
@@ -297,47 +308,6 @@ class TestSessionIntegration:
         ref = Simulator(ens[1].system, (5e-3, 16), basis="chebyshev").run(ens[1].u)
         assert np.allclose(result[1].coefficients, ref.coefficients)
 
-    def test_sweep_sharding_bit_identical(self):
-        system = rc_system()
-        sim = Simulator(system, GRID)
-        amps = np.linspace(0.5, 2.0, 12)
-        plain = sim.sweep(amps)
-        sharded = sim.sweep(amps, jobs=3, parallel="serial", min_columns=4)
-        assert np.array_equal(plain.coefficients, sharded.coefficients)
-        assert np.array_equal(
-            plain.input_coefficients, sharded.input_coefficients
-        )
-        assert sharded.info["jobs"] == 3
-        assert sharded.info["n_tasks"] == 3
-        assert sharded.info["batch"] == 12
-
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    def test_sweep_sharding_parallel_backends(self, backend):
-        system = rc_system()
-        sim = Simulator(system, GRID)
-        amps = np.linspace(0.5, 2.0, 8)
-        plain = sim.sweep(amps)
-        sharded = sim.sweep(amps, jobs=JOBS, parallel=backend, min_columns=4)
-        assert np.array_equal(plain.coefficients, sharded.coefficients)
-
-    def test_sweep_below_threshold_stays_serial(self):
-        sim = Simulator(rc_system(), GRID)
-        result = sim.sweep([1.0, 2.0], jobs=4)  # < PARALLEL_SWEEP_MIN_COLUMNS
-        assert "jobs" not in result.info
-
-    def test_sweep_result_members_unchanged(self):
-        sim = Simulator(rc_system(), GRID)
-        amps = [0.5, 1.0, 1.5, 2.0]
-        sharded = sim.sweep(amps, jobs=2, min_columns=2, parallel="serial")
-        assert sharded.n_runs == 4
-        single = sharded[2]
-        ref = sim.run(1.5)
-        # batched multi-RHS arithmetic rounds like the serial sweep, not
-        # like a lone run (same long-standing engine contract as
-        # Simulator.sweep): round-off-close, sharding adds no drift
-        assert np.allclose(single.coefficients, ref.coefficients,
-                           rtol=0.0, atol=1e-12)
-
 
 class TestDispatchIntegration:
     def test_simulate_ensemble(self, rc_netlist):
@@ -400,7 +370,7 @@ def big_dense_system(n: int = 80) -> DescriptorSystem:
 
 
 class TestFailurePaths:
-    @pytest.mark.parametrize("backend", ["serial"] + PARALLEL_BACKENDS)
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_failure_surfaces_index_and_original_error(self, backend):
         members = [
             (rc_system(1.0), 1.0),

@@ -20,7 +20,7 @@ from repro.__main__ import _deck_options, build_parser, run
 from repro.circuits.netlist import Netlist
 from repro.engine.netlist_session import build_system, from_netlist, simulate_netlist
 from repro.engine.service import _SessionSpec
-from repro.errors import ReproError
+from repro.errors import ReproError, SolverError
 
 EXAMPLES = sorted((Path(__file__).resolve().parents[2] / "examples").glob("*.cir"))
 
@@ -233,3 +233,18 @@ class TestFixedDisagreements:
         assert _SessionSpec.from_request({"netlist": deck}).build().memory_plan is None
         run = simulate_netlist(deck, windows=4)
         assert (run.tran.info.get("memory") or {}).get("mode", "exact") == "exact"
+
+    def test_jobs_without_ensemble_is_rejected_at_every_door(
+        self, tmp_path, capsys
+    ):
+        from repro.core.dispatch import simulate
+
+        path = tmp_path / "cpe.cir"
+        path.write_text(CPE_DECK)
+        netlist = Netlist.from_spice(CPE_DECK)
+        with pytest.raises(SolverError, match="only meaningful"):
+            simulate(netlist, None, 2e-3, 40, jobs=2)
+        with pytest.raises(SolverError, match="only meaningful"):
+            simulate_netlist(CPE_DECK, jobs=2)
+        assert run([str(path), "--jobs", "2"]) == 1
+        assert "--jobs shards --ensemble members" in capsys.readouterr().err

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import FractionalDescriptorSystem, Simulator, simulate_opm
+from repro.engine.executor import Ensemble
 from repro.errors import MemoryCompressionError, SolverError
 from repro.fractional import SoePlan, simulate_grunwald_letnikov
 from repro.fractional.soe import clear_fit_cache, fit_cache_stats
@@ -196,9 +197,10 @@ class TestExecutorPlumbing:
         inputs = [
             (lambda t, s=s: s * sine(t)) for s in scales
         ]
-        sweep = sim.sweep(inputs, jobs=2, parallel="thread")
+        ensemble = Ensemble([(system, u) for u in inputs])
+        result = sim.run_ensemble(ensemble, jobs=2, parallel="serial")
         singles = [sim.run(u) for u in inputs]
         for k in range(len(scales)):
             np.testing.assert_allclose(
-                sweep.coefficients[k], singles[k].coefficients, atol=1e-12
+                result.coefficients[k], singles[k].coefficients, atol=1e-12
             )

@@ -1,9 +1,12 @@
 """Tests for the netlist-native session layer (the SPICE front door)."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro import Simulator
+from repro.__main__ import run
 from repro.circuits import Netlist, assemble_mna
 from repro.core.dispatch import simulate
 from repro.engine.netlist_session import (
@@ -14,7 +17,8 @@ from repro.engine.netlist_session import (
     from_netlist,
     simulate_netlist,
 )
-from repro.errors import NetlistError, SolverError
+from repro.engine.service import ServiceClient, serve
+from repro.errors import NetlistError, ServiceError, SolverError
 
 RC_DECK = """
 * rc lowpass with full analysis cards
@@ -358,3 +362,98 @@ class TestDispatchNetlist:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
+
+
+# ----------------------------------------------------------------------
+# structural lint at every entry point
+# ----------------------------------------------------------------------
+PAIR_DECK = """
+* two galvanically isolated stages
+I1 0 a1 SIN(0 1m 500)
+R1 a1 0 1k
+C1 a1 0 1u
+V2 b1 0 PULSE(0 1 1e-4 1e-5 1e-5 5e-4 2m)
+R2 b1 b2 50
+L2 b2 b3 1m
+C2 b3 0 2u
+.tran 10u 2m
+"""
+
+FLOATING_DECK = """
+V1 in 0 SIN(0 1 1k)
+R1 in stub 1k
+.tran 10u 1m
+"""
+
+NO_DC_DECK = """
+V1 in 0 SIN(0 1 1k)
+R1 in 0 1k
+C2 x1 x2 1u
+R2 x2 x1 1k
+.tran 10u 1m
+"""
+
+
+class TestLintGatesEveryEntryPoint:
+    @pytest.mark.parametrize("deck", [FLOATING_DECK, NO_DC_DECK])
+    def test_library_fails_before_factorisation(self, deck):
+        with pytest.raises(NetlistError, match="structural defect"):
+            simulate_netlist(deck)
+
+    def test_cli_lint_flag_reports_and_exits_nonzero(self, tmp_path, capsys):
+        path = tmp_path / "bad.cir"
+        path.write_text(FLOATING_DECK)
+        code = run([str(path), "--lint"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "floating-node" in out and "stub" in out
+
+    def test_cli_lint_flag_clean_deck_exits_zero(self, tmp_path, capsys):
+        path = tmp_path / "ok.cir"
+        path.write_text("I1 0 n1 1m\nR1 n1 0 1k\nC1 n1 0 1u\n.tran 50u 5m\n")
+        code = run([str(path), "--lint"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "lint: clean" in out
+
+    def test_cli_solve_of_defective_deck_fails_fast(self, tmp_path, capsys):
+        path = tmp_path / "bad.cir"
+        path.write_text(NO_DC_DECK)
+        code = run([str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "no-dc-path" in err or "conductive" in err
+
+    def test_service_lint_op_and_simulate_gate(self):
+        started = threading.Event()
+        box = {}
+
+        def announce(svc):
+            box["svc"] = svc
+            started.set()
+
+        thread = threading.Thread(
+            target=serve, kwargs={"announce": announce, "port": 0},
+            daemon=True,
+        )
+        thread.start()
+        assert started.wait(15), "service failed to start"
+        try:
+            with ServiceClient("127.0.0.1", box["svc"].port) as client:
+                out = client.lint(FLOATING_DECK)
+                assert out["report"]["ok"] is False
+                codes = [i["code"] for i in out["report"]["issues"]]
+                assert codes == ["floating-node"]
+                assert out["summary"]["components"] == 1
+                clean = client.lint(PAIR_DECK)
+                assert clean["report"]["ok"] is True
+                assert clean["summary"]["components"] == 2
+                with pytest.raises(ServiceError, match="structural defect"):
+                    client.simulate(netlist=FLOATING_DECK)
+        finally:
+            try:
+                with ServiceClient("127.0.0.1", box["svc"].port) as client:
+                    client.shutdown()
+            except (OSError, ServiceError):
+                pass
+            thread.join(timeout=15)

@@ -12,7 +12,6 @@ with bounds around ``1e-8``, while the default 12-moment auto plan
 certifies the 600-state ladder only on the shorter ``(2.0, 32)`` grid.
 """
 
-import os
 
 import numpy as np
 import pytest
@@ -42,13 +41,6 @@ GRID = (5.0, 64)
 #: does *not* certify there -- see TestAutoEligibility.
 PLAN = ReductionPlan(n_moments=16)
 RTOL = PLAN.rtol
-
-PARALLEL_BACKENDS = [
-    b
-    for b in os.environ.get("REPRO_TEST_EXECUTOR_BACKENDS", "").split(",")
-    if b
-] or ["thread", "process"]
-
 
 def ladder(n: int, x0=None) -> DescriptorSystem:
     """Tridiagonal RC ladder driven at the first node."""
@@ -321,7 +313,7 @@ class TestExecutorReduce:
     def ensemble(self) -> Ensemble:
         return Ensemble([(ladder(80), a) for a in (0.5, 1.0, 2.0)])
 
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
+    @pytest.mark.parametrize("backend", ["process"])
     def test_backends_bit_identical(self, backend):
         serial = ParallelExecutor("serial", jobs=2).run(
             self.ensemble(), GRID, reduce=PLAN

@@ -199,6 +199,36 @@ class TestProtocol:
             assert c.ping()
             assert c.stats()["errors"] == 5
 
+    @pytest.mark.parametrize(
+        "field, request_fields",
+        [
+            ("alpha", {"system": {**SYSTEM_SPEC, "alpha": "x"}}),
+            ("x0", {"system": {**SYSTEM_SPEC, "x0": ["a"]}}),
+            ("grid", {"grid": [1.0, 0]}),
+            ("grid", {"grid": [1.0, 2.5]}),
+            ("basis", {"basis": 5}),
+            ("backend", {"backend": ["dense"]}),
+        ],
+    )
+    def test_malformed_simulate_field_fails_alone(
+        self, daemon, field, request_fields
+    ):
+        """A malformed field gets its own ``ok: false`` line naming it;
+        the connection, and the next request on it, survive."""
+        request = {
+            "op": "simulate",
+            "system": SYSTEM_SPEC,
+            "grid": [1.0, 16],
+            "input": 1.0,
+            **request_fields,
+        }
+        with daemon.client() as c:
+            with pytest.raises(ServiceError, match=repr(field)):
+                c._round_trip(request)
+            out = c.simulate(system=SYSTEM_SPEC, grid=[1.0, 16], input=1.0)
+            assert out["runs"]
+            assert c.stats()["errors"] == 1
+
 
 FRACTIONAL_SPEC = {"alpha": 0.5, "E": [[1.0]], "A": [[-1.0]], "B": [[1.0]]}
 

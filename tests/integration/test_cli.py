@@ -792,16 +792,24 @@ class TestEnsembleCli:
         assert code == 1
         assert "unknown element" in capsys.readouterr().err
 
-    def test_sweep_jobs_sharding(self, rc_file, capsys):
+    def test_mistyped_spec_seed_is_a_clean_error(self, rc_file, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"mode": "monte-carlo", "n": 3, "seed": 1.5, '
+                        '"params": {"R1": 0.1}}')
+        code = run([str(rc_file), "--t-end", "5e-3", "--steps", "40",
+                    "--ensemble", str(spec), "--parallel", "serial"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'seed' must be a non-negative integer or null" in err
+        assert "Traceback" not in err
+
+    def test_sweep_jobs_rejected(self, rc_file, capsys):
         code = run(
             [str(rc_file), "--t-end", "20e-3", "--steps", "64", "--points", "3",
-             "--sweep"] + [str(0.25 * k) for k in range(1, 17)]
-            + ["--jobs", "2", "--parallel", "serial"]
+             "--sweep", "0.5", "1", "2", "--jobs", "2"]
         )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "swept 16 scaled inputs" in out
-        assert "across 2 serial worker(s)" in out
+        assert code != 0
+        assert "--jobs shards --ensemble members" in capsys.readouterr().err
 
 
 class TestServiceCli:
