@@ -96,7 +96,7 @@ def main():
         f"{warm.wall_time * 1e3:.2f} ms, max error {err:.2e}"
     )
     batch = sim.sweep([1.0, 0.5, 2.0])
-    print(f"  swept {batch.n_runs} step amplitudes in one batched solve")
+    print(f"  swept {len(batch)} step amplitudes in one batched solve")
 
 
 if __name__ == "__main__":

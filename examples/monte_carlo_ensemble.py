@@ -44,12 +44,12 @@ def main() -> None:
 
     serial = ParallelExecutor("serial", jobs=jobs).run(ensemble, grid)
     assert np.array_equal(result.coefficients, serial.coefficients)
-    assert result.info["factorisations"] == result.n_members == 32
-    assert second.n_members == 32
+    assert result.info["factorisations"] == len(result) == 32
+    assert len(second) == 32
 
     info = result.info
     print(
-        f"solved {result.n_members} members in {result.wall_time * 1e3:.1f} ms "
+        f"solved {len(result)} members in {result.wall_time * 1e3:.1f} ms "
         f"({info['jobs']} {info['executor']} workers, "
         f"{info['factorisations']} factorisations, "
         f"{info['shm_bytes'] / 1e6:.1f} MB via shared memory); "

@@ -59,12 +59,10 @@ _EXPORTS = {
     "SecondOrderSystem": ".core",
     # engine sessions
     "Simulator": ".engine",
-    "SweepResult": ".engine",
     "Event": ".engine",
     "MarchingResult": ".core",
     "Ensemble": ".engine",
     "EnsembleMember": ".engine",
-    "EnsembleResult": ".engine",
     "ParallelExecutor": ".engine",
     # solvers
     "simulate": ".core",
@@ -79,6 +77,7 @@ _EXPORTS = {
     "krylov_reduce": ".core",
     # results
     "SimulationResult": ".core",
+    "BatchResult": ".core",
     "SampledResult": ".core",
     # baselines
     "simulate_transient": ".baselines",

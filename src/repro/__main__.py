@@ -493,7 +493,7 @@ def _run_ensemble(args, options, netlist, system, outputs) -> int:
         else ""
     )
     print(
-        f"solved {result.n_members}-member ensemble "
+        f"solved {len(result)}-member ensemble "
         f"({spec.get('mode', 'cartesian')}) over [0, {options.t_end:g}) s "
         f"with m={options.steps} ({info.get('basis', 'BlockPulse')} basis, "
         f"{info['n_groups']} pencil group(s), {info['factorisations']} "
@@ -513,7 +513,7 @@ def _run_ensemble(args, options, netlist, system, outputs) -> int:
     print(table.render())
 
     if args.csv is not None:
-        t_all = result[0].sample_times()
+        t_all = result.sample_times()
         v_all = result.outputs(t_all)  # (k, q, nt)
         header = ["t"] + [
             f"{node}@{label}" for label in result.labels for node in outputs
@@ -521,7 +521,7 @@ def _run_ensemble(args, options, netlist, system, outputs) -> int:
         table = np.column_stack([t_all, v_all.reshape(-1, t_all.size).T])
         path = write_csv(args.csv, header, table.tolist())
         print(
-            f"\nwrote {t_all.size} samples x {result.n_members} members to {path}"
+            f"\nwrote {t_all.size} samples x {len(result)} members to {path}"
         )
     return 0
 

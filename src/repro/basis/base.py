@@ -131,25 +131,22 @@ class BasisSet(abc.ABC):
     def synthesize(self, coeffs, times) -> np.ndarray:
         """Reconstruct function values from coefficients.
 
-        ``coeffs`` may be a vector of length ``size`` (scalar function)
-        or a matrix ``(k, size)`` (vector function); the result has
-        shape ``(len(times),)`` or ``(k, len(times))`` accordingly.
+        ``coeffs`` carries the basis index on its trailing axis: a
+        vector of length ``size`` (scalar function), a matrix
+        ``(q, size)`` (vector function) or a stack ``(k, q, size)`` of
+        runs; the result replaces that axis by ``len(times)``.
         """
+        return self._coefficient_array(coeffs) @ self.evaluate(times)
+
+    def _coefficient_array(self, coeffs) -> np.ndarray:
+        """``coeffs`` as a float array whose trailing axis has ``size`` entries."""
         coeffs = np.asarray(coeffs, dtype=float)
-        values = self.evaluate(times)
-        if coeffs.ndim == 1:
-            if coeffs.size != self.size:
-                raise BasisError(
-                    f"coefficient length {coeffs.size} != basis size {self.size}"
-                )
-            return coeffs @ values
-        if coeffs.ndim == 2:
-            if coeffs.shape[1] != self.size:
-                raise BasisError(
-                    f"coefficient width {coeffs.shape[1]} != basis size {self.size}"
-                )
-            return coeffs @ values
-        raise BasisError(f"coeffs must be 1-D or 2-D, got ndim={coeffs.ndim}")
+        if coeffs.ndim == 0 or coeffs.shape[-1] != self.size:
+            raise BasisError(
+                f"coefficients need {self.size} entries on their last axis, "
+                f"got shape {coeffs.shape}"
+            )
+        return coeffs
 
     # ------------------------------------------------------------------
     # operational matrices

@@ -111,6 +111,18 @@ class BlockPulseBasis(BasisSet):
         out[idx, np.arange(times.size)] = 1.0
         return out
 
+    def synthesize(self, coeffs, times) -> np.ndarray:
+        """Piecewise-constant reconstruction: column ``locate(t)`` of ``coeffs``.
+
+        A gather, bit-identical to the one-hot product
+        ``coeffs @ evaluate(times)``: adding ``0.0`` turns ``-0.0`` into
+        ``0.0`` as the product's sum does.
+        """
+        idx = self._grid.locate(np.atleast_1d(times))
+        values = np.take(self._coefficient_array(coeffs), idx, axis=-1)
+        values += 0.0
+        return values
+
     def project(self, func: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         if self._projection == "midpoint":
             return np.asarray(func(self._grid.midpoints), dtype=float)

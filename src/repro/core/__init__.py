@@ -9,7 +9,7 @@ Public surface:
   and caches the basis, fractional coefficients, backend choice, and
   pencil LU factorisations across calls; ``sim.sweep([...])`` solves
   many inputs in one batched multi-RHS column sweep, returning a
-  :class:`SweepResult`;
+  :class:`BatchResult`;
 * one-shot solvers -- :func:`simulate_opm` (sections III-IV, column
   sweep), :func:`simulate_opm_adaptive` (section III-B, on-the-fly step
   control), :func:`simulate_opm_kron` (the explicit Kronecker reference
@@ -18,7 +18,8 @@ Public surface:
   (Walsh/Haar change of basis), :func:`simulate_multiterm` -- all thin
   wrappers over throwaway sessions;
 * :class:`SimulationResult` -- coefficient container with waveform
-  sampling.
+  sampling; :class:`BatchResult` stacks ``k`` runs (a sweep or an
+  ensemble) along a leading axis and samples them in one pass.
 """
 
 from .._lazy import attach
@@ -32,14 +33,13 @@ _EXPORTS = {
     "MultiTermSystem": ".lti",
     "SecondOrderSystem": ".lti",
     "SimulationResult": ".result",
+    "BatchResult": ".result",
     "MarchingResult": ".result",
     "SampledResult": ".result",
     "Simulator": "..engine",
-    "SweepResult": "..engine",
     "Event": "..engine",
     "Ensemble": "..engine",
     "EnsembleMember": "..engine",
-    "EnsembleResult": "..engine",
     "ParallelExecutor": "..engine",
     "simulate": ".dispatch",
     "SIMULATION_METHODS": ".dispatch",

@@ -80,8 +80,8 @@ def simulate(
         their ``.ic`` card), and ``u=None`` then means "drive with the
         deck's own source waveforms" -- or an
         :class:`~repro.engine.executor.Ensemble` of ``(system, u)``
-        members, executed across ``jobs`` workers and returning an
-        :class:`~repro.engine.executor.EnsembleResult`.  (Method
+        members, executed across ``jobs`` workers and returning a
+        :class:`~repro.core.result.BatchResult`.  (Method
         support varies: the classical one-step schemes need
         ``alpha == 1``; the FFT and Grünwald-Letnikov baselines accept
         fractional orders; ensembles require the default ``'opm'``.)

@@ -1,10 +1,12 @@
-"""Simulation result container.
+"""Simulation result containers.
 
 OPM produces the coefficient matrix ``X`` of the state expansion
 ``x(t) = X phi(t)`` (paper eq. (10)/(26)).  :class:`SimulationResult`
 wraps ``X`` together with the basis so users can sample waveforms,
 evaluate outputs ``y = C x + D u``, and compare runs on different grids
-via resampling.
+via resampling.  :class:`BatchResult` stacks ``k`` such runs on one
+basis along a leading run axis -- the batched sweeps of a session and
+the members of an ensemble -- and samples them all at once.
 """
 
 from __future__ import annotations
@@ -14,34 +16,36 @@ import numpy as np
 from ..basis.base import BasisSet
 from ..basis.block_pulse import BlockPulseBasis
 from ..basis.pwconst import PiecewiseConstantBasis
+from ..errors import EnsembleError
 
 __all__ = [
     "SimulationResult",
+    "BatchResult",
     "SampledResult",
     "MarchingResult",
     "terminal_state_estimate",
 ]
 
 
-def _natural_sample_times(basis, grid, n_points: int | None) -> np.ndarray:
-    """Shared natural-sampling rule of result containers.
+def _interpolate_rows(values: np.ndarray, nodes: np.ndarray, times) -> np.ndarray:
+    """Piecewise-linear interpolation of every row of a ``(..., K)`` array.
 
-    Grid midpoints when a block-pulse grid is available and no count was
-    requested (Walsh/Haar results expose their underlying block-pulse
-    grid), otherwise ``n_points`` (default 256) equispaced midpoints on
-    ``[0, t_end)``.
+    ``values[..., j]`` is the value at ``nodes[j]``; the result replaces
+    the trailing axis by ``len(times)`` (clamped outside the nodes).
+    Rows go through ``np.interp`` one at a time, so a batch interpolates
+    bit for bit like its runs do separately.
     """
-    if grid is None and isinstance(basis, PiecewiseConstantBasis):
-        grid = basis.block_pulse.grid
-    if n_points is None and grid is not None:
-        return grid.midpoints
-    n_points = 256 if n_points is None else int(n_points)
-    t_end = basis.t_end
-    if not np.isfinite(t_end):
-        raise ValueError(
-            "a semi-infinite basis has no natural sample times; evaluate "
-            "states()/outputs() at explicit times instead"
-        )
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    rows = np.reshape(values, (-1, values.shape[-1]))
+    out = np.empty((rows.shape[0], times.size))
+    for i, row in enumerate(rows):
+        out[i] = np.interp(times, nodes, row)
+    return out.reshape(values.shape[:-1] + (times.size,))
+
+
+def _midpoint_times(t_end: float, n_points) -> np.ndarray:
+    """``n_points`` equally spaced interval midpoints on ``[0, t_end)``."""
+    n_points = int(n_points)
     step = t_end / n_points
     return (np.arange(n_points) + 0.5) * step
 
@@ -121,20 +125,11 @@ class SampledResult:
 
     def states(self, times) -> np.ndarray:
         """Linear interpolation of the states at arbitrary times."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        out = np.empty((self.n_states, times.size))
-        for i in range(self.n_states):
-            out[i] = np.interp(times, self.times, self.state_values[i])
-        return out
+        return _interpolate_rows(self.state_values, self.times, times)
 
     def outputs(self, times) -> np.ndarray:
         """Linear interpolation of the outputs at arbitrary times."""
-        values = self.output_values
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        out = np.empty((values.shape[0], times.size))
-        for i in range(values.shape[0]):
-            out[i] = np.interp(times, self.times, values[i])
-        return out
+        return _interpolate_rows(self.output_values, self.times, times)
 
     def __repr__(self) -> str:
         return (
@@ -143,7 +138,95 @@ class SampledResult:
         )
 
 
-class SimulationResult:
+class _Expansion:
+    """Sampling accessors shared by the coefficient-form results.
+
+    A subclass provides ``basis``, ``coefficients`` and
+    ``output_coefficients`` with the basis index on the trailing axis:
+    ``(n, m)`` for one run, ``(k, n, m)`` for a batch.  Every accessor
+    keeps the leading axes and replaces the trailing one by the sample
+    times.
+    """
+
+    basis: BasisSet
+
+    @property
+    def m(self) -> int:
+        """Number of basis terms (time intervals for block pulses)."""
+        return self.basis.size
+
+    @property
+    def grid(self):
+        """The time grid when the basis is block-pulse, else ``None``."""
+        if isinstance(self.basis, BlockPulseBasis):
+            return self.basis.grid
+        return None
+
+    def _block_pulse_grid(self):
+        """The block-pulse grid under the basis (Walsh/Haar included)."""
+        if isinstance(self.basis, PiecewiseConstantBasis):
+            return self.basis.block_pulse.grid
+        return self.grid
+
+    def states(self, times) -> np.ndarray:
+        """Sample the state trajectory, shape ``(..., n_states, len(times))``."""
+        return self.basis.synthesize(self.coefficients, np.atleast_1d(times))
+
+    def outputs(self, times) -> np.ndarray:
+        """Sample the output trajectory ``y = C x + D u``."""
+        return self.basis.synthesize(self.output_coefficients, np.atleast_1d(times))
+
+    def _smooth(self, coeffs: np.ndarray, times) -> np.ndarray:
+        """Linear interpolation of block-pulse coefficients at midpoints.
+
+        Block-pulse coefficients are interval averages, which agree with
+        midpoint values to second order; interpolating them linearly
+        gives a continuous second-order reconstruction, removing the
+        O(h) half-cell offset of raw piecewise-constant sampling.  Used
+        for cross-method waveform comparisons.  Walsh/Haar results are
+        exact transforms of block pulses, so they convert and take the
+        same second-order path; other bases fall back to synthesis.
+        """
+        grid = self._block_pulse_grid()
+        if grid is None:
+            return self.basis.synthesize(coeffs, np.atleast_1d(times))
+        if grid is not self.grid:
+            coeffs = self.basis.to_block_pulse_coefficients(coeffs)
+        return _interpolate_rows(coeffs, grid.midpoints, times)
+
+    def states_smooth(self, times) -> np.ndarray:
+        """Second-order (midpoint-linear) state reconstruction.
+
+        Falls back to basis synthesis for non-block-pulse results.
+        """
+        return self._smooth(self.coefficients, times)
+
+    def outputs_smooth(self, times) -> np.ndarray:
+        """Second-order (midpoint-linear) output reconstruction."""
+        return self._smooth(self.output_coefficients, times)
+
+    def sample_times(self, n_points: int | None = None) -> np.ndarray:
+        """Natural sampling times: interval midpoints for block pulses.
+
+        For block-pulse results (Walsh/Haar expose their underlying
+        block-pulse grid) with ``n_points is None`` this returns the
+        grid midpoints -- the points where the piecewise-constant
+        expansion best represents the trajectory (paper's "roughly,
+        f_i = f(ih)").  Otherwise returns ``n_points`` (default 256)
+        equally spaced midpoints on ``[0, t_end)``.
+        """
+        grid = self._block_pulse_grid()
+        if n_points is None and grid is not None:
+            return grid.midpoints
+        if not np.isfinite(self.basis.t_end):
+            raise ValueError(
+                "a semi-infinite basis has no natural sample times; evaluate "
+                "states()/outputs() at explicit times instead"
+            )
+        return _midpoint_times(self.basis.t_end, 256 if n_points is None else n_points)
+
+
+class SimulationResult(_Expansion):
     """State trajectory in coefficient form plus evaluation helpers.
 
     Attributes
@@ -191,96 +274,216 @@ class SimulationResult:
         self.wall_time = wall_time
         self.info = dict(info or {})
 
-    # ------------------------------------------------------------------
-    # shape properties
-    # ------------------------------------------------------------------
     @property
     def n_states(self) -> int:
         return self.coefficients.shape[0]
-
-    @property
-    def m(self) -> int:
-        """Number of basis terms (time intervals for block pulses)."""
-        return self.basis.size
-
-    @property
-    def grid(self):
-        """The time grid when the basis is block-pulse, else ``None``."""
-        if isinstance(self.basis, BlockPulseBasis):
-            return self.basis.grid
-        return None
 
     @property
     def output_coefficients(self) -> np.ndarray:
         """Output coefficient matrix ``Y = C X + D U``."""
         return self.system.output_coefficients(self.coefficients, self.input_coefficients)
 
-    # ------------------------------------------------------------------
-    # sampling
-    # ------------------------------------------------------------------
-    def states(self, times) -> np.ndarray:
-        """Sample the state trajectory, shape ``(n_states, len(times))``."""
-        return self.basis.synthesize(self.coefficients, np.atleast_1d(times))
-
-    def outputs(self, times) -> np.ndarray:
-        """Sample the output trajectory ``y = C x + D u``."""
-        return self.basis.synthesize(self.output_coefficients, np.atleast_1d(times))
-
-    def _interpolate_coefficients(self, coeffs: np.ndarray, times) -> np.ndarray:
-        """Linear interpolation of block-pulse coefficients at midpoints.
-
-        Block-pulse coefficients are interval averages, which agree with
-        midpoint values to second order; interpolating them linearly
-        gives a continuous second-order reconstruction, removing the
-        O(h) half-cell offset of raw piecewise-constant sampling.  Used
-        for cross-method waveform comparisons.  Walsh/Haar results are
-        exact transforms of block pulses, so they convert and take the
-        same second-order path.
-        """
-        grid = self.grid
-        if grid is None and isinstance(self.basis, PiecewiseConstantBasis):
-            grid = self.basis.block_pulse.grid
-            coeffs = self.basis.to_block_pulse_coefficients(coeffs)
-        if grid is None:
-            return self.basis.synthesize(coeffs, np.atleast_1d(times))
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        mids = grid.midpoints
-        out = np.empty((coeffs.shape[0], times.size))
-        for i in range(coeffs.shape[0]):
-            out[i] = np.interp(times, mids, coeffs[i])
-        return out
-
-    def states_smooth(self, times) -> np.ndarray:
-        """Second-order (midpoint-linear) state reconstruction.
-
-        Falls back to basis synthesis for non-block-pulse results.
-        """
-        return self._interpolate_coefficients(self.coefficients, times)
-
-    def outputs_smooth(self, times) -> np.ndarray:
-        """Second-order (midpoint-linear) output reconstruction."""
-        return self._interpolate_coefficients(self.output_coefficients, times)
-
     def inputs(self, times) -> np.ndarray:
         """Sample the (projected) input trajectory."""
         return self.basis.synthesize(self.input_coefficients, np.atleast_1d(times))
-
-    def sample_times(self, n_points: int | None = None) -> np.ndarray:
-        """Natural sampling times: interval midpoints for block pulses.
-
-        For block-pulse results with ``n_points is None`` this returns
-        the grid midpoints -- the points where the piecewise-constant
-        expansion best represents the trajectory (paper's
-        "roughly, f_i = f(ih)").  Otherwise returns ``n_points`` equally
-        spaced times on ``[0, t_end)``.
-        """
-        return _natural_sample_times(self.basis, self.grid, n_points)
 
     def __repr__(self) -> str:
         return (
             f"SimulationResult(n={self.n_states}, m={self.m}, "
             f"basis={self.basis.name}, wall_time={self.wall_time})"
         )
+
+
+class BatchResult(_Expansion):
+    """``k`` runs on one basis, stacked along a leading run axis.
+
+    :meth:`~repro.engine.session.Simulator.sweep` (one system, many
+    inputs) and :class:`~repro.engine.executor.ParallelExecutor`
+    ensembles (a system per member) both return this container.
+    ``result[i]`` is an ordinary :class:`SimulationResult` whose arrays
+    are views into the batch, so everything in :mod:`repro.analysis`
+    and :mod:`repro.io` consumes batch members unchanged;
+    ``result[a:b]`` is a sub-batch.  The sampling accessors return
+    ``(k, rows, len(times))`` stacks in one pass.
+
+    An ensemble may mix state sizes (a *ragged* batch): the state
+    tensor then has ``max(n)`` rows, each run sees its own leading
+    rows, and the stacked accessors raise
+    :class:`~repro.errors.EnsembleError` -- outputs still stack when
+    every run has the same output count.
+
+    Attributes
+    ----------
+    basis:
+        The shared basis of every run.
+    systems:
+        The system of each run (a sweep repeats its session's system);
+        run ``i`` maps states to outputs with ``systems[i]``.
+    labels, params:
+        Per-member labels and parameter overrides of an ensemble,
+        ``None`` for a sweep.
+    wall_time:
+        Wall-clock seconds of the whole batch.
+    info:
+        Solver metadata (method, factorisations, batch size, ...).
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> from repro.core import DescriptorSystem, Simulator
+    >>> sim = Simulator(DescriptorSystem([[1.0]], [[-1.0]], [[1.0]]), (5.0, 100))
+    >>> batch = sim.sweep([0.5, 1.0, 2.0])
+    >>> len(batch), batch.outputs(batch.sample_times()).shape
+    (3, (3, 1, 100))
+    >>> bool(np.shares_memory(batch[1].coefficients, batch.coefficients))
+    True
+    >>> len(batch[1:])
+    2
+    """
+
+    def __init__(
+        self,
+        basis: BasisSet,
+        coefficients: np.ndarray,
+        systems,
+        input_coefficients: np.ndarray,
+        *,
+        labels=None,
+        params=None,
+        wall_time: float | None = None,
+        info: dict | None = None,
+    ) -> None:
+        coefficients = np.asarray(coefficients, dtype=float)
+        input_coefficients = np.asarray(input_coefficients, dtype=float)
+        if coefficients.ndim != 3 or coefficients.shape[2] != basis.size:
+            raise ValueError(
+                f"coefficients must be (k, n, {basis.size}), got {coefficients.shape}"
+            )
+        k = coefficients.shape[0]
+        if (
+            input_coefficients.ndim != 3
+            or input_coefficients.shape[0] != k
+            or input_coefficients.shape[2] != basis.size
+        ):
+            raise ValueError(
+                f"input_coefficients must be ({k}, p, {basis.size}), "
+                f"got {input_coefficients.shape}"
+            )
+        systems = list(systems)
+        if len(systems) != k:
+            raise ValueError(f"expected {k} systems, got {len(systems)}")
+        n_rows = [system.n_states for system in systems]
+        p_rows = [system.n_inputs for system in systems]
+        self.basis = basis
+        self.systems = systems
+        self.labels = None if labels is None else list(labels)
+        self.params = None if params is None else list(params)
+        self.wall_time = wall_time
+        self.info = dict(info or {})
+        # a padded (ragged) tensor keeps the rows its runs use
+        self._states = coefficients[:, : max(n_rows, default=coefficients.shape[1])]
+        self._inputs = input_coefficients[:, : max(p_rows, default=input_coefficients.shape[1])]
+        self._n_rows = n_rows if len(set(n_rows)) > 1 else None
+        self._p_rows = p_rows if len(set(p_rows)) > 1 else None
+        self._output_coefficients: np.ndarray | None = None
+
+    # ------------------------------------------------------------------
+    # stacked coefficients
+    # ------------------------------------------------------------------
+    @property
+    def coefficients(self) -> np.ndarray:
+        """State coefficient tensor ``(k, n, m)``; row ``i`` is run ``i``'s ``X``."""
+        return _uniform(self._states, self._n_rows, "state")
+
+    @property
+    def input_coefficients(self) -> np.ndarray:
+        """Input coefficient tensor ``(k, p, m)``."""
+        return _uniform(self._inputs, self._p_rows, "input")
+
+    @property
+    def output_coefficients(self) -> np.ndarray:
+        """Output coefficient tensor ``(k, q, m)``, ``Y_i = C_i X_i + D_i U_i``.
+
+        Each run applies its own system's ``C``/``D`` (the product
+        ``result[i].output_coefficients`` performs); computed once and
+        cached.  When no run has an output map the state tensor itself
+        is returned.
+        """
+        if self._output_coefficients is None:
+            runs = [self._run(i) for i in range(len(self))]
+            Y = [
+                system.output_coefficients(X, U)
+                for system, (X, U) in zip(self.systems, runs)
+            ]
+            if self._n_rows is None and all(y is X for y, (X, _) in zip(Y, runs)):
+                self._output_coefficients = self._states
+            else:
+                counts = sorted({y.shape[0] for y in Y})
+                if len(counts) > 1:
+                    raise EnsembleError(
+                        f"runs have different output counts {counts}; "
+                        "sample them one at a time through result[i]"
+                    )
+                self._output_coefficients = np.stack(Y)
+        return self._output_coefficients
+
+    def _run(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of run ``i``'s state and input coefficients."""
+        n = None if self._n_rows is None else self._n_rows[i]
+        p = None if self._p_rows is None else self._p_rows[i]
+        return self._states[i, :n], self._inputs[i, :p]
+
+    # ------------------------------------------------------------------
+    # sequence protocol: a batch is a list of SimulationResults
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return self._states.shape[0]
+
+    def __getitem__(self, index):
+        """Run ``index`` as a :class:`SimulationResult`, or a sub-batch for slices.
+
+        A run's arrays are views into the batch and its ``info`` adds
+        ``batch_index`` (and the member ``label`` of an ensemble); run
+        and sub-batch results carry ``wall_time=None``, as the batch's
+        wall time is not attributable to part of it.
+        """
+        if isinstance(index, slice):
+            return BatchResult(
+                self.basis,
+                self._states[index],
+                self.systems[index],
+                self._inputs[index],
+                labels=None if self.labels is None else self.labels[index],
+                params=None if self.params is None else self.params[index],
+                info=self.info,
+            )
+        i = range(len(self))[index]  # normalises negatives, raises IndexError
+        info = dict(self.info)
+        info["batch_index"] = i
+        if self.labels is not None:
+            info["label"] = self.labels[i]
+        X, U = self._run(i)
+        return SimulationResult(self.basis, X, self.systems[i], U, info=info)
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
+
+    def __repr__(self) -> str:
+        return (
+            f"BatchResult(k={len(self)}, m={self.m}, "
+            f"basis={self.basis.name}, wall_time={self.wall_time})"
+        )
+
+
+def _uniform(stack: np.ndarray, rows, kind: str) -> np.ndarray:
+    """``stack`` when every run fills it, else a typed error naming the sizes."""
+    if rows is not None:
+        raise EnsembleError(
+            f"runs have different {kind} sizes {sorted(set(rows))}; "
+            "stack them one at a time through result[i]"
+        )
+    return stack
 
 
 class MarchingResult:
@@ -380,12 +583,7 @@ class MarchingResult:
         exact transforms of block pulses and expose the underlying
         grid.  ``None`` for spectral windows.
         """
-        first = self.windows[0]
-        if first.grid is not None:
-            return first.grid
-        if isinstance(first.basis, PiecewiseConstantBasis):
-            return first.basis.block_pulse.grid
-        return None
+        return self.windows[0]._block_pulse_grid()
 
     @property
     def midpoints(self) -> np.ndarray:
@@ -483,21 +681,6 @@ class MarchingResult:
         """Sample the stitched output trajectory at global times."""
         return self._sample("outputs", times)
 
-    def _interpolate_global(self, coeffs: np.ndarray, times) -> np.ndarray:
-        """Midpoint-linear reconstruction over the *stitched* grid.
-
-        Interpolating across the global midpoint sequence (rather than
-        window by window) keeps the reconstruction continuous across
-        window boundaries, matching what a single-window solve of the
-        full horizon would produce.
-        """
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        mids = self.midpoints
-        out = np.empty((coeffs.shape[0], times.size))
-        for i in range(coeffs.shape[0]):
-            out[i] = np.interp(times, mids, coeffs[i])
-        return out
-
     def states_smooth(self, times) -> np.ndarray:
         """Smooth state reconstruction at global times.
 
@@ -508,25 +691,26 @@ class MarchingResult:
         """
         if self._window_grid is None:
             return self._sample("states", times)
-        return self._interpolate_global(
-            self._stitched_block_pulse(self.coefficients), times
+        # interpolating across the global midpoint sequence (rather than
+        # window by window) keeps the reconstruction continuous across
+        # window boundaries, like a single-window solve of the horizon
+        return _interpolate_rows(
+            self._stitched_block_pulse(self.coefficients), self.midpoints, times
         )
 
     def outputs_smooth(self, times) -> np.ndarray:
         """Smooth output reconstruction at global times (see :meth:`states_smooth`)."""
         if self._window_grid is None:
             return self._sample("outputs", times)
-        return self._interpolate_global(
-            self._stitched_block_pulse(self.output_coefficients), times
+        return _interpolate_rows(
+            self._stitched_block_pulse(self.output_coefficients), self.midpoints, times
         )
 
     def sample_times(self, n_points: int | None = None) -> np.ndarray:
         """Global midpoints (default) or ``n_points`` equispaced times."""
         if n_points is None:
             return self.midpoints
-        n_points = int(n_points)
-        step = self.t_end / n_points
-        return (np.arange(n_points) + 0.5) * step
+        return _midpoint_times(self.t_end, n_points)
 
     def terminal_state(self) -> np.ndarray:
         """Estimate of ``x(t_end)`` from the last window.

@@ -22,9 +22,7 @@ shares, so that repeated-solve workloads amortise it across calls:
   matrices, and the hybrid-marching history operators;
 * :mod:`~repro.engine.session` -- the :class:`Simulator` session object
   (bind system + grid once, ``run`` / ``sweep`` / ``march`` many
-  times);
-* :mod:`~repro.engine.sweep` -- the :class:`SweepResult` batched result
-  container;
+  times; a sweep returns a :class:`~repro.core.result.BatchResult`);
 * :mod:`~repro.engine.marching` -- windowed time-marching over long
   horizons with state carry-over, fractional memory transfer, and
   mid-run :class:`Event` handling (input swaps, load steps, pencil
@@ -33,8 +31,8 @@ shares, so that repeated-solve workloads amortise it across calls:
   :class:`Ensemble` specs (cartesian / seeded Monte-Carlo netlist
   variations), the :class:`ParallelExecutor` process/serial
   sharding engine with fingerprint grouping and zero-copy
-  shared-memory pencil shipping, and the :class:`EnsembleResult`
-  container;
+  shared-memory pencil shipping, gathering members into a
+  :class:`~repro.core.result.BatchResult`;
 * :mod:`~repro.engine.netlist_session` -- the SPICE front door:
   netlist-native sessions (:meth:`Simulator.from_netlist`), ``.ac``
   sweeps, and the :func:`simulate_netlist` one-call driver executing a
@@ -52,12 +50,10 @@ from .._lazy import attach
 #: asyncio machinery, and one-shot solves never load the executor.
 _EXPORTS = {
     "Simulator": ".session",
-    "SweepResult": ".sweep",
     "Event": ".marching",
     "Ensemble": ".executor",
     "EnsembleMember": ".executor",
     "EnsembleChunk": ".executor",
-    "EnsembleResult": ".executor",
     "ParallelExecutor": ".executor",
     "EXECUTOR_BACKENDS": ".executor",
     "OperatorBundle": ".bundle",

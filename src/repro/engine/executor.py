@@ -40,8 +40,9 @@ embarrassingly parallel, and this module shards it across cores:
   member does not stop the remaining chunks, it is re-raised as
   :class:`~repro.errors.EnsembleError` (member index + original
   exception) once every other chunk has streamed.
-  :meth:`ParallelExecutor.run` gathers the chunks into an
-  :class:`EnsembleResult` in member order.
+  :meth:`ParallelExecutor.run` copies each chunk's rows into one
+  member-ordered :class:`~repro.core.result.BatchResult` as it
+  arrives.
 
 Inputs are projected onto the session basis *in the parent*, so worker
 tasks never pickle user callables, and the serial and process backends
@@ -69,7 +70,7 @@ import numpy as np
 
 from ..basis.base import BasisSet
 from ..core.lti import DescriptorSystem, FractionalDescriptorSystem
-from ..core.result import SimulationResult
+from ..core.result import BatchResult
 from ..errors import EnsembleError
 from .backends import pencil_fingerprint
 from .reduction import OffsetDescriptorSystem, bind_reduction
@@ -81,7 +82,6 @@ __all__ = [
     "Ensemble",
     "EnsembleMember",
     "EnsembleChunk",
-    "EnsembleResult",
     "ParallelExecutor",
     "EXECUTOR_BACKENDS",
     "default_jobs",
@@ -474,127 +474,6 @@ class EnsembleChunk:
     wall_time: float
 
 
-class EnsembleResult:
-    """Member-ordered results of an ensemble execution.
-
-    Indexing yields per-member
-    :class:`~repro.core.result.SimulationResult` objects (built against
-    each member's own system, so outputs honour per-member ``C``/``D``);
-    :meth:`states` / :meth:`outputs` sample the whole ensemble into one
-    ``(k, n, nt)`` tensor.
-    """
-
-    def __init__(
-        self,
-        basis: BasisSet,
-        ensemble: Ensemble,
-        chunks: Sequence[EnsembleChunk],
-        *,
-        wall_time: float | None = None,
-        info: dict | None = None,
-    ) -> None:
-        self.basis = basis
-        self.ensemble = ensemble
-        self.chunks = list(chunks)
-        self.wall_time = wall_time
-        self.info = dict(info or {})
-        k = len(ensemble)
-        self._coefficients: list[np.ndarray | None] = [None] * k
-        self._inputs: list[np.ndarray | None] = [None] * k
-        for chunk in self.chunks:
-            for row, index in enumerate(chunk.indices):
-                self._coefficients[index] = chunk.coefficients[row]
-                self._inputs[index] = chunk.input_coefficients[row]
-        missing = [i for i, c in enumerate(self._coefficients) if c is None]
-        if missing:
-            raise EnsembleError(
-                f"ensemble result is missing members {missing}; "
-                "chunks do not cover the ensemble"
-            )
-
-    @property
-    def n_members(self) -> int:
-        """Number of ensemble members."""
-        return len(self.ensemble)
-
-    @property
-    def labels(self) -> list[str]:
-        """Member labels (``'member-<i>'`` when unnamed)."""
-        return [
-            m.label if m.label is not None else f"member-{i}"
-            for i, m in enumerate(self.ensemble)
-        ]
-
-    @property
-    def params(self) -> list[Mapping[str, float]]:
-        """Per-member parameter overrides."""
-        return [m.params for m in self.ensemble]
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Stacked state coefficients ``(k, n, m)`` (homogeneous ensembles)."""
-        return np.stack(self._coefficients)
-
-    @property
-    def input_coefficients(self) -> np.ndarray:
-        """Stacked input coefficients ``(k, p, m)`` (homogeneous ensembles)."""
-        return np.stack(self._inputs)
-
-    def __len__(self) -> int:
-        return self.n_members
-
-    def __getitem__(self, index: int) -> SimulationResult:
-        idx = range(self.n_members)[index]
-        member = self.ensemble[idx]
-        info = dict(self.info)
-        info["ensemble_index"] = idx
-        if member.label is not None:
-            info["label"] = member.label
-        return SimulationResult(
-            self.basis,
-            self._coefficients[idx],
-            member.system,
-            self._inputs[idx],
-            wall_time=None,
-            info=info,
-        )
-
-    def __iter__(self) -> Iterator[SimulationResult]:
-        for idx in range(self.n_members):
-            yield self[idx]
-
-    @property
-    def results(self) -> list[SimulationResult]:
-        """All members as :class:`SimulationResult` objects."""
-        return list(self)
-
-    def states(self, times) -> np.ndarray:
-        """Sample every member's state trajectory: ``(k, n, len(times))``."""
-        values = self.basis.evaluate(np.atleast_1d(times))
-        return self.coefficients @ values
-
-    def outputs(self, times) -> np.ndarray:
-        """Sample every member's output trajectory: ``(k, q, len(times))``.
-
-        The basis is evaluated once for all members; each member then
-        applies its own ``C``/``D`` (the product
-        :meth:`SimulationResult.outputs` performs).
-        """
-        values = self.basis.evaluate(np.atleast_1d(times))
-        return np.stack(
-            [
-                member.system.output_coefficients(X, U) @ values
-                for member, X, U in zip(self.ensemble, self._coefficients, self._inputs)
-            ]
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"EnsembleResult(k={self.n_members}, basis={self.basis.name}, "
-            f"chunks={len(self.chunks)}, wall_time={self.wall_time})"
-        )
-
-
 # ----------------------------------------------------------------------
 # task planning and shipping
 # ----------------------------------------------------------------------
@@ -889,7 +768,7 @@ class ParallelExecutor:
     >>> ens = Ensemble([(rc, 1.0), (rc, 2.0)])
     >>> with ParallelExecutor("serial") as executor:
     ...     result = executor.run(ens, (5.0, 64))
-    >>> result.n_members, result.info["n_groups"]
+    >>> len(result), result.info["n_groups"]
     (2, 1)
     """
 
@@ -909,8 +788,13 @@ class ParallelExecutor:
         self._pool: Any = None
 
     # ------------------------------------------------------------------
-    def run(self, ensemble, grid, **kwargs) -> EnsembleResult:
-        """Execute every member and gather an :class:`EnsembleResult`.
+    def run(self, ensemble, grid, **kwargs) -> BatchResult:
+        """Execute every member and gather one member-ordered batch.
+
+        Each chunk's rows are copied into the batch's ``(k, n, m)``
+        state and ``(k, p, m)`` input tensors as the chunk arrives; no
+        chunk array outlives its copy.  Members with different state
+        sizes share a tensor padded to the largest.
 
         Parameters
         ----------
@@ -924,6 +808,15 @@ class ParallelExecutor:
         basis, u, projection, adaptive_method, solver_backend:
             See :meth:`iter_chunks`.
 
+        Returns
+        -------
+        BatchResult
+            The members in ensemble order with their own systems,
+            ``labels`` (``'member-<i>'`` when unnamed) and ``params``;
+            ``result[i]`` is member ``i``'s
+            :class:`~repro.core.result.SimulationResult`, a view into
+            the batch.
+
         Raises
         ------
         EnsembleError
@@ -935,16 +828,32 @@ class ParallelExecutor:
         """
         start = time.perf_counter()
         state = _RunState()
-        chunks = list(self._stream(ensemble, grid, state, **kwargs))
+        X = U = None
+        done: list[tuple[tuple[int, ...], int, int, int, float]] = []
+        for chunk in self._stream(ensemble, grid, state, **kwargs):
+            if X is None:  # the stream has resolved the ensemble and basis
+                systems = [member.system for member in state.ensemble]
+                k, m = len(systems), state.basis.size
+                X = np.zeros((k, max(s.n_states for s in systems), m))
+                U = np.zeros((k, max(s.n_inputs for s in systems), m))
+            rows = list(chunk.indices)
+            n, p = chunk.coefficients.shape[1], chunk.input_coefficients.shape[1]
+            X[rows, :n] = chunk.coefficients
+            U[rows, :p] = chunk.input_coefficients
+            done.append((chunk.indices, n, p, chunk.factorisations, chunk.wall_time))
         wall = time.perf_counter() - start
         if state.failures:
+            chunks = [
+                EnsembleChunk(idx, X[list(idx), :n], U[list(idx), :p], f, w)
+                for idx, n, p, f, w in done
+            ]
             raise self._ensemble_error(state, chunks) from state.failures[0][2]
         info = {
             "executor": self.backend,
             "jobs": self.jobs,
             "n_groups": state.n_groups,
             "n_tasks": state.n_tasks,
-            "factorisations": sum(c.factorisations for c in chunks),
+            "factorisations": sum(f for *_, f, _ in done),
             "shm_bytes": state.shm_bytes,
             "basis": state.basis.name,
         }
@@ -953,8 +862,19 @@ class ParallelExecutor:
                 "reduced_units": state.n_reduced,
                 "bound": state.mor_bound,
             }
-        return EnsembleResult(
-            state.basis, state.ensemble, chunks, wall_time=wall, info=info
+        members = state.ensemble.members
+        return BatchResult(
+            state.basis,
+            X,
+            systems,
+            U,
+            labels=[
+                member.label if member.label is not None else f"member-{i}"
+                for i, member in enumerate(members)
+            ],
+            params=[member.params for member in members],
+            wall_time=wall,
+            info=info,
         )
 
     def iter_chunks(self, ensemble, grid, **kwargs) -> Iterator[EnsembleChunk]:

@@ -483,6 +483,9 @@ class NetlistRun:
         sampled result), ``None`` when no transient ran.
     ac:
         The :class:`AcScan`, ``None`` when no ``.ac`` sweep ran.
+    ensemble:
+        The members' :class:`~repro.core.result.BatchResult`, ``None``
+        when no ``ensemble=`` was given.
     """
 
     netlist: Netlist

@@ -186,14 +186,10 @@ def _validate_output_options(request: dict) -> None:
     if fmt not in ("json", "csv"):
         raise ServiceError(f"'format' must be 'json' or 'csv', got {fmt!r}")
     samples = request.get("samples")
-    if samples is not None:
-        try:
-            if int(samples) < 1:
-                raise ValueError(samples)
-        except (TypeError, ValueError) as exc:
-            raise ServiceError(
-                f"'samples' must be a positive integer, got {samples!r}"
-            ) from exc
+    if samples is not None and not (
+        _is_number(samples) and samples >= 1 and float(samples).is_integer()
+    ):
+        raise ServiceError(f"'samples' must be a positive integer, got {samples!r}")
 
 
 #: Request fields that are solve settings, in session-key order.
@@ -722,43 +718,39 @@ class SimulationService:
         """One batched multi-RHS solve for every queued request.
 
         Runs on a worker thread.  A single-run batch goes through
-        ``run``; anything larger is one ``sweep``.
+        ``run``; anything larger is one ``sweep``, and each request
+        samples its own slice of the batch.
         """
         sim = batch[0].session.sim
         inputs = [u for p in batch for u in p.inputs]
         coalesced = len(batch) > 1
         if len(inputs) == 1:
-            results = [sim.run(inputs[0])]
-        else:
-            results = list(sim.sweep(inputs))
+            return [self._build_payload(batch[0], sim.run(inputs[0]), 1, coalesced)]
+        result = sim.sweep(inputs)
         payloads = []
         offset = 0
         for p in batch:
-            runs = results[offset : offset + p.n_runs]
+            runs = result[offset : offset + p.n_runs]
             offset += p.n_runs
             payloads.append(self._build_payload(p, runs, len(inputs), coalesced))
         return payloads
 
     def _build_payload(
-        self, pending: _Pending, runs: list, batch_runs: int, coalesced: bool
+        self, pending: _Pending, runs, batch_runs: int, coalesced: bool
     ) -> dict:
-        """Sample one request's runs into its response payload."""
+        """Sample one request's runs -- a single result or a batch slice --
+        into its response payload."""
         request = pending.request
         samples = request.get("samples")
-        if samples is not None:
-            samples = int(samples)
         values_kind = request.get("values", "outputs")
         fmt = request.get("format", "json")
-        sampled = []
-        for res in runs:
-            t = res.sample_times(samples) if samples else res.sample_times()
-            v = res.outputs(t) if values_kind == "outputs" else res.states(t)
-            sampled.append((t, np.asarray(v)))
-        info = _jsonable(dict(runs[0].info))
+        t = runs.sample_times(samples) if samples else runs.sample_times()
+        v = runs.outputs(t) if values_kind == "outputs" else runs.states(t)
+        info = _jsonable(dict(runs.info))
         info["coalesced"] = coalesced
         info["batch_runs"] = batch_runs
         return {
-            "sampled": sampled,
+            "sampled": [(t, block) for block in v.reshape((-1,) + v.shape[-2:])],
             "info": info,
             "format": fmt,
             "values": values_kind,

@@ -23,7 +23,7 @@ projection and the triangular column sweep (or one cached Kronecker
 substitution for spectral bases).  ``sim.sweep(inputs)`` goes further
 and solves many inputs in one batched multi-RHS sweep -- one
 ``lu_solve`` per column for *all* right-hand sides -- returning a
-:class:`~repro.engine.sweep.SweepResult`.
+:class:`~repro.core.result.BatchResult`.
 
 The one-shot solvers (:func:`repro.core.simulate_opm`,
 :func:`repro.core.simulate_multiterm`) are thin wrappers that build a
@@ -43,7 +43,7 @@ import scipy.sparse as sp
 from ..basis.base import BasisSet
 from ..basis.grid import TimeGrid
 from ..core.lti import DescriptorSystem, MultiTermSystem
-from ..core.result import MarchingResult, SimulationResult
+from ..core.result import BatchResult, MarchingResult, SimulationResult
 from ..errors import SolverError
 from ..fractional.methods import resolve_method
 from ..fractional.soe import resolve_memory
@@ -52,7 +52,6 @@ from .backends import PencilBank, pencil_fingerprint, select_backend
 from .bundle import OperatorBundle, resolve_basis
 from .inputs import project_input
 from .reduction import MOR_RESIDUAL_MARGIN, bind_reduction, equation_residual
-from .sweep import SweepResult
 
 __all__ = ["Simulator", "resolve_grid", "InputLike"]
 
@@ -581,8 +580,8 @@ class Simulator:
     >>> sim.factorisations
     1
     >>> batch = sim.sweep([0.5, 1.0, 2.0])      # one multi-RHS sweep
-    >>> batch.n_runs
-    3
+    >>> len(batch), batch.coefficients.shape
+    (3, (3, 1, 100))
 
     A spectral session needs far fewer coefficients on smooth problems:
 
@@ -1032,7 +1031,7 @@ class Simulator:
             self._basis, X, self._system, U, wall_time=wall, info=info
         )
 
-    def sweep(self, inputs: Iterable[InputLike]) -> SweepResult:
+    def sweep(self, inputs: Iterable[InputLike]) -> BatchResult:
         """Simulate many inputs in one batched multi-RHS column sweep.
 
         All inputs are projected, stacked, and solved together: every
@@ -1048,9 +1047,12 @@ class Simulator:
 
         Returns
         -------
-        SweepResult
-            Stacked results; index it for per-input
-            :class:`~repro.core.result.SimulationResult` objects.
+        BatchResult
+            The ``k`` runs stacked along a leading axis
+            (``coefficients`` is ``(k, n, m)``), every run on this
+            session's system; ``result[i]`` is input ``i``'s
+            :class:`~repro.core.result.SimulationResult` (a view, not a
+            copy) and ``info['batch']`` the batch size.
         """
         inputs = list(inputs)
         if not inputs:
@@ -1068,10 +1070,10 @@ class Simulator:
             info["batch"] = len(inputs)
             if mor is not None:
                 info["mor"] = mor
-        return SweepResult(
+        return BatchResult(
             self._basis,
             np.moveaxis(X, 2, 0),
-            self._system,
+            [self._system] * len(inputs),
             U,
             wall_time=wall,
             info=info,
@@ -1112,9 +1114,11 @@ class Simulator:
 
         Returns
         -------
-        EnsembleResult
-            Member-ordered results; index for per-member
-            :class:`~repro.core.result.SimulationResult` objects.
+        BatchResult
+            The members in ensemble order, each with its own system
+            (``systems``), ``labels`` and ``params``; ``result[i]`` is
+            member ``i``'s :class:`~repro.core.result.SimulationResult`
+            (a view into the batch).
 
         Examples
         --------
@@ -1126,8 +1130,8 @@ class Simulator:
         >>> sim = Simulator(fast, (5.0, 100))
         >>> res = sim.run_ensemble(Ensemble([(fast, 1.0), (slow, 1.0)]),
         ...                        parallel="serial")
-        >>> res.n_members
-        2
+        >>> len(res), res.labels
+        (2, ['member-0', 'member-1'])
         """
         if self._method is not None:
             raise SolverError(

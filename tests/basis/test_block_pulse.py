@@ -82,9 +82,39 @@ class TestSynthesize:
         with pytest.raises(BasisError):
             basis.synthesize(np.zeros(5), [0.1])
 
-    def test_rejects_3d(self, basis):
+    def test_stack_with_wrong_width_rejected(self, basis):
         with pytest.raises(BasisError):
-            basis.synthesize(np.zeros((2, 2, 8)), [0.1])
+            basis.synthesize(np.zeros((2, 2, 7)), [0.1])
+        with pytest.raises(BasisError):
+            basis.synthesize(np.float64(1.0), [0.1])
+
+    def test_run_axis_is_kept(self, basis):
+        X = np.arange(2 * 3 * 8, dtype=float).reshape(2, 3, 8)
+        out = basis.synthesize(X, [0.05, 0.55])
+        assert out.shape == (2, 3, 2)
+        np.testing.assert_array_equal(out, X[..., [0, 4]])
+
+    @pytest.mark.parametrize("shape", [(8,), (3, 8), (4, 3, 8)])
+    @pytest.mark.parametrize(
+        "grid",
+        [TimeGrid.uniform(1.0, 8), TimeGrid.geometric(1.0, 8, 1.3)],
+        ids=["uniform", "geometric"],
+    )
+    def test_gather_is_bit_identical_to_one_hot_product(self, shape, grid):
+        basis = BlockPulseBasis(grid)
+        coeffs = np.random.default_rng(7).standard_normal(shape)
+        coeffs[..., 2] = -0.0  # a signed zero the product turns into 0.0
+        coeffs[..., 5] = -np.abs(coeffs[..., 5])
+        coeffs[..., 6] = 0.0
+        # interior times, every cell edge (t_end included) and t_end again
+        t = np.concatenate([np.linspace(0.0, 1.0, 13), grid.edges, [grid.t_end]])
+        got = basis.synthesize(coeffs, t)
+        expected = coeffs @ basis.evaluate(t)
+        assert got.shape == expected.shape == shape[:-1] + (t.size,)
+        assert got.tobytes() == expected.tobytes()
+        assert got.flags.c_contiguous  # laid out like the product
+        in_cell_2 = grid.locate(t) == 2
+        assert in_cell_2.any() and not np.signbit(got[..., in_cell_2]).any()
 
 
 class TestOperationalMatrices:

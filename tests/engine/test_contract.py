@@ -101,7 +101,7 @@ class TestSweep:
         sim = make_session(rc, name)
         inputs = [0.5, 1.0, lambda t: np.sin(t)]
         batch = sim.sweep(inputs)
-        assert batch.n_runs == 3
+        assert len(batch) == 3
         t = sample_times()
         for i, u in enumerate(inputs):
             single = sim.run(u)

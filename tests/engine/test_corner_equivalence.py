@@ -2,8 +2,8 @@
 
 ``Ensemble.variations`` stamps the base netlist once and fills the
 pattern per member; ``sweep_toeplitz``'s first-order recurrence runs
-over time-major blocks; ``EnsembleResult.outputs`` evaluates the basis
-once.  Each test here compares the new path with the per-member
+over time-major blocks; an ensemble's ``BatchResult.outputs`` samples
+every member at once.  Each test here compares the new path with the per-member
 construction it replaced -- byte for byte, not to a tolerance.
 """
 
@@ -435,7 +435,7 @@ class TestEnsembleInitialConditions:
 
 
 # ----------------------------------------------------------------------
-# EnsembleResult.outputs against per-member sampling
+# BatchResult.outputs of an ensemble against per-member sampling
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("basis", [None, "chebyshev"])
 def test_ensemble_outputs_match_member_outputs(basis):

@@ -2,7 +2,7 @@
 
 Deterministic counts, no wall clock: a corner ensemble is stamped once
 and never rebuilds a netlist per member, its outputs evaluate the basis
-once, its inputs project once, and the executor's worker pool outlives
+at most once, its inputs project once, and the executor's worker pool outlives
 a run -- same workers for the next run, a fresh pool after a worker
 died, none left once the executor is closed.
 """
@@ -97,13 +97,17 @@ class TestOnePassEnsembles:
         assert len(projections) == 1
 
     def test_outputs_evaluate_the_basis_once(self, grid):
+        """A spectral batch evaluates its basis once for every member; a
+        block-pulse batch gathers columns and evaluates it not at all."""
         ensemble = corner_ensemble(grid, n=8)
-        result = ParallelExecutor("serial", jobs=2).run(ensemble, GRID)
-        calls = []
-        evaluate = result.basis.evaluate
-        result.basis.evaluate = lambda times: calls.append(times) or evaluate(times)
-        result.outputs(result[0].sample_times())
-        assert len(calls) == 1
+        for basis, spec, evaluations in [(None, GRID, 0), ("chebyshev", (GRID[0], 8), 1)]:
+            result = ParallelExecutor("serial", jobs=2).run(ensemble, spec, basis=basis)
+            calls = []
+            evaluate = result.basis.evaluate
+            result.basis.evaluate = lambda times: calls.append(times) or evaluate(times)
+            t = result.sample_times()
+            assert result.outputs(t).shape == (8, 1, t.size)
+            assert len(calls) == evaluations
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +162,7 @@ class TestPersistentPool:
         assert live_children() - before == set()
         executor.close()  # idempotent
         # a closed executor starts a fresh pool on demand
-        assert executor.run(shipped, (1.0, 32)).n_members == len(shipped)
+        assert len(executor.run(shipped, (1.0, 32))) == len(shipped)
         executor.close()
         assert live_children() - before == set()
 

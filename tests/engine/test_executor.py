@@ -210,12 +210,13 @@ class TestExecutorCorrectness:
     def test_fingerprint_grouping_batches_shared_pencils(self):
         fast, slow = rc_system(2.0), rc_system(0.5)
         ens = Ensemble([(fast, 1.0), (fast, 2.0), (slow, 1.0), (fast, 0.5)])
-        result = ParallelExecutor("serial", jobs=1).run(ens, GRID)
+        executor = ParallelExecutor("serial", jobs=1)
+        result = executor.run(ens, GRID)
         assert result.info["n_groups"] == 2
         assert result.info["n_tasks"] == 2
         # one factorisation per distinct pencil, shared by its members
         assert result.info["factorisations"] == 2
-        chunk_indices = sorted(chunk.indices for chunk in result.chunks)
+        chunk_indices = sorted(chunk.indices for chunk in executor.iter_chunks(ens, GRID))
         assert chunk_indices == [(0, 1, 3), (2,)]
 
     def test_equal_value_members_share_a_pencil(self, rc_netlist):
@@ -257,7 +258,7 @@ class TestExecutorCorrectness:
     def test_default_input_and_missing_input(self):
         ens = Ensemble([EnsembleMember(rc_system()), (rc_system(2.0), 2.0)])
         result = ParallelExecutor("serial").run(ens, GRID, u=1.0)
-        assert result.n_members == 2
+        assert len(result) == 2
         with pytest.raises(EnsembleError, match="member 0 has no input"):
             ParallelExecutor("serial").run(
                 Ensemble([EnsembleMember(rc_system())]), GRID
@@ -281,7 +282,7 @@ class TestExecutorCorrectness:
         # v(n1) ~ I * R at steady state
         assert finals[0, 0, 0] == pytest.approx(0.8, rel=5e-2)
         assert finals[1, 0, 0] == pytest.approx(1.2, rel=5e-2)
-        assert result[1].info["ensemble_index"] == 1
+        assert result[1].info["batch_index"] == 1
         assert "R1=1200" in result[1].info["label"]
 
     def test_invalid_backend_and_jobs(self):
@@ -454,3 +455,47 @@ class TestFailurePaths:
         # members have different state dims: compare member-wise
         for s_res, p_res in zip(serial, process):
             assert np.array_equal(s_res.coefficients, p_res.coefficients)
+
+
+# ----------------------------------------------------------------------
+# ragged ensembles: members with different state sizes
+# ----------------------------------------------------------------------
+def probed_system(n: int) -> DescriptorSystem:
+    """``big_dense_system(n)`` observed through one output, its first state."""
+    base = big_dense_system(n)
+    C = np.zeros((1, n))
+    C[0, 0] = 1.0
+    return DescriptorSystem(base.E, base.A, base.B, C=C)
+
+
+class TestRaggedEnsembles:
+    GRID = (1.0, 32)
+
+    def test_stacked_states_raise_a_typed_error_naming_the_sizes(self):
+        ens = Ensemble([(probed_system(80), 1.0), (probed_system(81), 1.0)])
+        result = ParallelExecutor("serial", jobs=2).run(ens, self.GRID)
+        t = result.sample_times()
+        with pytest.raises(EnsembleError, match=r"state sizes \[80, 81\]"):
+            result.coefficients
+        with pytest.raises(EnsembleError, match=r"state sizes \[80, 81\]"):
+            result.states(t)
+        with pytest.raises(EnsembleError, match=r"state sizes \[80, 81\]"):
+            result.states_smooth(t)
+        # one output each: the outputs still stack
+        outputs = result.outputs(t)
+        assert outputs.shape == (2, 1, 32)
+        for i, run in enumerate(result):
+            assert run.coefficients.shape == (80 + i, 32)
+            assert outputs[i].tobytes() == run.outputs(t).tobytes()
+        serial_runs = [Simulator(m.system, self.GRID).run(m.u) for m in ens]
+        for run, ref in zip(result, serial_runs):
+            assert np.array_equal(run.coefficients, ref.coefficients)
+
+    def test_identity_outputs_name_the_output_counts(self):
+        ens = Ensemble([(big_dense_system(80), 1.0), (big_dense_system(81), 1.0)])
+        result = ParallelExecutor("serial", jobs=2).run(ens, self.GRID)
+        with pytest.raises(EnsembleError, match=r"output counts \[80, 81\]"):
+            result.outputs(result.sample_times())
+        # a slice whose members agree stacks again
+        assert result[:1].coefficients.shape == (1, 80, 32)
+        assert result[1:].states([0.5]).shape == (1, 81, 1)

@@ -166,7 +166,7 @@ class TestCertifiedAccuracy:
         reduced = Simulator(system, GRID, reduce=PLAN).sweep(amps)
         mor = reduced.info["mor"]
         assert mor["reduced"] and not mor["fallback"]
-        for r, f in zip(reduced.results, full.results):
+        for r, f in zip(reduced, full):
             assert rel_dev(r, f, self.times) <= RTOL
 
     def test_march_within_rtol(self):
@@ -332,5 +332,5 @@ class TestExecutorReduce:
         reduced = ParallelExecutor("serial").run(
             self.ensemble(), GRID, reduce=PLAN
         )
-        for r, f in zip(reduced.results, full.results):
+        for r, f in zip(reduced, full):
             assert rel_dev(r, f, times) <= RTOL

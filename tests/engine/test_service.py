@@ -208,6 +208,10 @@ class TestProtocol:
             ("grid", {"grid": [1.0, 2.5]}),
             ("basis", {"basis": 5}),
             ("backend", {"backend": ["dense"]}),
+            ("samples", {"samples": True}),
+            ("samples", {"samples": 2.7}),
+            ("samples", {"samples": "3"}),
+            ("samples", {"samples": 0}),
         ],
     )
     def test_malformed_simulate_field_fails_alone(

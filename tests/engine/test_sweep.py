@@ -1,4 +1,4 @@
-"""Tests for batched multi-input sweeps and the SweepResult container."""
+"""Tests for batched multi-input sweeps and the BatchResult container."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,14 @@ import pytest
 from repro.analysis import sample_outputs
 from repro.basis import TimeGrid
 from repro.core import (
+    BatchResult,
     DescriptorSystem,
     FractionalDescriptorSystem,
     MultiTermSystem,
     SimulationResult,
     Simulator,
 )
+from repro.engine.executor import Ensemble, ParallelExecutor
 from repro.errors import SolverError
 
 from ..conftest import stable_dense_system
@@ -99,31 +101,46 @@ class TestSweepEfficiency:
 
 
 class TestSweepResult:
+    """The batch container as :meth:`Simulator.sweep` returns it."""
+
     @pytest.fixture
     def sweep(self, scalar_ode):
         return Simulator(scalar_ode, (5.0, 100)).sweep([0.5, 1.0, 2.0])
 
     def test_len_and_indexing(self, sweep):
+        assert isinstance(sweep, BatchResult)
         assert len(sweep) == 3
         item = sweep[1]
         assert isinstance(item, SimulationResult)
-        assert item.info["sweep_index"] == 1
-        assert sweep[-1].info["sweep_index"] == 2
+        assert item.info["batch_index"] == 1
+        assert sweep[-1].info["batch_index"] == 2
         with pytest.raises(IndexError):
             sweep[3]
 
     def test_iteration_order(self, sweep):
-        assert [r.info["sweep_index"] for r in sweep] == [0, 1, 2]
-        assert len(sweep.results) == 3
+        assert [r.info["batch_index"] for r in sweep] == [0, 1, 2]
+        assert len(list(sweep)) == 3
 
     def test_slicing_returns_sub_sweep(self, sweep):
         sub = sweep[1:]
+        assert isinstance(sub, BatchResult)
         assert len(sub) == 2
         np.testing.assert_array_equal(sub.coefficients, sweep.coefficients[1:])
         np.testing.assert_allclose(
             sub[0].coefficients, sweep[1].coefficients, atol=0.0
         )
         assert len(sweep[::2]) == 2
+        assert len(sweep[0:2]) == 2
+
+    def test_runs_are_views_and_coefficients_are_not_restacked(self, sweep):
+        assert sweep.coefficients is sweep.coefficients
+        assert sweep.output_coefficients is sweep.output_coefficients
+        for i in range(len(sweep)):
+            assert np.shares_memory(sweep[i].coefficients, sweep.coefficients)
+            assert np.shares_memory(
+                sweep[i].input_coefficients, sweep.input_coefficients
+            )
+        assert np.shares_memory(sweep[1:].coefficients, sweep.coefficients)
 
     def test_scaling_linearity(self, sweep):
         # linear system: the 2.0-input response is 4x the 0.5-input one
@@ -139,15 +156,18 @@ class TestSweepResult:
 
     def test_vectorised_matches_item_sampling(self, sweep):
         t = np.linspace(0.1, 4.9, 5)
-        np.testing.assert_allclose(
-            sweep.outputs(t)[1], sweep[1].outputs(t), atol=1e-14
-        )
-        np.testing.assert_allclose(
-            sweep.outputs_smooth(t)[1], sweep[1].outputs_smooth(t), atol=1e-14
-        )
-        np.testing.assert_allclose(
-            sweep.states_smooth(t)[2], sweep[2].states_smooth(t), atol=1e-14
-        )
+        for i, run in enumerate(sweep):
+            assert sweep.outputs(t)[i].tobytes() == run.outputs(t).tobytes()
+            assert sweep.states(t)[i].tobytes() == run.states(t).tobytes()
+            assert (
+                sweep.outputs_smooth(t)[i].tobytes()
+                == run.outputs_smooth(t).tobytes()
+            )
+            assert (
+                sweep.states_smooth(t)[i].tobytes() == run.states_smooth(t).tobytes()
+            )
+        np.testing.assert_array_equal(sweep.sample_times(), sweep[0].sample_times())
+        np.testing.assert_array_equal(sweep.sample_times(9), sweep[0].sample_times(9))
 
     def test_feeds_analysis_layer(self, sweep):
         t = np.linspace(0.1, 4.9, 9)
@@ -163,4 +183,20 @@ class TestSweepResult:
             Simulator(scalar_ode, (1.0, 8)).sweep([])
 
     def test_repr(self, sweep):
-        assert "SweepResult(k=3" in repr(sweep)
+        assert "BatchResult(k=3" in repr(sweep)
+
+
+class TestEnsembleBatchResult(TestSweepResult):
+    """The same container as ``ParallelExecutor.run`` returns it: every
+    sweep test above runs again on an ensemble of the same three runs."""
+
+    @pytest.fixture
+    def sweep(self, scalar_ode):
+        ensemble = Ensemble([(scalar_ode, u) for u in (0.5, 1.0, 2.0)])
+        return ParallelExecutor("serial", jobs=2).run(ensemble, (5.0, 100))
+
+    def test_labels_and_params_follow_slices(self, sweep):
+        assert sweep.labels == ["member-0", "member-1", "member-2"]
+        assert sweep[1:].labels == ["member-1", "member-2"]
+        assert sweep[2].info["label"] == "member-2"
+        assert sweep[1:].params == [{}, {}]
