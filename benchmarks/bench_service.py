@@ -231,7 +231,7 @@ def test_service_coalesced_throughput(benchmark):
     serial_rate = sub_runs / serial_wall
 
     # -- the coalescing daemon -----------------------------------------
-    handle = DaemonHandle(coalesce_ms=10.0, max_batch=96, workers=2)
+    handle = DaemonHandle(max_batch=96, workers=2)
     try:
         service_wall = benchmark.pedantic(
             lambda: fire_stream(stream, CLIENTS, handle.client),

@@ -635,16 +635,15 @@ def _parse_bytes(text: str) -> int:
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
-    from .engine.service import (
-        DEFAULT_COALESCE_MS,
-        DEFAULT_MAX_BATCH,
-        DEFAULT_MAX_SESSIONS,
-    )
+    from .engine.service import DEFAULT_MAX_BATCH, DEFAULT_MAX_SESSIONS
 
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
         description="Run the OPM simulation service: a long-lived daemon "
-        "with warm LRU sessions and cross-request solve coalescing.",
+        "with warm LRU sessions and cross-request solve coalescing.  A "
+        "request starts on a free solve thread at once; requests that "
+        "arrive while every thread is busy wait, and same-configuration "
+        "ones leave together as one batched solve when a thread frees.",
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument(
@@ -652,13 +651,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="TCP port (0 picks a free one; it is announced on stdout)",
     )
     parser.add_argument(
-        "--coalesce-ms", type=float, default=DEFAULT_COALESCE_MS, metavar="MS",
-        help="micro-batching window: how long a request waits for "
-        "same-configuration company (default %(default)s ms)",
-    )
-    parser.add_argument(
         "--max-batch", type=int, default=DEFAULT_MAX_BATCH, metavar="K",
-        help="dispatch a batch once it holds this many runs "
+        help="most runs one coalesced batch takes from the queue "
         "(default %(default)s)",
     )
     parser.add_argument(
@@ -676,7 +670,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=4, metavar="N",
-        help="solve-thread pool size (default %(default)s)",
+        help="solve-thread pool size; requests queue and coalesce only "
+        "while every thread is busy (default %(default)s)",
     )
     return parser
 
@@ -691,7 +686,6 @@ def _run_serve(argv) -> int:
     serve(
         host=args.host,
         port=args.port,
-        coalesce_ms=args.coalesce_ms,
         max_batch=args.max_batch,
         max_sessions=args.max_sessions,
         bank_entries=args.bank_entries,

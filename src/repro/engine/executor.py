@@ -626,22 +626,26 @@ def _rebuild_system(kind: str, meta: dict, arrays: Mapping[str, np.ndarray]):
     return DescriptorSystem(arrays["E"], arrays["A"], arrays["B"], x0=x0)
 
 
-def _pack_shm(arrays: Mapping[str, np.ndarray]):
-    """Copy named float64 arrays into one shared-memory segment.
-
-    Returns ``(shm, manifest)``; the manifest lists ``(key, shape,
-    offset)`` entries (64-byte aligned).  The parent owns the segment
-    and unlinks it once the task completes.
+def _alloc_shm(shapes: Mapping[str, tuple]):
+    """One new shared-memory segment of named float64 arrays, returned
+    as ``(shm, manifest)`` with ``(key, shape, offset)`` entries (64-byte
+    aligned).  It reads as zeros unwritten, so its pages stay out of
+    this process's memory until touched.  The parent owns and unlinks it.
     """
     from multiprocessing import shared_memory
 
     align = 64
     manifest: list[tuple[str, tuple, int]] = []
     total = 0
-    for key, arr in arrays.items():
-        manifest.append((key, arr.shape, total))
-        total += -(-arr.nbytes // align) * align
-    shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
+    for key, shape in shapes.items():
+        manifest.append((key, shape, total))
+        total += -(-8 * math.prod(shape) // align) * align
+    return shared_memory.SharedMemory(create=True, size=max(total, 1)), manifest
+
+
+def _pack_shm(arrays: Mapping[str, np.ndarray]):
+    """Copy named float64 arrays into one new segment (see :func:`_alloc_shm`)."""
+    shm, manifest = _alloc_shm({key: arr.shape for key, arr in arrays.items()})
     for (key, shape, offset), arr in zip(manifest, arrays.values()):
         view = np.ndarray(shape, dtype=np.float64, buffer=shm.buf, offset=offset)
         view[...] = arr
@@ -791,10 +795,11 @@ class ParallelExecutor:
     def run(self, ensemble, grid, **kwargs) -> BatchResult:
         """Execute every member and gather one member-ordered batch.
 
-        Each chunk's rows are copied into the batch's ``(k, n, m)``
-        state and ``(k, p, m)`` input tensors as the chunk arrives; no
-        chunk array outlives its copy.  Members with different state
-        sizes share a tensor padded to the largest.
+        Each task's rows are copied into the batch's ``(k, n, m)``
+        state and ``(k, p, m)`` input tensors as the task completes --
+        straight from its shared-memory output segment, before the
+        segment is unlinked, with no intermediate copy.  Members with
+        different state sizes share a tensor padded to the largest.
 
         Parameters
         ----------
@@ -829,18 +834,21 @@ class ParallelExecutor:
         start = time.perf_counter()
         state = _RunState()
         X = U = None
-        done: list[tuple[tuple[int, ...], int, int, int, float]] = []
-        for chunk in self._stream(ensemble, grid, state, **kwargs):
+
+        def gather(indices, coefficients, inputs, factorisations, wall):
+            nonlocal X, U
             if X is None:  # the stream has resolved the ensemble and basis
                 systems = [member.system for member in state.ensemble]
                 k, m = len(systems), state.basis.size
                 X = np.zeros((k, max(s.n_states for s in systems), m))
                 U = np.zeros((k, max(s.n_inputs for s in systems), m))
-            rows = list(chunk.indices)
-            n, p = chunk.coefficients.shape[1], chunk.input_coefficients.shape[1]
-            X[rows, :n] = chunk.coefficients
-            U[rows, :p] = chunk.input_coefficients
-            done.append((chunk.indices, n, p, chunk.factorisations, chunk.wall_time))
+            rows = list(indices)
+            n, p = coefficients.shape[1], inputs.shape[1]
+            X[rows, :n] = coefficients
+            U[rows, :p] = inputs
+            return indices, n, p, factorisations, wall
+
+        done = list(self._stream(ensemble, grid, state, gather, **kwargs))
         wall = time.perf_counter() - start
         if state.failures:
             chunks = [
@@ -866,7 +874,7 @@ class ParallelExecutor:
         return BatchResult(
             state.basis,
             X,
-            systems,
+            [member.system for member in members],
             U,
             labels=[
                 member.label if member.label is not None else f"member-{i}"
@@ -908,7 +916,11 @@ class ParallelExecutor:
             see ``reduce``.
         """
         state = _RunState()
-        yield from self._stream(ensemble, grid, state, **kwargs)
+
+        def chunk(indices, coefficients, *rest):  # copied: may view a segment
+            return EnsembleChunk(indices, np.array(coefficients), *rest)
+
+        yield from self._stream(ensemble, grid, state, chunk, **kwargs)
         if state.failures:
             raise self._ensemble_error(state, None) from state.failures[0][2]
 
@@ -934,6 +946,7 @@ class ParallelExecutor:
         ensemble,
         grid,
         state: "_RunState",
+        emit,
         *,
         basis=None,
         u=None,
@@ -1022,7 +1035,7 @@ class ParallelExecutor:
                     except Exception as exc:
                         self._record_task_failure(task, exc, state)
                         continue
-                    yield from self._handle_completion(task, results, state)
+                    yield from self._handle_completion(task, results, state, emit)
             else:
                 pool = self._live_pool()
                 futures = {pool.submit(_execute_task, task): task for task in tasks}
@@ -1036,7 +1049,7 @@ class ParallelExecutor:
                             self._record_task_failure(task, exc, state)
                             continue
                         _, results = future.result()
-                        yield from self._handle_completion(task, results, state)
+                        yield from self._handle_completion(task, results, state, emit)
         finally:
             # a stream closed early leaves no queued work on the pool
             for future in pending:
@@ -1054,7 +1067,7 @@ class ParallelExecutor:
         units_payload: list[dict] = []
         all_arrays: dict[str, np.ndarray] = {}
         inputs: dict[int, np.ndarray] = {}
-        out_shapes: list[tuple[int, tuple[int, int, int]]] = []
+        out_shapes: dict[str, tuple[int, int, int]] = {}
         shippable = True
         models: dict[int, Any] = {}
         for ui, (indices, system, model) in enumerate(task_units):
@@ -1072,7 +1085,7 @@ class ParallelExecutor:
             all_arrays[f"{ui}/U"] = U
             # reduced units allocate n_r-state output blocks: the lift
             # back to full order happens parent-side on completion
-            out_shapes.append((ui, (len(indices), system.n_states, basis_obj.size)))
+            out_shapes[str(ui)] = (len(indices), system.n_states, basis_obj.size)
         payload = {
             "units": units_payload,
             "grid": basis_obj,
@@ -1103,9 +1116,8 @@ class ParallelExecutor:
         if use_shm:
             # results come back through a parent-owned segment too, so
             # large coefficient tensors are never pickled either way
-            out_arrays = {str(ui): np.zeros(shape) for ui, shape in out_shapes}
             try:
-                out_shm, out_manifest = _pack_shm(out_arrays)
+                out_shm, out_manifest = _alloc_shm(out_shapes)
             except (OSError, ValueError):  # pragma: no cover - no /dev/shm
                 pass
             else:
@@ -1154,16 +1166,18 @@ class ParallelExecutor:
         self.close()
 
     def _handle_completion(
-        self, task: _Task, results: list, state: "_RunState"
-    ) -> Iterator[EnsembleChunk]:
-        """Turn one finished task into per-unit chunks, then unlink its
-        segments (the output segment is read *before* the unlink)."""
+        self, task: _Task, results: list, state: "_RunState", emit
+    ) -> Iterator:
+        """Pass each unit of a finished task to ``emit(indices, coefficients,
+        inputs, factorisations, wall)``, unlink the task's segments, then
+        yield what ``emit`` returned.  Coefficients returned through the
+        output segment arrive as a view into it: ``emit`` copies them."""
         out_shm = state.shm_segments.get((task.task_id, "out"))
         out_offsets = {
             ui: (shape, offset)
             for ui, shape, offset in task.payload.get("out_manifest", ())
         }
-        chunks: list[EnsembleChunk] = []
+        emitted = []
         for ui, status, value in results:
             indices = task.units[ui]
             if status == "error":
@@ -1175,10 +1189,9 @@ class ParallelExecutor:
             X, factorisations, wall = value
             if X is None:
                 shape, offset = out_offsets[ui]
-                view = np.ndarray(
+                X = np.ndarray(
                     shape, dtype=np.float64, buffer=out_shm.buf, offset=offset
                 )
-                X = np.array(view, copy=True)
             model = state.task_models.get(task.task_id, {}).get(ui)
             if model is not None:
                 # lift the reduced shifted coefficients back to full
@@ -1188,17 +1201,12 @@ class ParallelExecutor:
                 x0 = model.full.x0
                 if x0 is not None:
                     X = X + x0[None, :, None] * state.lift_ones[None, None, :]
-            chunks.append(
-                EnsembleChunk(
-                    indices=indices,
-                    coefficients=X,
-                    input_coefficients=state.task_inputs[task.task_id][ui],
-                    factorisations=int(factorisations),
-                    wall_time=float(wall),
-                )
-            )
+            U = state.task_inputs[task.task_id][ui]
+            emitted.append(emit(indices, X, U, int(factorisations), float(wall)))
+        # the segment cannot close while a view into it is alive
+        X = None
         self._release_task_shm(task, state)
-        yield from chunks
+        yield from emitted
 
     def _release_task_shm(self, task: _Task, state: "_RunState") -> None:
         for kind in ("in", "out"):

@@ -12,13 +12,13 @@ turns that observation into a server:
   :attr:`~repro.engine.session.Simulator.fingerprint`; a bounded LRU
   of warm :class:`~repro.engine.session.Simulator` sessions (each with
   a byte-bounded :class:`~repro.engine.backends.PencilBank`) is kept
-  across requests, and a **coalescing scheduler** batches concurrent
-  same-fingerprint requests inside a micro-batching window into one
-  batched :meth:`~repro.engine.session.Simulator.sweep` -- one
-  ``lu_solve`` per column for *all* waiting clients.  Solves run on a
-  worker thread pool (LAPACK/SuperLU release the GIL).  Results stream
-  back as chunked JSON or CSV; a ``stats`` op exposes cache hit rates,
-  the coalesce ratio, queue depth, and p50/p99 request latency.
+  across requests.  Solves run on a worker thread pool (LAPACK/SuperLU
+  release the GIL) under a **work-conserving coalescing scheduler**: a
+  request goes to a free thread at once, and the requests that queued
+  behind a busy pool leave together when a thread frees, as one
+  batched :meth:`~repro.engine.session.Simulator.sweep`.  Results
+  stream back as chunked JSON or CSV; a ``stats`` op exposes cache hit
+  rates, the coalesce ratio, queue/solving gauges, and p50/p99 latency.
 * :class:`ServiceClient` -- the blocking socket client used by the CLI
   ``client`` mode, the load benchmark, and the CI smoke test.
 
@@ -49,13 +49,15 @@ One JSON object per line, both directions.  Request ``op`` values:
 ``stats``
     Returns the daemon counters (see above).
 ``ping`` / ``shutdown``
-    Liveness probe / graceful stop (pending batches finish first).
+    Liveness probe / graceful stop (queued and solving requests are
+    answered first).
 
 A ``simulate`` response is a *header* line (``kind: "header"``, run
 and sample counts, solver info), ``kind: "chunk"`` lines streaming the
 sampled waveforms, and a ``kind: "done"`` line carrying the measured
-request latency.  Errors are single ``kind: "error"`` lines; the
-request ``id`` rides along on every line.
+request latency, split into ``queue_ms`` (waiting for a solve thread)
+and ``solve_ms`` (the batch's solve and sampling).  Errors are single
+``kind: "error"`` lines; the request ``id`` rides along on every line.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -80,16 +83,11 @@ __all__ = [
     "SimulationService",
     "ServiceClient",
     "serve",
-    "DEFAULT_COALESCE_MS",
     "DEFAULT_MAX_BATCH",
     "DEFAULT_MAX_SESSIONS",
 ]
 
-#: Micro-batching window: a request waits at most this long for
-#: same-fingerprint company before its batch is dispatched.
-DEFAULT_COALESCE_MS = 2.0
-
-#: Dispatch a batch as soon as it holds this many columns, window or not.
+#: Run columns one coalesced batch takes from its fingerprint's queue.
 DEFAULT_MAX_BATCH = 64
 
 #: Bound on distinct warm sessions kept resident (LRU beyond it).
@@ -320,6 +318,7 @@ class _Pending:
     inputs: list
     future: asyncio.Future
     start: float
+    enqueued: float  # when it joined its fingerprint's queue
 
     @property
     def n_runs(self) -> int:
@@ -333,19 +332,19 @@ class SimulationService:
     ----------
     host, port:
         Bind address; ``port=0`` picks a free port (see :attr:`port`).
-    coalesce_ms:
-        Micro-batching window in milliseconds: the first request for a
-        session fingerprint opens the window, everything arriving for
-        the same fingerprint before it closes joins the batch.
     max_batch:
-        Dispatch a batch as soon as it holds this many run columns.
+        Most runs one batch takes from its fingerprint's queue (a
+        larger sweep request still goes whole).
     max_sessions:
         Bound on resident warm sessions (least recently used evicted).
     bank_entries, bank_bytes:
         Per-session :meth:`PencilBank.limit
         <repro.engine.backends.PencilBank.limit>` bounds.
     workers:
-        Solve-thread pool size (default 4).
+        Solve-thread pool size (default 4), shared by session builds
+        and batches.  A request that finds a free thread starts at
+        once, alone; requests queued behind a busy pool leave together
+        when a thread frees, oldest fingerprint first.
     """
 
     def __init__(
@@ -353,7 +352,6 @@ class SimulationService:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        coalesce_ms: float = DEFAULT_COALESCE_MS,
         max_batch: int = DEFAULT_MAX_BATCH,
         max_sessions: int = DEFAULT_MAX_SESSIONS,
         bank_entries: int | None = None,
@@ -366,14 +364,16 @@ class SimulationService:
             raise ServiceError(f"max_sessions must be >= 1, got {max_sessions}")
         self.host = host
         self._requested_port = port
-        self.coalesce_ms = float(coalesce_ms)
         self.max_batch = int(max_batch)
         self.max_sessions = int(max_sessions)
         self.bank_entries = bank_entries
         self.bank_bytes = bank_bytes
+        self.workers = max(1, int(workers))
         self._pool = ThreadPoolExecutor(
-            max_workers=max(1, int(workers)), thread_name_prefix="repro-solve"
+            max_workers=self.workers, thread_name_prefix="repro-solve"
         )
+        #: every job on the pool, session builds included
+        self._jobs: set[asyncio.Future] = set()
         self._server: asyncio.AbstractServer | None = None
         self._shutdown = asyncio.Event()
 
@@ -389,9 +389,9 @@ class SimulationService:
         # bank counters in stats() never go down on an eviction
         self._evicted_bank = dict.fromkeys(_BANK_COUNTERS, 0)
 
-        # coalescer: fingerprint -> waiting requests + window timer
-        self._queues: dict[tuple, list[_Pending]] = {}
-        self._flushers: dict[tuple, asyncio.Task] = {}
+        # coalescer: fingerprint -> requests waiting for a thread, in
+        # arrival order of each fingerprint's oldest waiting request
+        self._queues: dict[tuple, deque[_Pending]] = {}
 
         self._requests = 0
         self._errors = 0
@@ -399,7 +399,7 @@ class SimulationService:
         self._batched_runs = 0
         self._coalesced_batches = 0
         self._largest_batch = 0
-        self._inflight = 0
+        self._solving = 0
         self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
 
     # ------------------------------------------------------------------
@@ -428,7 +428,7 @@ class SimulationService:
             await self._drain()
 
     async def stop(self) -> None:
-        """Finish pending batches, close the server and the pool."""
+        """Answer queued and solving requests, close the server and the pool."""
         self._shutdown.set()
         await self._drain()
         if self._server is not None:
@@ -437,16 +437,11 @@ class SimulationService:
         self._pool.shutdown(wait=True)
 
     async def _drain(self) -> None:
-        """Flush every open coalescing window and await its batch."""
-        for key in list(self._flushers):
-            task = self._flushers.pop(key, None)
-            if task is not None:
-                task.cancel()
-        flushes = [
-            self._dispatch(key) for key in list(self._queues) if self._queues[key]
-        ]
-        if flushes:
-            await asyncio.gather(*flushes, return_exceptions=True)
+        """Wait until every queued and solving request has its answer:
+        a queued request always has a pool job ahead of it, and each
+        finished job starts the next batch."""
+        while self._jobs:
+            await asyncio.wait(set(self._jobs))
 
     # ------------------------------------------------------------------
     # connection handling
@@ -564,11 +559,10 @@ class SimulationService:
             self._session_hits += 1
             return session
 
-        loop = asyncio.get_running_loop()
-        build_future: asyncio.Future = loop.create_future()
+        build_future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._building[spec.key] = build_future
         try:
-            sim = await loop.run_in_executor(self._pool, spec.build)
+            sim = await self._submit(spec.build)
             fp = sim.fingerprint
             session = self._sessions.get(fp)
             if session is None:
@@ -637,22 +631,22 @@ class SimulationService:
     async def _simulate(self, request: dict, writer) -> None:
         start = time.perf_counter()
         self._requests += 1
-        self._inflight += 1
         rid = request.get("id")
         try:
             _validate_output_options(request)
             spec = _SessionSpec.from_request(request)
             session = await self._resolve_session(spec)
             inputs = self._request_inputs(request, session)
-            loop = asyncio.get_running_loop()
             pending = _Pending(
                 request=request,
                 session=session,
                 inputs=inputs,
-                future=loop.create_future(),
+                future=asyncio.get_running_loop().create_future(),
                 start=start,
+                enqueued=time.perf_counter(),
             )
-            await self._enqueue(session.fingerprint, pending)
+            self._queues.setdefault(session.fingerprint, deque()).append(pending)
+            self._pump()
             payload = await pending.future
             await self._stream_result(writer, rid, pending, payload)
         except ReproError as exc:
@@ -660,59 +654,62 @@ class SimulationService:
             await self._send(
                 writer, {"id": rid, "ok": False, "kind": "error", "error": str(exc)}
             )
-        finally:
-            self._inflight -= 1
 
-    async def _enqueue(self, key: tuple, pending: _Pending) -> None:
-        """Queue a request under its fingerprint; open/close the window."""
-        queue = self._queues.setdefault(key, [])
-        queue.append(pending)
-        total = sum(p.n_runs for p in queue)
-        if total >= self.max_batch:
-            flusher = self._flushers.pop(key, None)
-            if flusher is not None:
-                flusher.cancel()
-            await self._dispatch(key)
-        elif key not in self._flushers:
-            self._flushers[key] = asyncio.ensure_future(self._window(key))
+    def _submit(self, fn, *args) -> asyncio.Future:
+        """Run ``fn`` on the solve pool as one counted job."""
+        job = asyncio.get_running_loop().run_in_executor(self._pool, fn, *args)
+        self._jobs.add(job)
+        job.add_done_callback(self._pump)
+        return job
 
-    async def _window(self, key: tuple) -> None:
-        """The micro-batching window: sleep, then dispatch the batch."""
-        try:
-            await asyncio.sleep(self.coalesce_ms / 1000.0)
-        except asyncio.CancelledError:
-            return
-        self._flushers.pop(key, None)
-        await self._dispatch(key)
+    def _pump(self, finished: asyncio.Future | None = None) -> None:
+        """Start the oldest waiting fingerprint's batch (up to
+        ``max_batch`` runs) while the pool has a free thread -- also when
+        job ``finished`` frees one.  Batches form only behind a busy
+        pool, so coalescing costs no waiting."""
+        self._jobs.discard(finished)
+        while self._queues and len(self._jobs) < self.workers:
+            key = next(iter(self._queues))
+            queue = self._queues[key]
+            batch = [queue.popleft()]
+            runs = batch[0].n_runs
+            while queue and runs + queue[0].n_runs <= self.max_batch:
+                runs += queue[0].n_runs
+                batch.append(queue.popleft())
+            if not queue:
+                # a split batch's rest keeps its place as the oldest
+                del self._queues[key]
+            self._batches += 1
+            self._batched_runs += runs
+            self._largest_batch = max(self._largest_batch, runs)
+            if len(batch) > 1:
+                self._coalesced_batches += 1
+            self._solving += 1
+            job = self._submit(self._timed_solve, batch)
+            job.add_done_callback(partial(self._finish, batch))
 
-    async def _dispatch(self, key: tuple) -> None:
-        """Hand the waiting batch for ``key`` to the solve pool."""
-        batch = self._queues.pop(key, [])
-        if not batch:
-            return
-        self._batches += 1
-        n_runs = sum(p.n_runs for p in batch)
-        self._batched_runs += n_runs
-        self._largest_batch = max(self._largest_batch, n_runs)
-        if len(batch) > 1:
-            self._coalesced_batches += 1
-        loop = asyncio.get_running_loop()
-        try:
-            payloads = await loop.run_in_executor(
-                self._pool, self._solve_batch, batch
-            )
-        except Exception as exc:
-            # a failed solve must fail its waiters, never hang them --
-            # whatever the exception class
-            for p in batch:
-                if not p.future.done():
-                    p.future.set_exception(
-                        ServiceError(f"batched solve failed: {exc}")
-                    )
-            return
+    def _finish(self, batch: list[_Pending], job: asyncio.Future) -> None:
+        """Answer a finished batch's waiters -- a failed solve fails them,
+        whatever the exception class, and never leaves them hanging."""
+        self._solving -= 1
+        exc = job.exception()
+        for i, p in enumerate(batch):
+            if p.future.done():  # its connection is gone
+                continue
+            if exc is None:
+                p.future.set_result(job.result()[i])
+            else:
+                p.future.set_exception(ServiceError(f"batched solve failed: {exc}"))
+
+    def _timed_solve(self, batch: list[_Pending]) -> list[dict]:
+        """:meth:`_solve_batch`, stamping each payload with its queue wait
+        (enqueue to this thread starting) and the batch's solve time."""
+        started = time.perf_counter()
+        payloads = self._solve_batch(batch)
+        solve_ms = (time.perf_counter() - started) * 1e3
         for p, payload in zip(batch, payloads):
-            if not p.future.done():
-                p.future.set_result(payload)
+            payload.update(queue_ms=(started - p.enqueued) * 1e3, solve_ms=solve_ms)
+        return payloads
 
     def _solve_batch(self, batch: list[_Pending]) -> list[dict]:
         """One batched multi-RHS solve for every queued request.
@@ -804,11 +801,9 @@ class SimulationService:
                     await writer.drain()
         latency_ms = (time.perf_counter() - pending.start) * 1e3
         self._latencies.append(latency_ms)
-        buffered.append(
-            json.dumps(
-                {"id": rid, "kind": "done", "ok": True, "latency_ms": latency_ms}
-            ).encode()
-        )
+        done = {"id": rid, "kind": "done", "ok": True, "latency_ms": latency_ms}
+        done.update(queue_ms=payload["queue_ms"], solve_ms=payload["solve_ms"])
+        buffered.append(json.dumps(done).encode())
         writer.write(b"\n".join(buffered) + b"\n")
         await writer.drain()
 
@@ -834,7 +829,9 @@ class SimulationService:
             "coalesce_ratio": (
                 self._batched_runs / self._batches if self._batches else 0.0
             ),
-            "queue_depth": self._inflight,
+            # requests waiting for a solve thread / batches on one
+            "queue_depth": sum(len(q) for q in self._queues.values()),
+            "solving": self._solving,
             "sessions": {
                 "entries": len(self._sessions),
                 "hits": self._session_hits,
@@ -940,9 +937,10 @@ class ServiceClient:
         ``grid``, ``input``, ``scale`` / ``scales``, ``basis``,
         ``backend``, ``method``, ``memory`` / ``memory_rtol``,
         ``outputs``, ``samples``, ``values``, ``format``).  Returns a
-        dict with ``info``, ``latency_ms``, and either ``runs`` (a list
-        of ``{"t": [...], "values": [[...]]}`` per run, with ``t`` /
-        ``values`` aliased to the first run) or ``csv`` text.
+        dict with ``info``, ``latency_ms`` / ``queue_ms`` / ``solve_ms``,
+        and either ``runs`` (a list of ``{"t": [...], "values": [[...]]}``
+        per run, with ``t`` / ``values`` aliased to the first run) or
+        ``csv`` text.
         """
         request["op"] = "simulate"
         header = self._round_trip(request)
@@ -971,6 +969,8 @@ class ServiceClient:
             "rows": header["rows"],
             "cols": header["cols"],
             "latency_ms": reply["latency_ms"],
+            "queue_ms": reply["queue_ms"],
+            "solve_ms": reply["solve_ms"],
         }
         if runs and runs[0]["csv"]:
             out["csv"] = "".join(part for run in runs for part in run["csv"])

@@ -7,6 +7,7 @@ session LRU, and the stats endpoint are all exercised end to end.
 """
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -69,7 +70,7 @@ class ServiceHandle:
 
 @pytest.fixture
 def daemon():
-    handle = ServiceHandle(coalesce_ms=1.0)
+    handle = ServiceHandle()
     yield handle
     handle.stop()
 
@@ -289,40 +290,131 @@ class TestMethodRequests:
             assert c.ping()  # connection survives the error lines
 
 
+class SolveGate:
+    """Holds a live daemon's batched solves until :attr:`release` is set.
+
+    ``entered`` is set once a held batch occupies a solve thread, so a
+    test knows that later requests queue behind it -- no timers.
+    ``holds(batch)`` picks which batches wait (default: all of them).
+    """
+
+    def __init__(self, service, holds=lambda batch: True):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        solve = service._solve_batch
+
+        def gated(batch):
+            if holds(batch):
+                self.entered.set()
+                assert self.release.wait(30), "gate never released"
+            return solve(batch)
+
+        service._solve_batch = gated
+
+
+def wait_for_stats(handle, predicate, timeout=30.0):
+    """Poll the stats op until ``predicate(stats)`` holds; return them."""
+    deadline = time.monotonic() + timeout
+    with handle.client() as c:
+        while True:
+            stats = c.stats()
+            if predicate(stats):
+                return stats
+            assert time.monotonic() < deadline, f"stats never matched: {stats}"
+            time.sleep(0.005)
+
+
+def simulate_scaled(handle, scale, deck=DECK):
+    with handle.client() as c:
+        return c.simulate(netlist=deck, scale=scale, samples=16)
+
+
+def assert_matches_direct(out, scale):
+    _, v_direct = direct_values(scale=scale, samples=16)
+    np.testing.assert_allclose(
+        np.asarray(out["values"]), v_direct, rtol=1e-12, atol=1e-15
+    )
+
+
 class TestCoalescing:
-    def test_concurrent_same_deck_requests_coalesce(self):
-        handle = ServiceHandle(coalesce_ms=150.0, max_batch=64)
+    """The work-conserving scheduler: batches form only behind a busy pool."""
+
+    def _queue_behind_held_batch(self, handle, scales):
+        """Hold one batch on the daemon's only solve thread, queue a
+        request per scale behind it, then release; returns the held
+        response, the queued responses, and the stats while queued."""
+        with handle.client() as c:  # a warm session: no build job
+            c.simulate(netlist=DECK, samples=4)
+        gate = SolveGate(handle.service)
+        with ThreadPoolExecutor(max_workers=1 + len(scales)) as pool:
+            try:  # released before the pool waits for its clients
+                held = pool.submit(simulate_scaled, handle, 3.0)
+                assert gate.entered.wait(30)
+                queued = [pool.submit(simulate_scaled, handle, s) for s in scales]
+                waiting = wait_for_stats(
+                    handle, lambda s: s["queue_depth"] == len(scales)
+                )
+            finally:
+                gate.release.set()
+            return held.result(), [f.result() for f in queued], waiting
+
+    def test_requests_queued_behind_busy_pool_coalesce(self):
+        handle = ServiceHandle(workers=1)
+        scales = [0.5 + 0.25 * i for i in range(8)]
         try:
-            scales = [0.5 + 0.25 * i for i in range(8)]
-
-            def one(scale):
-                with handle.client() as c:
-                    return scale, c.simulate(netlist=DECK, scale=scale, samples=16)
-
-            # prime the session cache so the batch isn't serialised
-            # behind the parse/assemble of a cold session
-            with handle.client() as c:
-                c.simulate(netlist=DECK, samples=4)
-            with ThreadPoolExecutor(max_workers=len(scales)) as pool:
-                outs = list(pool.map(one, scales))
+            held, outs, waiting = self._queue_behind_held_batch(handle, scales)
             with handle.client() as c:
                 stats = c.stats()
         finally:
             handle.stop()
-        assert stats["coalesced_batches"] >= 1
-        assert stats["largest_batch"] >= 2
-        assert stats["coalesce_ratio"] > 1.0
-        for scale, out in outs:
-            t_direct, v_direct = direct_values(scale=scale, samples=16)
-            np.testing.assert_allclose(
-                np.asarray(out["values"]), v_direct, rtol=1e-12, atol=1e-15
-            )
+        assert waiting["solving"] == 1
+        # the priming request, the held one, then one coalesced batch
+        assert stats["batches"] == 3
+        assert stats["coalesced_batches"] == 1
+        assert stats["largest_batch"] == len(scales)
+        assert (stats["queue_depth"], stats["solving"]) == (0, 0)
+        assert held["info"]["coalesced"] is False
+        assert_matches_direct(held, 3.0)
+        for scale, out in zip(scales, outs):
+            assert out["info"]["coalesced"] is True
+            assert out["info"]["batch_runs"] == len(scales)
+            assert_matches_direct(out, scale)
 
-    def test_max_batch_dispatches_early(self):
-        handle = ServiceHandle(coalesce_ms=10_000.0, max_batch=4)
+    def test_lone_request_on_idle_daemon_is_its_own_batch(self, daemon):
+        with daemon.client() as c:
+            outs = [c.simulate(netlist=DECK, samples=16) for _ in range(3)]
+            stats = c.stats()
+        assert stats["batches"] == stats["requests"] == 3
+        assert stats["coalesced_batches"] == 0
+        t_direct, v_direct = direct_values(samples=16)
+        for out in outs:
+            assert out["info"]["coalesced"] is False
+            assert out["info"]["batch_runs"] == 1
+            np.testing.assert_array_equal(np.asarray(out["values"]), v_direct)
+            # the done line splits the latency into its stages
+            assert 0.0 <= out["queue_ms"] and 0.0 <= out["solve_ms"]
+            assert out["queue_ms"] + out["solve_ms"] <= out["latency_ms"]
+
+    def test_queued_runs_split_at_max_batch(self):
+        handle = ServiceHandle(workers=1, max_batch=4)
+        scales = [0.5 + 0.25 * i for i in range(6)]
         try:
-            # a sweep request alone carries max_batch columns: the
-            # window must not wait 10 s before dispatching
+            _, outs, _ = self._queue_behind_held_batch(handle, scales)
+            with handle.client() as c:
+                stats = c.stats()
+        finally:
+            handle.stop()
+        # priming, held, then the six queued runs as 4 + 2
+        assert stats["batches"] == 4
+        assert stats["coalesced_batches"] == 2
+        assert stats["largest_batch"] == 4
+        assert sorted(out["info"]["batch_runs"] for out in outs) == [2, 2, 4, 4, 4, 4]
+        for scale, out in zip(scales, outs):
+            assert_matches_direct(out, scale)
+
+    def test_sweep_request_larger_than_max_batch_goes_whole(self):
+        handle = ServiceHandle(max_batch=2)
+        try:
             with handle.client() as c:
                 out = c.simulate(netlist=DECK, scales=[1.0, 2.0, 3.0, 4.0],
                                  samples=4)
@@ -330,7 +422,84 @@ class TestCoalescing:
         finally:
             handle.stop()
         assert len(out["runs"]) == 4
-        assert stats["batches"] == 1
+        assert (stats["batches"], stats["largest_batch"]) == (1, 4)
+
+    def test_other_fingerprint_not_held_behind_busy_one(self):
+        handle = ServiceHandle(workers=2)
+        try:
+            with handle.client() as c:
+                c.simulate(netlist=DECK, samples=4)
+                c.simulate(netlist=DECK_FAST, samples=4)
+            gate = SolveGate(
+                handle.service,
+                holds=lambda batch: batch[0].request["netlist"] == DECK,
+            )
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                try:
+                    held = pool.submit(simulate_scaled, handle, 2.0)
+                    assert gate.entered.wait(30)
+                    # answered while the DECK batch still holds a thread
+                    other = simulate_scaled(handle, 1.0, deck=DECK_FAST)
+                    with handle.client() as c:
+                        during = c.stats()
+                finally:
+                    gate.release.set()
+                held = held.result()
+        finally:
+            handle.stop()
+        assert other["info"]["coalesced"] is False
+        assert (during["solving"], during["queue_depth"]) == (1, 0)
+        assert_matches_direct(held, 2.0)
+
+    def test_concurrent_mixed_load_answers_every_request(self):
+        """More clients than solve threads, two fingerprints: every run
+        is batched exactly once and every answer is right."""
+        handle = ServiceHandle(workers=3, max_batch=5)
+        jobs = [((DECK, DECK_FAST)[i % 2], 0.5 + 0.25 * (i % 7)) for i in range(64)]
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                outs = list(pool.map(
+                    lambda job: simulate_scaled(handle, job[1], deck=job[0]), jobs
+                ))
+            with handle.client() as c:
+                stats = c.stats()
+        finally:
+            handle.stop()
+        assert stats["requests"] == stats["batched_runs"] == len(jobs)
+        assert stats["errors"] == 0 and stats["largest_batch"] <= 5
+        assert (stats["queue_depth"], stats["solving"]) == (0, 0)
+        for (deck, scale), out in zip(jobs, outs):
+            _, v_direct = direct_values(deck, scale=scale, samples=16)
+            np.testing.assert_allclose(
+                np.asarray(out["values"]), v_direct, rtol=1e-12, atol=1e-15
+            )
+
+    def test_shutdown_answers_queued_requests(self):
+        handle = ServiceHandle(workers=1)
+        scales = [0.5, 1.5, 2.5]
+        with handle.client() as c:
+            c.simulate(netlist=DECK, samples=4)
+        gate = SolveGate(handle.service)
+        with ThreadPoolExecutor(max_workers=1 + len(scales)) as pool:
+            try:
+                held = pool.submit(simulate_scaled, handle, 3.0)
+                assert gate.entered.wait(30)
+                queued = [pool.submit(simulate_scaled, handle, s) for s in scales]
+                wait_for_stats(handle, lambda s: s["queue_depth"] == len(scales))
+                with handle.client() as c:
+                    c.shutdown()
+            except BaseException:
+                gate.release.set()
+                handle.stop()
+                raise
+            gate.release.set()
+            held = held.result()
+            outs = [f.result() for f in queued]
+        handle.thread.join(timeout=60)
+        assert not handle.thread.is_alive()
+        assert_matches_direct(held, 3.0)
+        for scale, out in zip(scales, outs):
+            assert_matches_direct(out, scale)
 
 
 class TestSessionLRU:
@@ -364,7 +533,7 @@ class TestSessionLRU:
             assert c.ping()
 
     def test_lru_eviction_of_cold_sessions(self):
-        handle = ServiceHandle(coalesce_ms=1.0, max_sessions=1)
+        handle = ServiceHandle(max_sessions=1)
         try:
             with handle.client() as c:
                 c.simulate(netlist=DECK, samples=4)
@@ -380,7 +549,7 @@ class TestSessionLRU:
         assert stats_end["sessions"]["misses"] == 3
 
     def test_bank_counters_survive_eviction(self):
-        handle = ServiceHandle(coalesce_ms=1.0, max_sessions=1)
+        handle = ServiceHandle(max_sessions=1)
         counters = ("hits", "misses", "evictions", "factorisations")
         snapshots = []
         try:
@@ -398,7 +567,7 @@ class TestSessionLRU:
         assert snapshots[-1]["bank"]["factorisations"] == 3
 
     def test_bank_bytes_bound_applied(self):
-        handle = ServiceHandle(coalesce_ms=1.0, bank_entries=1)
+        handle = ServiceHandle(bank_entries=1)
         try:
             with handle.client() as c:
                 c.simulate(netlist=DECK, samples=4)
