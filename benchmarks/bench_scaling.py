@@ -583,7 +583,7 @@ def test_parallel_ensemble_vs_serial(benchmark):
     assert identical, "parallel ensemble deviates from the serial baseline"
     assert serial_result.info["factorisations"] == ENSEMBLE_MEMBERS
     assert parallel_result.info["shm_bytes"] > 0, (
-        "dense pencils should ship through shared memory"
+        "coefficients should return through shared memory"
     )
     assert reduced_mor.get("reduced_units") == ENSEMBLE_MEMBERS, (
         "every ensemble member should solve on its certified reduced model"

@@ -3,9 +3,9 @@
 Draws seeded variations of the 108-state two-layer power grid (every
 mesh resistance within +/-20% of nominal, all members filled from one
 MNA stamping pass), solves the whole ensemble through the parallel
-executor — one pencil factorisation per member, dense pencils shipped
-to worker processes via shared memory — and reports the spread of the
-worst-case IR drop.  A second seed then runs on the same worker pool.
+executor — one pencil factorisation per member, the coefficients
+returned from the worker processes via shared memory — and reports the
+spread of the worst-case IR drop.  A second seed then runs on the same worker pool.
 The script checks its own results: the parallel coefficients must
 equal a serial run bit for bit, and every member must factorise once.
 
@@ -52,7 +52,8 @@ def main() -> None:
         f"solved {len(result)} members in {result.wall_time * 1e3:.1f} ms "
         f"({info['jobs']} {info['executor']} workers, "
         f"{info['factorisations']} factorisations, "
-        f"{info['shm_bytes'] / 1e6:.1f} MB via shared memory); "
+        f"{info['shm_bytes'] / 1e6:.1f} MB of coefficients returned via "
+        "shared memory); "
         f"a second seed on the same pool took {second.wall_time * 1e3:.1f} ms"
     )
 

@@ -58,7 +58,7 @@ a parameter ensemble -- a cartesian corner sweep or a seeded
 Monte-Carlo tolerance analysis over element values -- and every member
 is assembled (state-layout-checked against the base deck), factorised
 once, and solved; ``--jobs N`` shards the members across ``N`` worker
-processes with zero-copy shared-memory pencil shipping::
+processes, which return coefficients through shared memory::
 
     python -m repro rc.sp --t-end 5e-3 --steps 200 \\
         --ensemble corners.json --jobs 8
@@ -488,7 +488,7 @@ def _run_ensemble(args, options, netlist, system, outputs) -> int:
     print(f"model: {system!r}")
     info = result.info
     shm = (
-        f", {info['shm_bytes'] / 1e6:.1f} MB via shared memory"
+        f", {info['shm_bytes'] / 1e6:.3g} MB returned via shared memory"
         if info.get("shm_bytes")
         else ""
     )

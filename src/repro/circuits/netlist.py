@@ -72,7 +72,7 @@ unit text is ignored (``1kOhm``, ``10uF``).  Node ``0`` (or ``gnd`` /
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -262,6 +262,19 @@ def parse_source_spec(spec: str, name: str = "?") -> tuple[Waveform, complex | N
 
 #: ``{param}`` reference inside a subcircuit-body token.
 _PARAM_RE = re.compile(r"\{([A-Za-z_][\w.]*)\}")
+
+#: Field count of each element card, its name included, as
+#: ``(fewest, most)``; ``most`` is ``None`` where a source spec follows.
+_CARD_FIELDS = {
+    "R": (4, 4),
+    "C": (4, 4),
+    "L": (4, 4),
+    "K": (4, 4),
+    "P": (5, 5),
+    "G": (6, 6),
+    "I": (4, None),
+    "V": (4, None),
+}
 
 
 class _SubcktDef:
@@ -1116,6 +1129,8 @@ class Netlist:
             # leaf segment ("xa.R1" is a resistor)
             leaf = name.rsplit(".", 1)[-1]
             kind = leaf[0].upper() if leaf else "?"
+            if kind not in _CARD_FIELDS:
+                raise NetlistError(f"unsupported card {name!r}")
             prior = seen.get(name)
             if prior is not None and prior != lineno:
                 raise NetlistError(
@@ -1123,22 +1138,13 @@ class Netlist:
                     f"line {prior}, redefined at line {lineno}"
                 )
             seen[name] = lineno
-            if kind in "RCL" and len(fields) != 4:
-                raise NetlistError(f"card {name!r}: expected 4 fields, got {len(fields)}")
-            if kind in "IV" and len(fields) < 4:
+            fewest, most = _CARD_FIELDS[kind]
+            if len(fields) < fewest or (most is not None and len(fields) > most):
+                expected = fewest if most == fewest else f"at least {fewest}"
                 raise NetlistError(
-                    f"source card {name!r}: expected nodes plus a value or "
-                    f"source spec, got {len(fields)} fields"
+                    f"card {name!r}: expected {expected} fields, got {len(fields)}"
                 )
-            if kind == "P" and len(fields) != 5:
-                raise NetlistError(f"CPE card {name!r}: expected 5 fields, got {len(fields)}")
-            if kind == "G" and len(fields) != 6:
-                raise NetlistError(f"VCCS card {name!r}: expected 6 fields, got {len(fields)}")
             if kind == "K":
-                if len(fields) != 4:
-                    raise NetlistError(
-                        f"coupling card {name!r}: expected 4 fields, got {len(fields)}"
-                    )
                 netlist.add_mutual(name, fields[1], fields[2], parse_value(fields[3]))
                 continue
             a, b = fields[1], fields[2]
@@ -1162,10 +1168,8 @@ class Netlist:
                 netlist.add_vccs(
                     name, a, b, fields[3], fields[4], parse_value(fields[5])
                 )
-            elif kind == "P":
+            else:  # "P"
                 netlist.add_cpe(name, a, b, parse_value(fields[3]), parse_value(fields[4]))
-            else:
-                raise NetlistError(f"unsupported card {name!r}")
         if not netlist.elements:
             raise NetlistError("netlist contains no elements")
         for node in netlist.analysis.ic:

@@ -30,8 +30,8 @@ shares, so that repeated-solve workloads amortise it across calls:
 * :mod:`~repro.engine.executor` -- the parallel ensemble executor:
   :class:`Ensemble` specs (cartesian / seeded Monte-Carlo netlist
   variations), the :class:`ParallelExecutor` process/serial
-  sharding engine with fingerprint grouping and zero-copy
-  shared-memory pencil shipping, gathering members into a
+  sharding engine with fingerprint grouping, coefficients returned
+  through shared memory, gathering members into a
   :class:`~repro.core.result.BatchResult`;
 * :mod:`~repro.engine.netlist_session` -- the SPICE front door:
   netlist-native sessions (:meth:`Simulator.from_netlist`), ``.ac``
@@ -53,7 +53,6 @@ _EXPORTS = {
     "Event": ".marching",
     "Ensemble": ".executor",
     "EnsembleMember": ".executor",
-    "EnsembleChunk": ".executor",
     "ParallelExecutor": ".executor",
     "EXECUTOR_BACKENDS": ".executor",
     "OperatorBundle": ".bundle",

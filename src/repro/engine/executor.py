@@ -1,4 +1,4 @@
-"""Parallel ensemble execution: sharded multi-core sweeps.
+"""Parallel ensemble execution: many pencils across cores.
 
 The paper's cost model makes one fact central: the expensive,
 input-independent work is *per circuit configuration* (one pencil
@@ -27,22 +27,19 @@ embarrassingly parallel, and this module shards it across cores:
   all of that pencil's inputs in one batched multi-RHS call through its
   local :class:`~repro.engine.backends.PencilBank`.  Oversized groups
   (one pencil shared by many members) are split into column shards.
-* zero-copy shipping -- for the process backend, dense pencils and the
-  pre-projected input coefficients travel to workers through
-  ``multiprocessing.shared_memory`` (one segment per task, reconstructed
-  as ndarray views on the worker side, so the large Kronecker/spectral
-  blocks are never pickled), with a transparent pickle fallback for
-  sparse / multi-term systems and sub-threshold payloads.  Segments are
-  unlinked by the parent as each task completes, on success and on
-  failure alike.
-* streaming -- :meth:`ParallelExecutor.iter_chunks` yields
-  :class:`EnsembleChunk` objects in *completion* order; a failing
-  member does not stop the remaining chunks, it is re-raised as
-  :class:`~repro.errors.EnsembleError` (member index + original
-  exception) once every other chunk has streamed.
-  :meth:`ParallelExecutor.run` copies each chunk's rows into one
-  member-ordered :class:`~repro.core.result.BatchResult` as it
-  arrives.
+* one way in, one way back -- a process task pickles its units as
+  ``(system, U)`` pairs (a member system and its members' projected
+  input rows), and the worker solves them in order.  The coefficients
+  come back through one parent-owned ``multiprocessing.shared_memory``
+  output segment per task, which the parent copies straight into the
+  batch and unlinks as the task completes, on success and on failure
+  alike.  Only where ``/dev/shm`` is unusable are they pickled back.
+* :meth:`ParallelExecutor.run` is the one entry point: it gathers every
+  member into one member-ordered
+  :class:`~repro.core.result.BatchResult`.  A failing member does not
+  stop its siblings; once every task has finished it is raised as
+  :class:`~repro.errors.EnsembleError` (member indices + original
+  exception).
 
 Inputs are projected onto the session basis *in the parent*, so worker
 tasks never pickle user callables, and the serial and process backends
@@ -60,16 +57,15 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..basis.base import BasisSet
-from ..core.lti import DescriptorSystem, FractionalDescriptorSystem
+from ..core.lti import DescriptorSystem
 from ..core.result import BatchResult
 from ..errors import EnsembleError
 from .backends import pencil_fingerprint
@@ -81,7 +77,6 @@ from .session import Simulator
 __all__ = [
     "Ensemble",
     "EnsembleMember",
-    "EnsembleChunk",
     "ParallelExecutor",
     "EXECUTOR_BACKENDS",
     "default_jobs",
@@ -89,11 +84,6 @@ __all__ = [
 
 #: Executor backends accepted by :class:`ParallelExecutor`.
 EXECUTOR_BACKENDS = ("process", "serial")
-
-#: Below this many bytes of dense payload a process task is pickled
-#: rather than shipped through shared memory (segment setup costs more
-#: than copying a few kilobytes).
-SHM_MIN_BYTES = 1 << 15
 
 
 def default_jobs() -> int:
@@ -445,42 +435,12 @@ class Ensemble:
 
 
 # ----------------------------------------------------------------------
-# results
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class EnsembleChunk:
-    """One completed task's worth of results, streamed in completion order.
-
-    Attributes
-    ----------
-    indices:
-        Ensemble member indices covered by this chunk (one fingerprint
-        group, or a column shard of one).
-    coefficients:
-        State coefficient tensor ``(len(indices), n, m)``.
-    input_coefficients:
-        Input coefficient tensor ``(len(indices), p, m)``.
-    factorisations:
-        Pencil factorisations the worker performed for this chunk
-        (1 for a healthy group).
-    wall_time:
-        Worker-side solve seconds for the chunk.
-    """
-
-    indices: tuple[int, ...]
-    coefficients: np.ndarray
-    input_coefficients: np.ndarray
-    factorisations: int
-    wall_time: float
-
-
-# ----------------------------------------------------------------------
-# task planning and shipping
+# task planning
 # ----------------------------------------------------------------------
 #: Load-balance granularity: the planner packs pencil groups into about
-#: ``jobs * TASKS_PER_WORKER`` tasks, so per-task overheads (pickling,
-#: segment setup, pool round-trips) amortise over several groups while
-#: stragglers can still be balanced across workers.
+#: ``jobs * TASKS_PER_WORKER`` tasks, so per-task overheads (pickling the
+#: task, one output segment, a pool round-trip) amortise over several
+#: groups while stragglers can still be balanced across workers.
 TASKS_PER_WORKER = 2
 
 
@@ -488,19 +448,21 @@ TASKS_PER_WORKER = 2
 class _Task:
     """One worker work item: a bundle of pencil-group *units*.
 
-    Each unit is one fingerprint group (or a column shard of one): the
-    worker factorises its pencil once and sweeps its members in a
-    single batched multi-RHS call.  The parent's own references to the
-    shipped ``U`` blocks live in ``_RunState.task_inputs`` -- NOT on
-    the task -- so the process backend never pickles them a second
-    time alongside the shared-memory copy.
+    Each unit is a ``(system, U)`` pair -- one fingerprint group, or a
+    column shard of one, with its members' projected input rows -- that
+    the worker factorises once and sweeps in a single batched multi-RHS
+    call.  The process backend pickles the whole task.  ``out_name``
+    names the parent-owned segment the worker writes each unit's
+    coefficients into, at the ``(shape, offset)`` of ``out_manifest``;
+    without one (serial backend, no usable ``/dev/shm``) the
+    coefficients come back as arrays.
     """
 
-    task_id: int
-    units: list
-    payload: dict
-    shm_name: str | None = None
+    units: list[tuple[Any, np.ndarray]]
+    basis: BasisSet
+    session_kwargs: dict
     out_name: str | None = None
+    out_manifest: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
 
 
 def _plan_units(
@@ -568,88 +530,22 @@ def _pack_units(units: list, jobs: int) -> list[list]:
     return packed
 
 
-def _describe_system(system) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """Split a system into ``(kind, meta, dense arrays)`` for shipping.
-
-    Dense descriptor systems decompose into shippable float64 arrays;
-    anything else (sparse storage, multi-term models) falls back to one
-    pickled blob -- sparse matrices pickle compactly anyway.
-    """
-    if isinstance(system, DescriptorSystem) and not any(
-        hasattr(matrix, "toarray") for matrix in (system.E, system.A)
-    ):
-        arrays = {
-            "E": np.ascontiguousarray(system.E, dtype=float),
-            "A": np.ascontiguousarray(system.A, dtype=float),
-            "B": np.ascontiguousarray(system.B, dtype=float),
-        }
-        meta: dict[str, Any] = {}
-        if system.x0 is not None:
-            arrays["x0"] = np.ascontiguousarray(system.x0, dtype=float)
-        if isinstance(system, OffsetDescriptorSystem):
-            if system.offset is not None:
-                arrays["offset"] = np.ascontiguousarray(system.offset, dtype=float)
-            return "reduced", meta, arrays
-        if isinstance(system, FractionalDescriptorSystem):
-            return "fractional", {"alpha": float(system.alpha)}, arrays
-        return "descriptor", meta, arrays
-    return "pickled", {"blob": pickle.dumps(_strip_outputs(system))}, {}
-
-
-def _strip_outputs(system):
-    """The solve needs neither ``C`` nor ``D``; don't ship them."""
-    if isinstance(system, OffsetDescriptorSystem):
-        return OffsetDescriptorSystem(
-            system.E, system.A, system.B, offset=system.offset
-        )
-    if isinstance(system, FractionalDescriptorSystem):
-        return FractionalDescriptorSystem(
-            system.alpha, system.E, system.A, system.B, x0=system.x0
-        )
-    if isinstance(system, DescriptorSystem):
-        return DescriptorSystem(system.E, system.A, system.B, x0=system.x0)
-    return system
-
-
-def _rebuild_system(kind: str, meta: dict, arrays: Mapping[str, np.ndarray]):
-    if kind == "pickled":
-        return pickle.loads(meta["blob"])
-    x0 = arrays.get("x0")
-    if kind == "reduced":
-        return OffsetDescriptorSystem(
-            arrays["E"], arrays["A"], arrays["B"], offset=arrays.get("offset")
-        )
-    if kind == "fractional":
-        return FractionalDescriptorSystem(
-            meta["alpha"], arrays["E"], arrays["A"], arrays["B"], x0=x0
-        )
-    return DescriptorSystem(arrays["E"], arrays["A"], arrays["B"], x0=x0)
-
-
-def _alloc_shm(shapes: Mapping[str, tuple]):
-    """One new shared-memory segment of named float64 arrays, returned
-    as ``(shm, manifest)`` with ``(key, shape, offset)`` entries (64-byte
-    aligned).  It reads as zeros unwritten, so its pages stay out of
-    this process's memory until touched.  The parent owns and unlinks it.
+def _alloc_shm(shapes: Sequence[tuple[int, ...]]):
+    """One new shared-memory segment of float64 arrays, returned as
+    ``(shm, manifest)`` with one ``(shape, offset)`` entry per shape
+    (64-byte aligned).  It reads as zeros unwritten, so its pages stay
+    out of this process's memory until touched.  The parent owns and
+    unlinks it.
     """
     from multiprocessing import shared_memory
 
     align = 64
-    manifest: list[tuple[str, tuple, int]] = []
+    manifest: list[tuple[tuple[int, ...], int]] = []
     total = 0
-    for key, shape in shapes.items():
-        manifest.append((key, shape, total))
+    for shape in shapes:
+        manifest.append((shape, total))
         total += -(-8 * math.prod(shape) // align) * align
     return shared_memory.SharedMemory(create=True, size=max(total, 1)), manifest
-
-
-def _pack_shm(arrays: Mapping[str, np.ndarray]):
-    """Copy named float64 arrays into one new segment (see :func:`_alloc_shm`)."""
-    shm, manifest = _alloc_shm({key: arr.shape for key, arr in arrays.items()})
-    for (key, shape, offset), arr in zip(manifest, arrays.values()):
-        view = np.ndarray(shape, dtype=np.float64, buffer=shm.buf, offset=offset)
-        view[...] = arr
-    return shm, manifest
 
 
 def _attach_shm(name: str):
@@ -673,62 +569,38 @@ def _attach_shm(name: str):
         return shared_memory.SharedMemory(name=name)
 
 
-def _execute_task(task: _Task) -> tuple[int, list]:
-    """Worker body: per unit, rebuild the system, factorise once, sweep.
+def _execute_task(task: _Task) -> list[tuple[str, Any]]:
+    """Worker body: per unit, factorise the system once and sweep ``U``.
 
-    Runs inline (serial) or in a worker process; the only difference is
-    where the payload arrays live.  Returns ``(task_id, results)`` with
-    one ``(unit_index, status, value)`` entry per unit:
-    ``("ok", (X | None, factorisations, wall))`` -- ``X`` is ``None``
-    when the coefficients were written into the parent-owned output
-    segment instead of being pickled back -- or ``("error", exception)``
-    for a unit whose solve failed (its siblings still complete).
+    Runs inline (serial) or in a worker process.  Returns one
+    ``(status, value)`` entry per unit: ``("ok", (X, factorisations))``
+    -- ``X`` is ``None`` when the coefficients went into the output
+    segment -- or ``("error", exception)`` for a unit whose solve
+    failed (its siblings still complete).
     """
-    payload = task.payload
-    shm = out = None
+    out = _attach_shm(task.out_name) if task.out_name is not None else None
     try:
-        if task.shm_name is not None:
-            shm = _attach_shm(task.shm_name)
-            arrays = {
-                key: np.ndarray(shape, dtype=np.float64, buffer=shm.buf, offset=offset)
-                for key, shape, offset in payload["manifest"]
-            }
-        else:
-            arrays = payload["arrays"]
-        out_views: dict[int, np.ndarray] = {}
-        if task.out_name is not None:
-            out = _attach_shm(task.out_name)
-            out_views = {
-                ui: np.ndarray(shape, dtype=np.float64, buffer=out.buf, offset=offset)
-                for ui, shape, offset in payload["out_manifest"]
-            }
-        results: list[tuple[int, str, Any]] = []
-        for ui, unit in enumerate(payload["units"]):
+        results: list[tuple[str, Any]] = []
+        for ui, (system, U) in enumerate(task.units):
             try:
-                unit_arrays = {
-                    key.partition("/")[2]: value
-                    for key, value in arrays.items()
-                    if key.startswith(f"{ui}/")
-                }
-                U = unit_arrays.pop("U")
-                system = _rebuild_system(unit["kind"], unit["meta"], unit_arrays)
-                sim = Simulator(system, payload["grid"], **payload["session_kwargs"])
-                sweep = sim.sweep([U[i] for i in range(U.shape[0])])
-                if ui in out_views:
-                    out_views[ui][...] = sweep.coefficients
-                    X = None
-                else:
-                    # detach from worker-local buffers before pickling
-                    X = np.ascontiguousarray(sweep.coefficients)
+                sim = Simulator(system, task.basis, **task.session_kwargs)
+                X = sim.sweep(list(U)).coefficients
             except Exception as exc:  # noqa: BLE001 - reported per unit
-                results.append((ui, "error", exc))
+                results.append(("error", exc))
                 continue
-            wall = float(sweep.wall_time or 0.0)
-            results.append((ui, "ok", (X, sim.factorisations, wall)))
-        return task.task_id, results
+            if out is not None:
+                shape, offset = task.out_manifest[ui]
+                view = np.ndarray(
+                    shape, dtype=np.float64, buffer=out.buf, offset=offset
+                )
+                view[...] = X
+                X = view = None  # no view may outlive the mapping
+            else:
+                # detach from worker-local buffers before pickling
+                X = np.ascontiguousarray(X)
+            results.append(("ok", (X, sim.factorisations)))
+        return results
     finally:
-        if shm is not None:
-            shm.close()
         if out is not None:
             out.close()
 
@@ -792,14 +664,27 @@ class ParallelExecutor:
         self._pool: Any = None
 
     # ------------------------------------------------------------------
-    def run(self, ensemble, grid, **kwargs) -> BatchResult:
+    def run(
+        self,
+        ensemble,
+        grid,
+        *,
+        basis=None,
+        u=None,
+        projection: str | None = None,
+        adaptive_method: str = "auto",
+        solver_backend: str = "auto",
+        reduce=None,
+        memory="exact",
+        memory_rtol: float | None = None,
+    ) -> BatchResult:
         """Execute every member and gather one member-ordered batch.
 
         Each task's rows are copied into the batch's ``(k, n, m)``
         state and ``(k, p, m)`` input tensors as the task completes --
-        straight from its shared-memory output segment, before the
-        segment is unlinked, with no intermediate copy.  Members with
-        different state sizes share a tensor padded to the largest.
+        straight from its shared-memory output segment, which is then
+        unlinked.  Members with different state sizes share a tensor
+        padded to the largest.
 
         Parameters
         ----------
@@ -810,99 +695,12 @@ class ParallelExecutor:
             Shared time grid: a :class:`~repro.basis.grid.TimeGrid`,
             ``(t_end, m)`` tuple, or a ready
             :class:`~repro.basis.base.BasisSet` instance.
-        basis, u, projection, adaptive_method, solver_backend:
-            See :meth:`iter_chunks`.
-
-        Returns
-        -------
-        BatchResult
-            The members in ensemble order with their own systems,
-            ``labels`` (``'member-<i>'`` when unnamed) and ``params``;
-            ``result[i]`` is member ``i``'s
-            :class:`~repro.core.result.SimulationResult`, a view into
-            the batch.
-
-        Raises
-        ------
-        EnsembleError
-            If any member failed.  The error records the failing member
-            indices / label, chains the first original worker
-            exception, and carries the successful chunks on
-            ``exc.chunks`` -- a failing member never discards its
-            siblings' completed work.
-        """
-        start = time.perf_counter()
-        state = _RunState()
-        X = U = None
-
-        def gather(indices, coefficients, inputs, factorisations, wall):
-            nonlocal X, U
-            if X is None:  # the stream has resolved the ensemble and basis
-                systems = [member.system for member in state.ensemble]
-                k, m = len(systems), state.basis.size
-                X = np.zeros((k, max(s.n_states for s in systems), m))
-                U = np.zeros((k, max(s.n_inputs for s in systems), m))
-            rows = list(indices)
-            n, p = coefficients.shape[1], inputs.shape[1]
-            X[rows, :n] = coefficients
-            U[rows, :p] = inputs
-            return indices, n, p, factorisations, wall
-
-        done = list(self._stream(ensemble, grid, state, gather, **kwargs))
-        wall = time.perf_counter() - start
-        if state.failures:
-            chunks = [
-                EnsembleChunk(idx, X[list(idx), :n], U[list(idx), :p], f, w)
-                for idx, n, p, f, w in done
-            ]
-            raise self._ensemble_error(state, chunks) from state.failures[0][2]
-        info = {
-            "executor": self.backend,
-            "jobs": self.jobs,
-            "n_groups": state.n_groups,
-            "n_tasks": state.n_tasks,
-            "factorisations": sum(f for *_, f, _ in done),
-            "shm_bytes": state.shm_bytes,
-            "basis": state.basis.name,
-        }
-        if state.n_reduced:
-            info["mor"] = {
-                "reduced_units": state.n_reduced,
-                "bound": state.mor_bound,
-            }
-        members = state.ensemble.members
-        return BatchResult(
-            state.basis,
-            X,
-            [member.system for member in members],
-            U,
-            labels=[
-                member.label if member.label is not None else f"member-{i}"
-                for i, member in enumerate(members)
-            ],
-            params=[member.params for member in members],
-            wall_time=wall,
-            info=info,
-        )
-
-    def iter_chunks(self, ensemble, grid, **kwargs) -> Iterator[EnsembleChunk]:
-        """Stream :class:`EnsembleChunk` objects in completion order.
-
-        Failed members are collected while the healthy chunks keep
-        streaming; once the pool drains, an
-        :class:`~repro.errors.EnsembleError` is raised for the failures
-        (chaining the first original exception).
-
-        Parameters
-        ----------
-        ensemble, grid:
-            As in :meth:`run`.
         basis:
             Basis family name / instance shared by every member (see
             :class:`~repro.engine.session.Simulator`).
         u:
             Default input for members whose ``u`` is ``None``.
-        projection, adaptive_method:
+        projection, adaptive_method, memory, memory_rtol:
             Forwarded to each worker's session.
         solver_backend:
             Dense/sparse pencil-backend mode (``'auto'`` default) --
@@ -914,57 +712,31 @@ class ParallelExecutor:
             the small reduced pencils to the workers, and lifts the
             returned coefficients back to full order -- workers never
             see ``reduce``.
+
+        Returns
+        -------
+        BatchResult
+            The members in ensemble order with their own systems,
+            ``labels`` (``'member-<i>'`` when unnamed) and ``params``;
+            ``result[i]`` is member ``i``'s
+            :class:`~repro.core.result.SimulationResult`, a view into
+            the batch.  ``info["shm_bytes"]`` counts the coefficient
+            bytes that came back through shared memory.
+
+        Raises
+        ------
+        EnsembleError
+            If any member failed, once every other task has finished.
+            The error records the failing member indices / label and
+            chains the first original worker exception.
         """
-        state = _RunState()
-
-        def chunk(indices, coefficients, *rest):  # copied: may view a segment
-            return EnsembleChunk(indices, np.array(coefficients), *rest)
-
-        yield from self._stream(ensemble, grid, state, chunk, **kwargs)
-        if state.failures:
-            raise self._ensemble_error(state, None) from state.failures[0][2]
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _ensemble_error(self, state: "_RunState", chunks) -> EnsembleError:
-        index, label, exc = state.failures[0]
-        detail = f" ({label})" if label else ""
-        more = (
-            f" (+{len(state.failures) - 1} more failed member(s))"
-            if len(state.failures) > 1
-            else ""
-        )
-        return EnsembleError(
-            f"ensemble member {index}{detail} failed: {exc}{more}",
-            member_indices=tuple(sorted(i for i, _, _ in state.failures)),
-            chunks=chunks,
-        )
-
-    def _stream(
-        self,
-        ensemble,
-        grid,
-        state: "_RunState",
-        emit,
-        *,
-        basis=None,
-        u=None,
-        projection: str | None = None,
-        adaptive_method: str = "auto",
-        solver_backend: str = "auto",
-        reduce=None,
-        memory="exact",
-        memory_rtol: float | None = None,
-    ) -> Iterator[EnsembleChunk]:
         from .inputs import project_input
         from .session import _resolve_session_basis
 
+        start = time.perf_counter()
         if not isinstance(ensemble, Ensemble):
             ensemble = Ensemble(ensemble)
-        state.ensemble = ensemble
         basis_obj = _resolve_session_basis(grid, basis, projection)
-        state.basis = basis_obj
         # workers receive the fully resolved basis instance as the grid
         # spec, so every accepted (grid, basis) flavour ships the same
         # way and the worker session is exactly the parent's (memory
@@ -995,140 +767,166 @@ class ParallelExecutor:
                 projections[key] = project_input(member_u, basis_obj, key[1])
             projected.append(projections[key])
 
-        units, state.n_groups = _plan_units(ensemble.members, self.jobs)
+        units, n_groups = _plan_units(ensemble.members, self.jobs)
         # reduction happens HERE, in the parent, once per fingerprint
         # group (the reduced-model cache dedupes shards of one group):
-        # workers receive only the small reduced pencils -- smaller shm
-        # segments -- and the parent lifts the coefficients on return
+        # workers receive only the small reduced pencils, and the parent
+        # lifts the coefficients on return
+        plan = [(indices, system, None) for indices, system in units]
         if reduce is not None:
-            reduced_units = []
-            for indices, system in units:
-                model, mor_info = bind_reduction(
+            for i, (indices, system, _) in enumerate(plan):
+                model, _ = bind_reduction(
                     system, reduce, t_end=basis_obj.t_end, m=basis_obj.size
                 )
                 if model is not None:
-                    state.n_reduced += 1
-                    state.mor_bound = max(state.mor_bound, model.bound)
-                    reduced_units.append((indices, model.solve_system, model))
-                else:
-                    reduced_units.append((indices, system, None))
-            units = reduced_units
-            if state.n_reduced:
-                state.lift_ones = project_input(1.0, basis_obj, 1)[0]
-        else:
-            units = [(indices, system, None) for indices, system in units]
-        packed = _pack_units(units, self.jobs)
-        state.n_tasks = len(packed)
-        tasks = [
-            self._build_task(
-                task_id, task_units, projected, basis_obj, session_kwargs, state
-            )
-            for task_id, task_units in enumerate(packed)
-        ]
+                    plan[i] = (indices, model.solve_system, model)
+        models = [model for *_, model in plan if model is not None]
+        lift_ones = project_input(1.0, basis_obj, 1)[0] if models else None
+        packed = _pack_units(plan, self.jobs)
 
-        pending: set = set()
+        systems = [member.system for member in ensemble]
+        k, m = len(systems), basis_obj.size
+        X = np.zeros((k, max(s.n_states for s in systems), m))
+        U = np.zeros((k, max(s.n_inputs for s in systems), m))
+        tasks = [
+            _Task(
+                [
+                    (system, np.stack([projected[i] for i in indices]))
+                    for indices, system, _ in task_units
+                ],
+                basis_obj,
+                session_kwargs,
+            )
+            for task_units in packed
+        ]
+        segments: dict[int, Any] = {}
+        if self.backend == "process":
+            for task_id, task_units in enumerate(packed):
+                # reduced units return n_r-state blocks: the lift back
+                # to full order happens parent-side on completion
+                shapes = [
+                    (len(idx), system.n_states, m) for idx, system, _ in task_units
+                ]
+                try:
+                    shm, tasks[task_id].out_manifest = _alloc_shm(shapes)
+                except (OSError, ValueError):  # no usable /dev/shm: pickle back
+                    continue
+                segments[task_id] = shm
+                tasks[task_id].out_name = shm.name
+                self.shm_names_created.append(shm.name)
+
+        failures: list[tuple[int, str | None, BaseException]] = []
+        factorisations = shm_bytes = 0
         try:
-            if self.backend == "serial":
-                for task in tasks:
-                    try:
-                        _, results = _execute_task(task)
-                    except Exception as exc:
-                        self._record_task_failure(task, exc, state)
+            for task_id, outcome in self._outcomes(tasks):
+                task_units, task = packed[task_id], tasks[task_id]
+                if isinstance(outcome, BaseException):  # the whole task failed
+                    outcome = [("error", outcome)] * len(task_units)
+                for ui, (status, value) in enumerate(outcome):
+                    indices, _, model = task_units[ui]
+                    if status == "error":
+                        # the whole unit failed together: every member of
+                        # the batched solve is unaccounted for
+                        for idx in indices:
+                            failures.append((idx, ensemble[idx].label, value))
                         continue
-                    yield from self._handle_completion(task, results, state, emit)
-            else:
-                pool = self._live_pool()
-                futures = {pool.submit(_execute_task, task): task for task in tasks}
-                pending = set(futures)
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        task = futures[future]
-                        exc = future.exception()
-                        if exc is not None:
-                            self._record_task_failure(task, exc, state)
-                            continue
-                        _, results = future.result()
-                        yield from self._handle_completion(task, results, state, emit)
+                    coeffs, unit_factorisations = value
+                    factorisations += unit_factorisations
+                    if coeffs is None:  # written into the output segment
+                        shape, offset = task.out_manifest[ui]
+                        coeffs = np.ndarray(
+                            shape,
+                            dtype=np.float64,
+                            buffer=segments[task_id].buf,
+                            offset=offset,
+                        )
+                        shm_bytes += coeffs.nbytes
+                    if model is not None:
+                        # lift the reduced shifted coefficients back to
+                        # full order: x = V z + x0 (deterministic
+                        # parent-side GEMM, so serial and process stay
+                        # bit-identical)
+                        coeffs = np.einsum("nr,krm->knm", model.V, coeffs)
+                        x0 = model.full.x0
+                        if x0 is not None:
+                            coeffs += x0[None, :, None] * lift_ones[None, None, :]
+                    inputs = task.units[ui][1]
+                    X[list(indices), : coeffs.shape[1]] = coeffs
+                    U[list(indices), : inputs.shape[1]] = inputs
+                    coeffs = None  # no view may outlive the mapping
+                if task_id in segments:
+                    shm = segments.pop(task_id)
+                    shm.close()
+                    shm.unlink()
         finally:
-            # a stream closed early leaves no queued work on the pool
-            for future in pending:
-                future.cancel()
             # failure-proof cleanup: any segment not yet unlinked
-            # (failed tasks, cancelled futures, generator closed early)
-            for key in list(state.shm_segments):
-                shm = state.shm_segments.pop(key)
+            for shm in segments.values():
                 shm.close()
                 shm.unlink()
-
-    def _build_task(
-        self, task_id, task_units, projected, basis_obj, session_kwargs, state
-    ) -> _Task:
-        units_payload: list[dict] = []
-        all_arrays: dict[str, np.ndarray] = {}
-        inputs: dict[int, np.ndarray] = {}
-        out_shapes: dict[str, tuple[int, int, int]] = {}
-        shippable = True
-        models: dict[int, Any] = {}
-        for ui, (indices, system, model) in enumerate(task_units):
-            kind, meta, arrays = _describe_system(system)
-            shippable = shippable and kind != "pickled"
-            U = np.ascontiguousarray(
-                np.stack([projected[i] for i in indices]), dtype=float
+        if failures:
+            index, label, exc = failures[0]
+            detail = f" ({label})" if label else ""
+            more = (
+                f" (+{len(failures) - 1} more failed member(s))"
+                if len(failures) > 1
+                else ""
             )
-            inputs[ui] = U
-            if model is not None:
-                models[ui] = model
-            units_payload.append({"kind": kind, "meta": meta})
-            for key, arr in arrays.items():
-                all_arrays[f"{ui}/{key}"] = arr
-            all_arrays[f"{ui}/U"] = U
-            # reduced units allocate n_r-state output blocks: the lift
-            # back to full order happens parent-side on completion
-            out_shapes[str(ui)] = (len(indices), system.n_states, basis_obj.size)
-        payload = {
-            "units": units_payload,
-            "grid": basis_obj,
-            "session_kwargs": session_kwargs,
+            raise EnsembleError(
+                f"ensemble member {index}{detail} failed: {exc}{more}",
+                member_indices=tuple(sorted(i for i, _, _ in failures)),
+            ) from exc
+        info = {
+            "executor": self.backend,
+            "jobs": self.jobs,
+            "n_groups": n_groups,
+            "n_tasks": len(tasks),
+            "factorisations": factorisations,
+            "shm_bytes": shm_bytes,
+            "basis": basis_obj.name,
         }
-        task = _Task(
-            task_id=task_id,
-            units=[tuple(indices) for indices, _, _ in task_units],
-            payload=payload,
+        if models:
+            info["mor"] = {
+                "reduced_units": len(models),
+                "bound": max(model.bound for model in models),
+            }
+        return BatchResult(
+            basis_obj,
+            X,
+            systems,
+            U,
+            labels=[
+                member.label if member.label is not None else f"member-{i}"
+                for i, member in enumerate(ensemble)
+            ],
+            params=[member.params for member in ensemble],
+            wall_time=time.perf_counter() - start,
+            info=info,
         )
-        state.task_models[task_id] = models
-        state.task_inputs[task_id] = inputs
-        nbytes = sum(a.nbytes for a in all_arrays.values())
-        use_shm = self.backend == "process" and shippable and nbytes >= SHM_MIN_BYTES
-        if use_shm:
-            try:
-                shm, manifest = _pack_shm(all_arrays)
-            except (OSError, ValueError):  # no usable /dev/shm: fall back
-                use_shm = False
-            else:
-                task.shm_name = shm.name
-                payload["manifest"] = manifest
-                state.shm_segments[(task_id, "in")] = shm
-                state.shm_bytes += nbytes
-                self.shm_names_created.append(shm.name)
-        if not use_shm:
-            payload["arrays"] = all_arrays
-        if use_shm:
-            # results come back through a parent-owned segment too, so
-            # large coefficient tensors are never pickled either way
-            try:
-                out_shm, out_manifest = _alloc_shm(out_shapes)
-            except (OSError, ValueError):  # pragma: no cover - no /dev/shm
-                pass
-            else:
-                task.out_name = out_shm.name
-                payload["out_manifest"] = [
-                    (int(key), shape, offset)
-                    for key, shape, offset in out_manifest
-                ]
-                state.shm_segments[(task_id, "out")] = out_shm
-                self.shm_names_created.append(out_shm.name)
-        return task
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
+    def _outcomes(self, tasks: list[_Task]) -> Iterator[tuple[int, Any]]:
+        """Yield ``(task_id, results)`` as tasks finish -- in submission
+        order inline, in completion order on the pool -- with the
+        exception in place of the results when a whole task failed."""
+        if self.backend == "serial":
+            for task_id, task in enumerate(tasks):
+                try:
+                    yield task_id, _execute_task(task)
+                except Exception as exc:  # noqa: BLE001 - reported per member
+                    yield task_id, exc
+            return
+        pool = self._live_pool()
+        futures = {pool.submit(_execute_task, task): i for i, task in enumerate(tasks)}
+        try:
+            for future in as_completed(futures):
+                exc = future.exception()
+                yield futures[future], exc if exc is not None else future.result()
+        finally:
+            # a run abandoned early leaves no queued work on the pool
+            for future in futures:
+                future.cancel()
 
     def _live_pool(self):
         """The executor's worker pool: created on first use, then reused.
@@ -1164,81 +962,3 @@ class ParallelExecutor:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _handle_completion(
-        self, task: _Task, results: list, state: "_RunState", emit
-    ) -> Iterator:
-        """Pass each unit of a finished task to ``emit(indices, coefficients,
-        inputs, factorisations, wall)``, unlink the task's segments, then
-        yield what ``emit`` returned.  Coefficients returned through the
-        output segment arrive as a view into it: ``emit`` copies them."""
-        out_shm = state.shm_segments.get((task.task_id, "out"))
-        out_offsets = {
-            ui: (shape, offset)
-            for ui, shape, offset in task.payload.get("out_manifest", ())
-        }
-        emitted = []
-        for ui, status, value in results:
-            indices = task.units[ui]
-            if status == "error":
-                # the whole unit failed together: every member of the
-                # batched solve is unaccounted for, not just the first
-                for idx in indices:
-                    state.failures.append((idx, state.ensemble[idx].label, value))
-                continue
-            X, factorisations, wall = value
-            if X is None:
-                shape, offset = out_offsets[ui]
-                X = np.ndarray(
-                    shape, dtype=np.float64, buffer=out_shm.buf, offset=offset
-                )
-            model = state.task_models.get(task.task_id, {}).get(ui)
-            if model is not None:
-                # lift the reduced shifted coefficients back to full
-                # order: x = V z + x0 (deterministic parent-side GEMM,
-                # so serial and process stay bit-identical)
-                X = np.einsum("nr,krm->knm", model.V, X)
-                x0 = model.full.x0
-                if x0 is not None:
-                    X = X + x0[None, :, None] * state.lift_ones[None, None, :]
-            U = state.task_inputs[task.task_id][ui]
-            emitted.append(emit(indices, X, U, int(factorisations), float(wall)))
-        # the segment cannot close while a view into it is alive
-        X = None
-        self._release_task_shm(task, state)
-        yield from emitted
-
-    def _release_task_shm(self, task: _Task, state: "_RunState") -> None:
-        for kind in ("in", "out"):
-            shm = state.shm_segments.pop((task.task_id, kind), None)
-            if shm is not None:
-                shm.close()
-                shm.unlink()
-
-    def _record_task_failure(
-        self, task: _Task, exc: Exception, state: "_RunState"
-    ) -> None:
-        """A whole-task failure (infrastructure, not a solve): every
-        member of every unit of the task failed with the same cause."""
-        self._release_task_shm(task, state)
-        for indices in task.units:
-            for idx in indices:
-                state.failures.append((idx, state.ensemble[idx].label, exc))
-
-
-class _RunState:
-    """Per-run bookkeeping shared between planning and streaming."""
-
-    def __init__(self) -> None:
-        self.ensemble: Ensemble | None = None
-        self.basis: BasisSet | None = None
-        self.failures: list[tuple[int, str | None, Exception]] = []
-        self.shm_segments: dict[tuple[int, str], Any] = {}
-        self.task_inputs: dict[int, dict[int, np.ndarray]] = {}
-        self.task_models: dict[int, dict[int, Any]] = {}
-        self.shm_bytes = 0
-        self.n_groups = 0
-        self.n_tasks = 0
-        self.n_reduced = 0
-        self.mor_bound = 0.0
-        self.lift_ones: np.ndarray | None = None

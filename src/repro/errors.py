@@ -121,22 +121,14 @@ class EnsembleError(ReproError):
 
     When raised by a :class:`~repro.engine.executor.ParallelExecutor`
     run, :attr:`member_indices` lists the failing ensemble members (and
-    :attr:`member_index` the first of them), ``__cause__`` chains the
-    original worker exception, and :attr:`chunks` carries the chunks
-    that completed successfully -- a failing member never discards its
-    siblings' finished work.
+    :attr:`member_index` the first of them) and ``__cause__`` chains the
+    original worker exception.  The run raises only after every other
+    member has finished.
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        member_indices: tuple[int, ...] = (),
-        chunks=None,
-    ) -> None:
+    def __init__(self, message: str, *, member_indices: tuple[int, ...] = ()) -> None:
         super().__init__(message)
         self.member_indices = tuple(member_indices)
-        self.chunks = chunks
 
     @property
     def member_index(self) -> int | None:

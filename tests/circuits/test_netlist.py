@@ -241,6 +241,13 @@ class TestSpiceParser:
         with pytest.raises(NetlistError, match="unsupported"):
             Netlist.from_spice("D1 a b dmodel")
 
+    @pytest.mark.parametrize("card", ["Z1", ")", "Z1 a"])
+    def test_rejects_unknown_short_card(self, card):
+        # regression: a one- or two-token card used to reach the node
+        # fields and escape as an IndexError
+        with pytest.raises(NetlistError, match="unsupported card"):
+            Netlist.from_spice(f"I1 0 a 1m\nR1 a 0 1k\n{card}\n")
+
     def test_rejects_empty(self):
         with pytest.raises(NetlistError, match="no elements"):
             Netlist.from_spice("* nothing\n")

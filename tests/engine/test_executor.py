@@ -17,12 +17,8 @@ import pytest
 
 from repro.circuits import Netlist, assemble_mna, assemble_mna_restamp
 from repro.core import DescriptorSystem, Simulator, simulate
-from repro.engine.executor import (
-    Ensemble,
-    EnsembleMember,
-    ParallelExecutor,
-    SHM_MIN_BYTES,
-)
+from repro.core.lti import FractionalDescriptorSystem, MultiTermSystem
+from repro.engine.executor import Ensemble, EnsembleMember, ParallelExecutor
 from repro.errors import EnsembleError, NetlistError, SolverError
 
 #: worker count used by the parallel tests (the nightly workflow sets
@@ -33,6 +29,21 @@ RC_DECK = """
 I1 0 n1 1m
 R1 n1 0 1k
 C1 n1 0 1u
+"""
+
+#: a constant-phase element alone: fractional members
+CPE_DECK = """
+I1 0 n1 1m
+R1 n1 0 1k
+P1 n1 0 1u 0.5
+"""
+
+#: a capacitor beside a constant-phase element: multi-term members
+MULTI_TERM_DECK = """
+I1 0 n1 1m
+R1 n1 0 1k
+C1 n1 0 1u
+P1 n1 0 1u 0.5
 """
 
 GRID = (5e-3, 48)
@@ -216,8 +227,11 @@ class TestExecutorCorrectness:
         assert result.info["n_tasks"] == 2
         # one factorisation per distinct pencil, shared by its members
         assert result.info["factorisations"] == 2
-        chunk_indices = sorted(chunk.indices for chunk in executor.iter_chunks(ens, GRID))
-        assert chunk_indices == [(0, 1, 3), (2,)]
+        # each batched member matches its own standalone run (a
+        # multi-column sweep may round its last bit differently)
+        for member, res in zip(ens, result):
+            ref = Simulator(member.system, GRID).run(member.u)
+            np.testing.assert_allclose(res.coefficients, ref.coefficients, rtol=1e-12)
 
     def test_equal_value_members_share_a_pencil(self, rc_netlist):
         ens = Ensemble.variations(rc_netlist, {"R1": [1e3, 1e3, 2e3]})
@@ -263,14 +277,6 @@ class TestExecutorCorrectness:
             ParallelExecutor("serial").run(
                 Ensemble([EnsembleMember(rc_system())]), GRID
             )
-
-    def test_iter_chunks_covers_all_members(self, rc_netlist):
-        ens = mc_ensemble(rc_netlist, n=5)
-        executor = ParallelExecutor("serial", jobs=2)
-        seen: list[int] = []
-        for chunk in executor.iter_chunks(ens, GRID):
-            seen.extend(chunk.indices)
-        assert sorted(seen) == list(range(5))
 
     def test_member_results_have_outputs(self, rc_netlist):
         ens = Ensemble.variations(
@@ -340,10 +346,35 @@ class TestDeterministicSeeding:
             again = Ensemble.variations(rc_netlist, {"R1": 0.2, "C1": 0.1}, **spec)
             assert [m.params for m in again] == [m.params for m in reference]
 
-    def test_serial_vs_process_bit_identical(self, rc_netlist):
+    @pytest.mark.parametrize(
+        "deck, varied, sparse, system_type",
+        [
+            pytest.param(RC_DECK, "C1", "auto", DescriptorSystem, id="dense"),
+            pytest.param(RC_DECK, "C1", "always", DescriptorSystem, id="sparse"),
+            pytest.param(
+                CPE_DECK, "P1", "auto", FractionalDescriptorSystem, id="fractional"
+            ),
+            pytest.param(
+                MULTI_TERM_DECK, "P1", "auto", MultiTermSystem, id="multi-term"
+            ),
+        ],
+    )
+    def test_serial_vs_process_bit_identical(self, deck, varied, sparse, system_type):
         """Acceptance regression: seeded MC ensembles are bit-identical
-        between the serial baseline and the process executor."""
-        ens = mc_ensemble(rc_netlist, n=8, seed=2012)
+        between the serial baseline and the process executor, whatever
+        the members' storage and model kind."""
+        ens = Ensemble.variations(
+            Netlist.from_spice(deck),
+            {"R1": 0.2, varied: 0.1},
+            mode="monte-carlo",
+            n=8,
+            seed=2012,
+            sparse=sparse,
+        )
+        assert all(type(member.system) is system_type for member in ens)
+        if system_type is DescriptorSystem:
+            stored_sparse = [hasattr(member.system.E, "tocsr") for member in ens]
+            assert stored_sparse == [sparse == "always"] * len(ens)
         serial = ParallelExecutor("serial", jobs=JOBS).run(ens, GRID)
         process = ParallelExecutor("process", jobs=JOBS).run(ens, GRID)
         assert np.array_equal(serial.coefficients, process.coefficients)
@@ -361,12 +392,11 @@ def singular_system() -> DescriptorSystem:
 
 
 def big_dense_system(n: int = 80) -> DescriptorSystem:
-    """Dense system big enough to cross the shared-memory threshold."""
+    """A dense ``n``-state system with a stable, well-conditioned pencil."""
     rng = np.random.default_rng(0)
     A = -np.eye(n) + 0.01 * rng.standard_normal((n, n))
     B = np.zeros((n, 1))
     B[0, 0] = 1.0
-    assert 2 * n * n * 8 >= SHM_MIN_BYTES
     return DescriptorSystem(np.eye(n), A, B)
 
 
@@ -386,21 +416,6 @@ class TestFailurePaths:
         assert error.member_indices == (1,)
         assert isinstance(error.__cause__, SolverError)
         assert "singular" in str(error.__cause__)
-        # the healthy members' chunks were not discarded
-        assert sorted(i for c in error.chunks for i in c.indices) == [0, 2]
-
-    def test_iter_chunks_streams_remaining_chunks_before_raising(self):
-        members = [
-            (rc_system(1.0), 1.0),
-            (singular_system(), 1.0),
-            (rc_system(2.0), 1.0),
-        ]
-        executor = ParallelExecutor("serial", jobs=1)
-        streamed: list[int] = []
-        with pytest.raises(EnsembleError, match="member 1"):
-            for chunk in executor.iter_chunks(Ensemble(members), GRID):
-                streamed.extend(chunk.indices)
-        assert sorted(streamed) == [0, 2]
 
     def test_sharded_failure_reports_every_member_of_the_unit(self):
         """Regression: a failing batched unit accounts for ALL of its
@@ -414,7 +429,6 @@ class TestFailurePaths:
             executor.run(ens, GRID)
         error = excinfo.value
         assert error.member_indices == (0, 1, 2)
-        assert sorted(i for c in error.chunks for i in c.indices) == [3]
 
     def test_failed_label_in_message(self, rc_netlist):
         ens = Ensemble(
@@ -429,7 +443,7 @@ class TestFailurePaths:
         executor = ParallelExecutor("process", jobs=2)
         result = executor.run(ens, (1.0, 32))
         assert result.info["shm_bytes"] > 0
-        assert executor.shm_names_created, "expected shared-memory shipping"
+        assert executor.shm_names_created, "expected shared-memory output segments"
         for name in executor.shm_names_created:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
@@ -446,8 +460,26 @@ class TestFailurePaths:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
+    def test_without_shm_coefficients_pickle_back(self, monkeypatch):
+        """Where no segment can be made the coefficients come back
+        pickled, bit-identical to the serial run."""
+        import repro.engine.executor as executor_module
+
+        def no_shm(shapes):
+            raise OSError("no /dev/shm")
+
+        monkeypatch.setattr(executor_module, "_alloc_shm", no_shm)
+        ens = Ensemble([(big_dense_system(80), 1.0), (big_dense_system(81), 1.0)])
+        serial = ParallelExecutor("serial", jobs=2).run(ens, (1.0, 32))
+        with ParallelExecutor("process", jobs=2) as executor:
+            process = executor.run(ens, (1.0, 32))
+        assert process.info["shm_bytes"] == 0
+        assert executor.shm_names_created == []
+        for s_res, p_res in zip(serial, process):
+            assert np.array_equal(s_res.coefficients, p_res.coefficients)
+
     def test_serial_results_match_shm_shipped_results(self):
-        """Shipping through shared memory must not change a single bit."""
+        """Returning through shared memory must not change a single bit."""
         systems = [big_dense_system(80), big_dense_system(81)]
         ens = Ensemble([(s, 1.0) for s in systems])
         serial = ParallelExecutor("serial", jobs=2).run(ens, (1.0, 32))

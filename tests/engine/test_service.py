@@ -200,6 +200,15 @@ class TestProtocol:
             assert c.ping()
             assert c.stats()["errors"] == 5
 
+    @pytest.mark.parametrize("op", ["lint", "simulate"])
+    def test_unsupported_card_fails_alone(self, daemon, op):
+        """A deck with an unknown one-token card answers ``ok: false``
+        and the connection stays usable."""
+        with daemon.client() as c:
+            with pytest.raises(ServiceError, match="unsupported card 'Z1'"):
+                c._round_trip({"op": op, "netlist": DECK + "Z1\n"})
+            assert c.ping()
+
     @pytest.mark.parametrize(
         "field, request_fields",
         [

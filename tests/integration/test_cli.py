@@ -507,6 +507,13 @@ class TestCliNetlistMode:
         assert "simulated [0, 0.01) s with m=100" in out
         assert "AC sweep" in out and "|v(out)| [dB]" in out
 
+    def test_unsupported_card_is_a_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cir"
+        path.write_text(RC_NETLIST + "Z1\n")
+        for args in (["--netlist", str(path), "--lint"], [str(path)]):
+            assert run(args) == 1
+            assert "error: unsupported card 'Z1'" in capsys.readouterr().err
+
     def test_flag_and_positional_conflict(self, cir_file, capsys):
         code = run(["--netlist", str(cir_file), str(cir_file)])
         assert code == 2
