@@ -15,19 +15,16 @@ integration matrix,
     E Z = A Z F + (A x_0) c_1^T + B U,
 
 where ``c_1`` is the coefficient vector of the constant function 1.
-The unknown ``Z`` solves a Sylvester-type equation that is
-
-* triangular for block pulse / Laguerre (solved column by column with
-  a cached pencil factorisation of ``E - F_jj A``),
-* dense-small for polynomial spectral bases, in which case this
-  function delegates to the engine's
-  :class:`~repro.engine.session.Simulator` spectral plan -- the same
-  Kronecker integral-form solve, with sparse support and a cached
-  factorisation (one implementation of that math, not two), and
-* dense-small for Walsh/Haar (conjugated ``F``), solved here in
-  Kronecker form on purpose: the engine's pwconst plan is the
-  *differential* formulation, and this function is the integral-form
-  ablation axis.
+The unknown ``Z`` solves a Sylvester-type equation.  One path serves
+every basis: :func:`repro.engine.kernels.schur_form` triangularises
+``F = Q T Q^T`` (``Q = I`` when ``F`` is already upper triangular, as
+for block pulse and Laguerre), and
+:func:`repro.engine.kernels.sweep_integral` solves column by column
+with a cached pencil factorisation of ``E - T_jj A`` per distinct
+diagonal entry.  Walsh/Haar (conjugated, defective ``F``) and the
+polynomial spectral bases take the real Schur rotation; this is the
+integral-form ablation axis beside the engine's differential-form
+piecewise-constant plan.
 
 This gives the paper's "other basis functions" a working solver and an
 ablation axis: Tustin-inverse vs Riemann-Liouville integration matrices
@@ -42,17 +39,13 @@ import numpy as np
 
 from ..basis.base import BasisSet
 from ..basis.block_pulse import BlockPulseBasis
-from ..basis.pwconst import PiecewiseConstantBasis
 from ..engine import kernels
 from ..engine.backends import PencilBank, select_backend
-from ..errors import BasisError, SolverError
+from ..errors import BasisError
 from .lti import DescriptorSystem
 from .result import SimulationResult
 
 __all__ = ["simulate_opm_integral"]
-
-#: Refuse dense Kronecker fallbacks larger than this (rows).
-MAX_DENSE_SIZE = 6000
 
 
 def _integration_matrix(basis: BasisSet, alpha: float, construction: str) -> np.ndarray:
@@ -62,13 +55,6 @@ def _integration_matrix(basis: BasisSet, alpha: float, construction: str) -> np.
     if isinstance(basis, BlockPulseBasis):
         return basis.fractional_integration_matrix(alpha, construction=construction)
     return basis.fractional_integration_matrix(alpha)
-
-
-def _is_upper_triangular(matrix: np.ndarray) -> bool:
-    lower = matrix[np.tril_indices(matrix.shape[0], -1)]
-    if lower.size == 0:
-        return True
-    return float(np.max(np.abs(lower))) <= 1e-12 * max(float(np.max(np.abs(matrix))), 1.0)
 
 
 def simulate_opm_integral(
@@ -124,18 +110,6 @@ def simulate_opm_integral(
     start = time.perf_counter()
     F = _integration_matrix(basis, system.alpha, construction)
 
-    if not _is_upper_triangular(F) and not isinstance(basis, PiecewiseConstantBasis):
-        # polynomial spectral basis: one implementation of the Kronecker
-        # integral-form math lives in the engine's spectral plan
-        from ..engine.session import Simulator
-
-        result = Simulator(system, basis).run(u)
-        result.wall_time = time.perf_counter() - start
-        result.info["method"] = "opm-integral[spectral]"
-        return result
-
-    m = basis.size
-    n = system.n_states
     U = project_input(u, basis, system.n_inputs)
     R = system.B @ U
 
@@ -145,34 +119,12 @@ def simulate_opm_integral(
     if offset is not None:
         R = R + np.outer(offset, ones_coeffs)
 
-    if _is_upper_triangular(F):
-        # Column sweep: (E - F_jj A) z_j = r_j + A sum_{i<j} F_ij z_i,
-        # i.e. the differential-form sweep over the pencil (E', A') =
-        # (-A, -E): sigma E' - A' = E - F_jj A at sigma = F_jj, and the
-        # tail r_j - E' s = r_j + A s exactly.
-        bank = PencilBank(select_backend(-1.0 * system.A, -1.0 * system.E))
-        Z = kernels.sweep_general(bank, R, F)
-        factorisations = bank.factorisations
-        method = f"opm-integral[{construction}]"
-    else:
-        # Walsh/Haar: the conjugated F is dense, so solve the (small)
-        # Kronecker form directly -- this IS the integral-form ablation
-        # in the transformed basis, deliberately not delegated to the
-        # engine's (differential-form) pwconst plan
-        if n * m > MAX_DENSE_SIZE:
-            raise SolverError(
-                f"dense integral-form system of size {n * m} exceeds "
-                f"MAX_DENSE_SIZE={MAX_DENSE_SIZE}; use a block-pulse basis"
-            )
-        import scipy.sparse as sp
-
-        E_d = system.E.toarray() if sp.issparse(system.E) else np.asarray(system.E)
-        A_d = system.A.toarray() if sp.issparse(system.A) else np.asarray(system.A)
-        big = np.kron(np.eye(m), E_d) - np.kron(F.T, A_d)
-        vec_z = np.linalg.solve(big, R.T.reshape(-1))
-        Z = vec_z.reshape(m, n).T
-        factorisations = 1
-        method = "opm-integral[dense]"
+    # E Z - A Z F = R over the swapped pencil (E', A') = (-A, -E):
+    # sigma E' - A' = E - sigma A at each eigenvalue shift of Schur T
+    T, Q = kernels.schur_form(F)
+    bank = PencilBank(select_backend(-1.0 * system.A, -1.0 * system.E))
+    Z = kernels.sweep_integral(bank, R, T, Q)
+    method = f"opm-integral[{construction if Q is None else 'schur'}]"
 
     X = Z @ F
     if system.x0 is not None:
@@ -188,6 +140,6 @@ def simulate_opm_integral(
         info={
             "method": method,
             "alpha": system.alpha,
-            "factorisations": factorisations,
+            "factorisations": bank.factorisations,
         },
     )

@@ -18,6 +18,11 @@ storage-agnostic:
   one LU per distinct shift ``sigma``, reused across columns, calls,
   and batched multi-RHS sweeps.
 
+Shifts are real for the differential-form sweeps and complex for the
+Schur-rotated integral form (the eigenvalues of a spectral integration
+matrix); a complex shift factorises a complex pencil, a real one keeps
+real arithmetic.
+
 Both backends solve blocks of right-hand sides in one call
 (``rhs`` of shape ``(n, k)``), which is what makes the engine's batched
 multi-input sweep one ``lu_solve`` per column for *all* inputs.
@@ -96,8 +101,9 @@ class PencilBackend(abc.ABC):
         """State dimension (number of pencil rows)."""
 
     @abc.abstractmethod
-    def factorize(self, sigma: float):
-        """Factorise the shifted pencil ``sigma E - A``.
+    def factorize(self, sigma: complex):
+        """Factorise the shifted pencil ``sigma E - A`` (real or complex
+        ``sigma``).
 
         Returns an opaque handle for :meth:`solve`.
 
@@ -127,7 +133,7 @@ class PencilBackend(abc.ABC):
         """Matrix-vector/matrix product ``E @ x`` (used by history tails)."""
 
 
-def _raise_singular(sigma: float, exc: Exception):
+def _raise_singular(sigma: complex, exc: Exception):
     raise SingularPencilError(
         f"shifted pencil sigma*E - A is singular at sigma={sigma:g}; "
         "for circuit models this usually means a structural defect -- "
@@ -156,7 +162,7 @@ class DenseBackend(PencilBackend):
         """State dimension (number of pencil rows)."""
         return self.E.shape[0]
 
-    def factorize(self, sigma: float):
+    def factorize(self, sigma: complex):
         """LU-factorise ``sigma E - A`` via :func:`scipy.linalg.lu_factor`."""
         pencil = sigma * self.E - self.A
         try:
@@ -218,7 +224,7 @@ class SparseBackend(PencilBackend):
         """State dimension (number of pencil rows)."""
         return self.E.shape[0]
 
-    def factorize(self, sigma: float):
+    def factorize(self, sigma: complex):
         """Sparse-LU-factorise ``sigma E - A`` via :func:`scipy.sparse.linalg.splu`."""
         import scipy.sparse.linalg as spla  # dense-only runs never load it
 
@@ -343,7 +349,7 @@ class PencilBank:
 
     Wraps a :class:`PencilBackend` and memoises one factorisation per
     distinct ``(pencil stamp, shift)`` pair.  The shift key is the exact
-    float value of ``sigma``; adaptive controllers that reuse a ladder
+    (real or complex) value of ``sigma``; adaptive controllers that reuse a ladder
     of step sizes (h, h/2, 2h, ...) hit the cache on every revisited
     step size, and a warm :class:`~repro.engine.session.Simulator`
     session hits it on every call.
@@ -375,8 +381,8 @@ class PencilBank:
         max_bytes: int | None = None,
     ) -> None:
         self.backend = backend
-        self._cache: OrderedDict[tuple[int, float], object] = OrderedDict()
-        self._handle_bytes: dict[tuple[int, float], int] = {}
+        self._cache: OrderedDict[tuple[int, complex], object] = OrderedDict()
+        self._handle_bytes: dict[tuple[int, complex], int] = {}
         self._backends: list[PencilBackend] = [backend]
         self._stamp_keys: dict[tuple, int] = {
             pencil_fingerprint(backend.E, backend.A): 0
@@ -416,7 +422,7 @@ class PencilBank:
             return True
         return self.max_bytes is not None and self._nbytes > self.max_bytes
 
-    def _evict(self, keep: tuple[int, float] | None) -> None:
+    def _evict(self, keep: tuple[int, complex] | None) -> None:
         """Drop least-recently-used handles until within budget.
 
         The handle named by ``keep`` (the one about to be returned to a
@@ -499,7 +505,7 @@ class PencilBank:
         return self._stamp
 
     @property
-    def cached_shifts(self) -> list[tuple[int, float]]:
+    def cached_shifts(self) -> list[tuple[int, complex]]:
         """Resident ``(stamp, sigma)`` keys, least recently used first."""
         with self._lock:
             return list(self._cache)
@@ -541,7 +547,7 @@ class PencilBank:
         """Product ``E @ x`` through the active backend (history-tail helper)."""
         return self.backend.apply_E(x)
 
-    def _handle(self, sigma: float):
+    def _handle(self, sigma: complex):
         """The active stamp's factorisation at ``sigma`` (caller holds
         the lock): a hit refreshes its LRU slot, a miss factorises,
         records its bytes and evicts down to the bounds."""
@@ -560,7 +566,7 @@ class PencilBank:
         self._evict(keep=key)
         return handle
 
-    def solve(self, sigma: float, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, sigma: complex, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(sigma E - A) x = rhs``, factorising at most once per
         ``(stamp, sigma)`` while it stays resident.
 
@@ -580,7 +586,7 @@ class PencilBank:
             )
         return out
 
-    def solver(self, sigma: float):
+    def solver(self, sigma: complex):
         """Bound fast-path solver for one shift: ``rhs -> x``.
 
         Resolves the ``(stamp, sigma)`` factorisation once (counting a

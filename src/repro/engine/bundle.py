@@ -18,7 +18,9 @@ assumption: an :class:`OperatorBundle` wraps one
     sweep applies with different coefficients;
   - ``'spectral'`` -- polynomial bases (Chebyshev, Legendre, and any
     user-defined :class:`BasisSet`), solved in the integral
-    formulation with one cached Kronecker factorisation per session;
+    formulation by a column sweep in the Schur coordinates of the
+    integration matrix (one cached pencil factorisation per Schur
+    diagonal entry);
 
 * cached access to the operational matrices it needs (delegating to
   the per-instance caches installed by

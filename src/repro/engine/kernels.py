@@ -32,6 +32,14 @@ roughly one transient-analysis sweep.  Three accumulation strategies:
   (18), (25)-(27)): arbitrary upper-triangular ``D`` with per-column
   diagonal, one cached factorisation per distinct diagonal value.
 
+The integral form ``E Z - A Z F = S`` (spectral bases, the method zoo)
+has a full ``F``; in its real Schur coordinates ``F = Q T Q^T``
+(:func:`schur_form`) it is the block-triangular ``E W - A W T = S Q``,
+swept by :func:`sweep_integral` with one shift per real eigenvalue or
+conjugate pair.  The rotated Kronecker operator is block triangular
+with diagonal blocks ``E - lambda A`` (per eigenvalue), so the sweep is
+singular exactly when the Kronecker solve is.
+
 The engine's extension is **batched right-hand sides**: every kernel
 accepts ``R`` of shape ``(n, m)`` (one input) or ``(n, m, k)`` (``k``
 stacked inputs) and returns ``X`` of the same shape.  In the batched
@@ -53,11 +61,19 @@ layout changed.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from ..errors import SolverError
 from .backends import PencilBank
 
-__all__ = ["sweep_toeplitz", "sweep_general", "sweep_multiterm"]
+__all__ = [
+    "sweep_toeplitz",
+    "sweep_general",
+    "sweep_integral",
+    "sweep_multiterm",
+    "schur_form",
+    "is_upper_triangular",
+]
 
 
 def _as_batched(R) -> tuple:
@@ -183,12 +199,24 @@ def _sweep_alternating(solve, apply_E, R3, c1: float):
     return X
 
 
+def is_upper_triangular(matrix) -> bool:
+    """True when ``matrix`` has no entry below the diagonal above
+    ``1e-10`` of its largest magnitude (or of 1, if smaller)."""
+    matrix = np.asarray(matrix)
+    lower = matrix[np.tril_indices(matrix.shape[0], -1)]
+    if not lower.size:
+        return True
+    scale = max(float(np.max(np.abs(matrix))), 1.0)
+    return float(np.max(np.abs(lower))) <= 1e-10 * scale
+
+
 def sweep_general(bank: PencilBank, R: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Solve ``E X D = A X + R`` for a general upper-triangular ``D``.
 
     Used for adaptive grids where ``D`` is triangular but not Toeplitz
-    (paper eqs. (18), (25)-(27)).  Factorisations are cached per
-    distinct diagonal entry in the bank.
+    (paper eqs. (18), (25)-(27)), and for the integral form of an
+    upper-triangular operator (:func:`sweep_integral`).  Factorisations
+    are cached per distinct diagonal entry in the bank.
 
     Raises
     ------
@@ -204,8 +232,7 @@ def sweep_general(bank: PencilBank, R: np.ndarray, D: np.ndarray) -> np.ndarray:
     n = R3.shape[0]
     if R3.shape[1] != m:
         raise SolverError(f"R must be (n, {m}), got {np.asarray(R).shape}")
-    lower = D[np.tril_indices(m, -1)]
-    if lower.size and np.max(np.abs(lower)) > 1e-10 * max(np.max(np.abs(D)), 1.0):
+    if not is_upper_triangular(D):
         raise SolverError("D must be upper triangular for the column sweep")
 
     X = np.empty((n, m, R3.shape[2]))
@@ -219,6 +246,60 @@ def sweep_general(bank: PencilBank, R: np.ndarray, D: np.ndarray) -> np.ndarray:
             rhs = R3[:, j, :] - bank.apply_E(s)
         X[:, j, :] = bank.solve(float(D[j, j]), rhs)
     return X[:, :, 0] if squeeze else X
+
+
+def schur_form(F) -> tuple:
+    """``(T, Q)`` with ``F = Q T Q^T``: the real Schur form, or
+    ``(F, None)`` (``Q = I``) when ``F`` is upper triangular."""
+    F = np.asarray(F, dtype=float)
+    if is_upper_triangular(F):
+        return F, None
+    return scipy.linalg.schur(F)
+
+
+def sweep_integral(
+    bank: PencilBank, S: np.ndarray, T: np.ndarray, Q: np.ndarray | None
+) -> np.ndarray:
+    """Solve ``E Z - A Z F = S`` for ``F = Q T Q^T`` (:func:`schur_form`).
+
+    ``bank`` is built over the swapped pencil ``(-A, -E)``, whose
+    shift-``t`` factorisation is ``E - t A``.  With ``W = Z Q``, diagonal
+    block ``J`` of ``T`` reads ``E W_J - A W_J T_JJ = (S Q)_J + A sum_{I<J}
+    W_I T_IJ``: a 1x1 block is one real solve, a 2x2 block (a conjugate
+    pair) one complex solve for ``z = w_1 + mu w_2``.
+    """
+    if Q is None:
+        return sweep_general(bank, S, T)
+    S3, squeeze = _as_batched(S)
+    n, m, k = S3.shape
+    Rt = Q.T @ S3.transpose(1, 0, 2).reshape(m, n * k)  # row j: (S Q)[:, j]
+    Wt = np.empty((m, n * k))
+    j = 0
+    while j < m:
+        s = 2 if j + 1 < m and T[j + 1, j] != 0.0 else 1
+        B = Rt[j : j + s]
+        if j:
+            H = (T[:j, j : j + s].T @ Wt[:j]).reshape(s, n, k)
+            EH = bank.apply_E(H.transpose(1, 0, 2).reshape(n, s * k))  # -A H
+            B = B - EH.reshape(n, s, k).transpose(1, 0, 2).reshape(s, n * k)
+        if s == 1:
+            Wt[j] = bank.solver(float(T[j, j]))(B[0].reshape(n, k)).ravel()
+        else:
+            # lambda = a + mu b, with b mu^2 + (a - d) mu - c = 0
+            (a, b), (c, d) = T[j : j + 2, j : j + 2]
+            root = complex(np.sqrt(complex((a - d) ** 2 + 4.0 * b * c)))
+            mu = (d - a + root) / (2.0 * b)
+            z = bank.solver(a + mu * b)((B[0] + mu * B[1]).reshape(n, k)).ravel()
+            Wt[j + 1] = z.imag / mu.imag
+            Wt[j] = z.real - mu.real * Wt[j + 1]
+        j += s
+    if not np.isfinite(Wt).all():
+        raise SolverError(
+            "integral sweep produced non-finite values (singular or "
+            "extremely ill-conditioned pencil E - t A at a Schur shift)"
+        )
+    Z = (Q @ Wt).reshape(m, n, k).transpose(1, 0, 2).copy()  # Z = W Q^T
+    return Z[:, :, 0] if squeeze else Z
 
 
 def sweep_multiterm(

@@ -38,11 +38,11 @@ Sessions bound to non-block-pulse bases march too:
   guarantees as above.
 * **Spectral** sessions (Chebyshev/Legendre) perform *hybrid-function
   marching* in the sense of Damarla & Kundu's orthogonal hybrid
-  functions: each window is a fresh spectral expansion on the shared
-  cached Kronecker operator; classical systems carry the terminal
-  state (exact polynomial evaluation at the window edge), fractional
-  systems carry the Riemann-Liouville memory of every previous window
-  through the cached lag operators of
+  functions: each window is a fresh spectral expansion swept on the
+  session's cached Schur-shift factorisations; classical systems carry
+  the terminal state (exact polynomial evaluation at the window edge),
+  fractional systems the Riemann-Liouville memory of every previous
+  window through the cached lag operators of
   :meth:`~repro.engine.bundle.OperatorBundle.history_matrix` -- a few
   GEMMs per window instead of a growing global solve.
 """
@@ -70,7 +70,7 @@ from ..fractional.soe import (
     require_certified,
 )
 from . import assembly, kernels
-from .backends import pencil_fingerprint, select_backend
+from .backends import pencil_fingerprint
 from .inputs import normalise_input_callable, project_input
 
 __all__ = ["Event", "march"]
@@ -283,52 +283,63 @@ def _bucket_events(events, window: float, t_end: float, n_windows: int) -> dict:
     return by_window
 
 
-def _apply_window_events(
-    events,
-    k: int,
-    window: float,
-    system,
-    bank,
-    inputs,
-    applied_events: list,
-    make_backend,
-    on_restamp=None,
-) -> tuple:
-    """Apply one window's events (shared by both marching flavours).
+class _WindowRun:
+    """The window loop both marches share: each window's events (pencil
+    events restamp through ``plan.restamp``, then the optional hook
+    ``on_restamp(event, old_system, new_system)`` adjusts carried state)
+    and session-basis input, the per-window results, and on exit the
+    bank's return to the base stamp, so later calls never solve
+    against an event pencil."""
 
-    ``make_backend(new_system)`` builds the restamp backend (plain
-    pencil for the triangular march, Kronecker operator for the
-    spectral one); ``on_restamp(event, old_system, new_system)`` is an
-    optional hook for flavour-specific carried-state adjustments.
-    Returns ``(active system, number of restamps applied)``.
-    """
-    restamps = 0
-    for event in events:
-        if event.changes_pencil:
-            new_system = event.resolve_system(system)
-            before = bank.stamps
-            bank.restamp(make_backend(new_system))
-            restamps += 1
-            if on_restamp is not None:
-                on_restamp(event, system, new_system)
-            system = new_system
-            applied_events.append(
-                {
-                    "t": k * window,
-                    "label": event.label,
-                    "restamp": True,
-                    "new_stamp": bank.stamps > before,
-                }
-            )
-        if event.u is not None:
-            inputs.set_input(event.u)
-        if event.scale is not None:
-            inputs.apply_scale(event.scale)
-        if not event.changes_pencil:
-            applied_events.append(
-                {"t": k * window, "label": event.label, "restamp": False}
-            )
-    return system, restamps
+    def __init__(self, sim, u, n_windows: int, by_window: dict, basis, on_restamp=None):
+        self.plan = sim._plan
+        self.system = self.plan.system
+        self.inputs = _WindowInputs(u, sim._basis, self.system.n_inputs, n_windows)
+        self.windows: list[SimulationResult] = []
+        self.events: list[dict] = []
+        self.restamps = 0
+        self.start = time.perf_counter()
+        self._by_window = by_window
+        self._basis = basis
+        self._window = sim._basis.t_end
+        self._on_restamp = on_restamp
+
+    def __enter__(self) -> "_WindowRun":
+        self._base_stamp = self.plan.bank.stamp
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.plan.bank.use(self._base_stamp)
+
+    def begin(self, k: int):
+        """Apply window ``k``'s events; returns the active system."""
+        bank = self.plan.bank
+        for event in self._by_window.get(k, ()):
+            record = {"t": k * self._window, "label": event.label}
+            record["restamp"] = event.changes_pencil
+            if event.changes_pencil:
+                new_system = event.resolve_system(self.system)
+                before = bank.stamps
+                self.plan.restamp(new_system)
+                self.restamps += 1
+                if self._on_restamp is not None:
+                    self._on_restamp(event, self.system, new_system)
+                self.system = new_system
+                record["new_stamp"] = bank.stamps > before
+            if event.u is not None:
+                self.inputs.set_input(event.u)
+            if event.scale is not None:
+                self.inputs.apply_scale(event.scale)
+            self.events.append(record)
+        return self.system
+
+    def record(self, k: int, X: np.ndarray, U: np.ndarray) -> None:
+        """Keep window ``k``'s solution ``X`` for input coefficients ``U``."""
+        info = self.plan.info()
+        info.update(window_index=k, t_offset=k * self._window)
+        self.windows.append(
+            SimulationResult(self._basis, X, self.system, U, wall_time=None, info=info)
+        )
 
 
 def march(sim, u, t_end: float, *, events=()) -> MarchingResult:
@@ -359,9 +370,44 @@ def march(sim, u, t_end: float, *, events=()) -> MarchingResult:
             "(the Krylov subspace is built for one pencil); march the "
             "full model (reduce=None) for switching circuits"
         )
-    if plan.kind == "spectral":
-        return _march_spectral(sim, u, t_end, events)
-    return _march_triangular(sim, u, t_end, events)
+    if plan.kind == "descriptor" and plan.coeffs is None:
+        raise SolverError(
+            "march requires a uniform window grid (the adaptive operator is "
+            "not Toeplitz, so windows cannot share one pencil bank)"
+        )
+    t_end = float(t_end)
+    if t_end <= 0.0:
+        raise SolverError(f"t_end must be positive, got {t_end}")
+    window = sim._basis.t_end
+    n_windows = _boundary_index(t_end, window, t_end, "t_end")
+    if n_windows < 1:
+        raise SolverError(
+            f"t_end={t_end:g} is shorter than the session window {window:g}"
+        )
+    by_window = _bucket_events(events, window, t_end, n_windows)
+    flavour = _march_spectral if plan.kind == "spectral" else _march_triangular
+    return flavour(sim, u, n_windows, by_window)
+
+
+def _march_result(sim, method: str, run: _WindowRun, memory) -> MarchingResult:
+    """Stitch a finished march's windows with the march-level ``info``."""
+    basis = sim._basis
+    info = sim._plan.info()
+    info.update(
+        method=method,
+        basis=basis.name,
+        windows=len(run.windows),
+        window_m=basis.size,
+        window_length=basis.t_end,
+        events=run.events,
+        restamps=run.restamps,
+        stamps=sim._plan.bank.stamps,
+    )
+    if memory is not None:
+        info["memory"] = memory
+    sim._runs += 1
+    wall = time.perf_counter() - run.start
+    return MarchingResult(run.windows, basis.t_end, wall_time=wall, info=info)
 
 
 def _resolve_tail(sim, full_coeffs: np.ndarray, m: int, n_windows: int):
@@ -393,46 +439,42 @@ def _resolve_tail(sim, full_coeffs: np.ndarray, m: int, n_windows: int):
     return HistoryTail(full_coeffs, block_columns=m), memory_info
 
 
-def _march_triangular(sim, u, t_end: float, events=()) -> MarchingResult:
+def _march_triangular(sim, u, n_windows: int, by_window: dict) -> MarchingResult:
     """State-carrying march on the block-pulse (or transformed) plan."""
     plan = sim._plan
-    basis = sim._solve_basis
-    grid = basis.grid
-    if plan.coeffs is None:
-        raise SolverError(
-            "march requires a uniform window grid (the adaptive operator is "
-            "not Toeplitz, so windows cannot share one pencil bank)"
-        )
-    t_end = float(t_end)
-    if t_end <= 0.0:
-        raise SolverError(f"t_end must be positive, got {t_end}")
-    window = grid.t_end
+    grid = sim._solve_basis.grid
     m, h = grid.m, grid.h
-    n_windows = _boundary_index(t_end, window, t_end, "t_end")
-    if n_windows < 1:
-        raise SolverError(
-            f"t_end={t_end:g} is shorter than the session window {window:g}"
-        )
-
-    by_window = _bucket_events(events, window, t_end, n_windows)
-
     system = plan.system
     bank = plan.bank
-    backend_mode = getattr(plan, "backend_mode", "auto")
     alpha = system.alpha
     first_order = alpha == 1.0
     coeffs = plan.coeffs
-    sigma = float(coeffs[0])
     n = system.n_states
 
-    # inputs are interpreted in the SESSION basis (exactly like run());
+    prev_X: np.ndarray | None = None
+
+    def on_restamp(event, old_system, new_system):
+        # carried-state adjustments specific to the triangular march
+        nonlocal w, x0_offset
+        if first_order and pencil_fingerprint(new_system.E) != pencil_fingerprint(
+            old_system.E
+        ):
+            # w = E x is discontinuous across an E change; rebuild it
+            # from the O(h^2) terminal-state estimate of the previous
+            # window (exactness is only guaranteed for events that
+            # keep E)
+            x_est = (
+                terminal_state_estimate(prev_X)
+                if prev_X is not None
+                else np.zeros(n)
+            )
+            w = np.asarray(bank.apply_E(x_est)).reshape(-1)
+        if not first_order and x0_offset is not None:
+            x0_offset = np.asarray(new_system.A @ x0).reshape(-1)
+
     # transformed sessions encode each window into block-pulse
     # coordinates right after projection
-    inputs = _WindowInputs(u, sim._basis, system.n_inputs, n_windows)
-
-    start = time.perf_counter()
-    applied_events: list[dict] = []
-    restamps = 0
+    run = _WindowRun(sim, u, n_windows, by_window, sim._solve_basis, on_restamp)
 
     x0 = system.x0  # the global t=0 initial state, fixed across events
     if first_order:
@@ -458,45 +500,10 @@ def _march_triangular(sim, u, t_end: float, events=()) -> MarchingResult:
         signs = None
         x0_offset = plan._offset  # A x0, or None
 
-    windows: list[SimulationResult] = []
-    prev_X: np.ndarray | None = None
-    base_stamp = bank.stamp  # restore after eventful excursions
-
-    def on_restamp(event, old_system, new_system):
-        # carried-state adjustments specific to the triangular march
-        nonlocal w, x0_offset
-        if first_order and pencil_fingerprint(new_system.E) != pencil_fingerprint(
-            old_system.E
-        ):
-            # w = E x is discontinuous across an E change; rebuild it
-            # from the O(h^2) terminal-state estimate of the previous
-            # window (exactness is only guaranteed for events that
-            # keep E)
-            x_est = (
-                terminal_state_estimate(prev_X)
-                if prev_X is not None
-                else np.zeros(n)
-            )
-            w = np.asarray(bank.apply_E(x_est)).reshape(-1)
-        if not first_order and x0_offset is not None:
-            x0_offset = np.asarray(new_system.A @ x0).reshape(-1)
-
-    try:
+    with run:
         for k in range(n_windows):
-            system, applied = _apply_window_events(
-                by_window.get(k, ()),
-                k,
-                window,
-                system,
-                bank,
-                inputs,
-                applied_events,
-                lambda s: select_backend(s.E, s.A, mode=backend_mode),
-                on_restamp,
-            )
-            restamps += applied
-
-            U = sim._encode_inputs(inputs.window(k))
+            system = run.begin(k)
+            U = sim._encode_inputs(run.inputs.window(k))
             R = system.B @ U
             if first_order:
                 if march_offset is not None:
@@ -519,38 +526,11 @@ def _march_triangular(sim, u, t_end: float, events=()) -> MarchingResult:
                 if x0 is not None:
                     X = X + x0[:, None]
             prev_X = X
-
-            info = plan.info()
-            info.update(window_index=k, t_offset=k * window)
-            windows.append(
-                SimulationResult(basis, X, system, U, wall_time=None, info=info)
-            )
-
-    finally:
-        # an eventful march must not leave the session bound to the
-        # event pencil: later run()/sweep()/march() calls solve against
-        # plan.system, whose pencil is the base stamp
-        bank.use(base_stamp)
+            run.record(k, X, U)
 
     if sim._transform is not None:
-        windows = [_transformed_window(sim, res) for res in windows]
-
-    wall = time.perf_counter() - start
-    info = plan.info()
-    info.update(
-        method="opm-windowed",
-        basis=sim._basis.name,
-        windows=n_windows,
-        window_m=m,
-        window_length=window,
-        events=applied_events,
-        restamps=restamps,
-        stamps=bank.stamps,
-    )
-    if memory_info is not None:
-        info["memory"] = memory_info
-    sim._runs += 1
-    return MarchingResult(windows, window, wall_time=wall, info=info)
+        run.windows = [_transformed_window(sim, res) for res in run.windows]
+    return _march_result(sim, "opm-windowed", run, memory_info)
 
 
 def _transformed_window(sim, res: SimulationResult) -> SimulationResult:
@@ -568,13 +548,16 @@ def _transformed_window(sim, res: SimulationResult) -> SimulationResult:
     )
 
 
-def _march_spectral(sim, u, t_end: float, events=()) -> MarchingResult:
+def _march_spectral(sim, u, n_windows: int, by_window: dict) -> MarchingResult:
     """Hybrid-function marching on a spectral session.
 
-    Every window is a fresh spectral expansion solved on the session's
-    cached Kronecker operator.  Classical systems carry the terminal
-    state across boundaries (exact polynomial evaluation at the window
-    edge); fractional systems carry the Riemann-Liouville memory of all
+    Every window is a fresh spectral expansion solved by the plan's
+    integral sweep: the Schur-rotated triangular sweep over the
+    session's cached ``E - lambda A`` factorisations (pencil events
+    restamp them through the plan, and revisited configurations
+    re-factorise nothing).  Classical systems carry the terminal state
+    across boundaries (exact polynomial evaluation at the window edge);
+    fractional systems carry the Riemann-Liouville memory of all
     previous windows through the cached lag operators
     ``H_l = bundle.history_matrix(alpha, l)``:
 
@@ -592,20 +575,7 @@ def _march_spectral(sim, u, t_end: float, events=()) -> MarchingResult:
     plan = sim._plan
     bundle = plan.bundle
     basis = bundle.basis
-    window = basis.t_end
-    m = basis.size
-    t_end = float(t_end)
-    if t_end <= 0.0:
-        raise SolverError(f"t_end must be positive, got {t_end}")
-    n_windows = _boundary_index(t_end, window, t_end, "t_end")
-    if n_windows < 1:
-        raise SolverError(
-            f"t_end={t_end:g} is shorter than the session window {window:g}"
-        )
-    by_window = _bucket_events(events, window, t_end, n_windows)
-
     system = plan.system
-    bank = plan.bank
     alpha = system.alpha
     first_order = alpha == 1.0
     n = system.n_states
@@ -646,29 +616,10 @@ def _march_spectral(sim, u, t_end: float, events=()) -> MarchingResult:
             None if march_offset is None else np.outer(march_offset, ones)
         )
 
-    inputs = _WindowInputs(u, basis, system.n_inputs, n_windows)
-
-    start = time.perf_counter()
-    applied_events: list[dict] = []
-    restamps = 0
-    windows: list[SimulationResult] = []
-    base_stamp = bank.stamp
-
-    try:
+    with _WindowRun(sim, u, n_windows, by_window, basis) as run:
         for k in range(n_windows):
-            system, applied = _apply_window_events(
-                by_window.get(k, ()),
-                k,
-                window,
-                system,
-                bank,
-                inputs,
-                applied_events,
-                plan.kron_backend,
-            )
-            restamps += applied
-
-            U = inputs.window(k)
+            system = run.begin(k)
+            U = run.inputs.window(k)
             R = system.B @ U
             if first_order:
                 # window variable v = x - w0, forced by B u + A w0
@@ -676,7 +627,7 @@ def _march_spectral(sim, u, t_end: float, events=()) -> MarchingResult:
                     R = R + offset_cols_fo
                 if np.any(w0):
                     R = R + np.outer(np.asarray(system.A @ w0).reshape(-1), ones)
-                V = plan.kron_solve(R @ F)
+                V = plan.integral_sweep(R @ F)
                 X = V + np.outer(w0, ones) if np.any(w0) else V
                 w0 = X @ terminal
             else:
@@ -696,7 +647,7 @@ def _march_spectral(sim, u, t_end: float, events=()) -> MarchingResult:
                         S = S + history_sources[k - lag] @ bundle.history_matrix(
                             alpha, lag
                         )
-                Z = plan.kron_solve(S)
+                Z = plan.integral_sweep(S)
                 src = np.asarray(system.A @ Z) + R
                 if soe_ops is not None:
                     # T(k+1) = mu T(k) + mu^2 (src_{k-1} @ a): window
@@ -710,30 +661,9 @@ def _march_spectral(sim, u, t_end: float, events=()) -> MarchingResult:
                 else:
                     history_sources.append(src)
                 X = Z + x0_cols if x0_cols is not None else Z
-            info = plan.info()
-            info.update(window_index=k, t_offset=k * window)
-            windows.append(
-                SimulationResult(basis, X, system, U, wall_time=None, info=info)
-            )
-    finally:
-        bank.use(base_stamp)
-
-    wall = time.perf_counter() - start
-    info = plan.info()
-    info.update(
-        method=f"opm-spectral-windowed[{basis.name}]",
-        basis=basis.name,
-        windows=n_windows,
-        window_m=m,
-        window_length=window,
-        events=applied_events,
-        restamps=restamps,
-        stamps=bank.stamps,
-    )
-    if memory_info is not None:
-        info["memory"] = memory_info
-    sim._runs += 1
-    return MarchingResult(windows, window, wall_time=wall, info=info)
+            run.record(k, X, U)
+    method = f"opm-spectral-windowed[{basis.name}]"
+    return _march_result(sim, method, run, memory_info)
 
 
 def _spectral_soe_operators(sim, bundle, alpha: float, n_windows: int):

@@ -57,13 +57,15 @@ and sample counts, solver info), ``kind: "chunk"`` lines streaming the
 sampled waveforms, and a ``kind: "done"`` line carrying the measured
 request latency, split into ``queue_ms`` (waiting for a solve thread)
 and ``solve_ms`` (the batch's solve and sampling).  Errors are single
-``kind: "error"`` lines; the request ``id`` rides along on every line.
+``kind: "error"`` lines (``kind: "internal"``, counted and logged, for
+an unexpected exception); the request ``id`` rides along on every line.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import math
 import socket
 import time
@@ -98,6 +100,15 @@ CHUNK_ROWS = 512
 
 #: Latencies kept for the p50/p99 window.
 LATENCY_WINDOW = 4096
+
+#: Longest request line (bytes): a full-precision 1,000-state dense
+#: ``system`` spec fits; a longer line is refused and its connection closed.
+REQUEST_LINE_LIMIT = 64 * 2**20
+
+#: Seconds a refused connection keeps discarding input before it closes.
+LINGER_S = 2.0
+
+_LOG = logging.getLogger(__name__)
 
 
 def _jsonable(value):
@@ -395,6 +406,7 @@ class SimulationService:
 
         self._requests = 0
         self._errors = 0
+        self._internal_errors = 0
         self._batches = 0
         self._batched_runs = 0
         self._coalesced_batches = 0
@@ -415,7 +427,10 @@ class SimulationService:
     async def start(self) -> "SimulationService":
         """Bind the listening socket; returns ``self``."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
+            self._handle_connection,
+            self.host,
+            self._requested_port,
+            limit=REQUEST_LINE_LIMIT,
         )
         return self
 
@@ -449,7 +464,11 @@ class SimulationService:
     async def _handle_connection(self, reader, writer) -> None:
         try:
             while not self._shutdown.is_set():
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # longer than REQUEST_LINE_LIMIT
+                    await self._refuse_long_line(reader, writer)
+                    break
                 if not line:
                     break
                 request: dict = {}
@@ -460,15 +479,17 @@ class SimulationService:
                     request = decoded
                     await self._handle_request(request, writer)
                 except (json.JSONDecodeError, ReproError) as exc:
-                    self._errors += 1
-                    await self._send(
-                        writer,
-                        {
-                            "id": request.get("id"),
-                            "ok": False,
-                            "kind": "error",
-                            "error": str(exc),
-                        },
+                    await self._send_error(writer, request, "error", str(exc))
+                except (ConnectionResetError, BrokenPipeError):
+                    raise
+                except Exception as exc:
+                    # the error boundary: one request's unexpected
+                    # failure is answered, counted and logged, and the
+                    # connection keeps serving
+                    self._internal_errors += 1
+                    _LOG.exception("internal error in request %r", request.get("id"))
+                    await self._send_error(
+                        writer, request, "internal", f"{type(exc).__name__}: {exc}"
                     )
         except (ConnectionResetError, BrokenPipeError):  # client went away
             pass
@@ -478,6 +499,30 @@ class SimulationService:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    async def _send_error(self, writer, request: dict, kind: str, error: str) -> None:
+        self._errors += 1
+        await self._send(
+            writer, {"id": request.get("id"), "ok": False, "kind": kind, "error": error}
+        )
+
+    async def _refuse_long_line(self, reader, writer) -> None:
+        """Answer an over-limit line, then half-close and discard input
+        for up to :data:`LINGER_S`: closing on unread input resets the
+        connection, which can drop the error line unread."""
+        limit = f"the {REQUEST_LINE_LIMIT}-byte limit (REQUEST_LINE_LIMIT)"
+        error = f"request line exceeds {limit}; closing the connection"
+        await self._send_error(writer, {}, "error", error)
+        writer.write_eof()
+
+        async def discard() -> None:
+            while await reader.read(2**16):
+                pass
+
+        try:
+            await asyncio.wait_for(discard(), LINGER_S)
+        except asyncio.TimeoutError:
+            pass
 
     async def _send(self, writer, payload: dict) -> None:
         writer.write(json.dumps(payload).encode() + b"\n")
@@ -614,7 +659,15 @@ class SimulationService:
                     "source waveform (programmatic sessions need 'input')"
                 )
         elif isinstance(u, (list, tuple)):
-            u = np.asarray(u, dtype=float)
+            # projected (shape-checked against the session's (p, m)) before
+            # queueing, so a bad array fails alone, not its coalesced batch
+            try:
+                u = session.sim.project(u)
+            except (TypeError, ValueError) as exc:
+                raise ServiceError(
+                    f"'input' must be a number or a rectangular coefficient "
+                    f"array: {exc}"
+                ) from exc
         elif not isinstance(u, (int, float)):
             raise ServiceError(
                 f"'input' must be a number or a coefficient array, got "
@@ -650,10 +703,7 @@ class SimulationService:
             payload = await pending.future
             await self._stream_result(writer, rid, pending, payload)
         except ReproError as exc:
-            self._errors += 1
-            await self._send(
-                writer, {"id": rid, "ok": False, "kind": "error", "error": str(exc)}
-            )
+            await self._send_error(writer, request, "error", str(exc))
 
     def _submit(self, fn, *args) -> asyncio.Future:
         """Run ``fn`` on the solve pool as one counted job."""
@@ -690,16 +740,20 @@ class SimulationService:
 
     def _finish(self, batch: list[_Pending], job: asyncio.Future) -> None:
         """Answer a finished batch's waiters -- a failed solve fails them,
-        whatever the exception class, and never leaves them hanging."""
+        whatever the exception class, and never leaves them hanging; a
+        request whose own payload failed gets that exception alone."""
         self._solving -= 1
         exc = job.exception()
         for i, p in enumerate(batch):
             if p.future.done():  # its connection is gone
                 continue
-            if exc is None:
-                p.future.set_result(job.result()[i])
+            out = job.result()[i] if exc is None else ServiceError(
+                f"batched solve failed: {exc}"
+            )
+            if isinstance(out, Exception):
+                p.future.set_exception(out)
             else:
-                p.future.set_exception(ServiceError(f"batched solve failed: {exc}"))
+                p.future.set_result(out)
 
     def _timed_solve(self, batch: list[_Pending]) -> list[dict]:
         """:meth:`_solve_batch`, stamping each payload with its queue wait
@@ -708,28 +762,35 @@ class SimulationService:
         payloads = self._solve_batch(batch)
         solve_ms = (time.perf_counter() - started) * 1e3
         for p, payload in zip(batch, payloads):
-            payload.update(queue_ms=(started - p.enqueued) * 1e3, solve_ms=solve_ms)
+            if isinstance(payload, dict):
+                payload.update(
+                    queue_ms=(started - p.enqueued) * 1e3, solve_ms=solve_ms
+                )
         return payloads
 
-    def _solve_batch(self, batch: list[_Pending]) -> list[dict]:
+    def _solve_batch(self, batch: list[_Pending]) -> list:
         """One batched multi-RHS solve for every queued request.
 
         Runs on a worker thread.  A single-run batch goes through
         ``run``; anything larger is one ``sweep``, and each request
-        samples its own slice of the batch.
+        samples its own slice of the batch.  Each request's payload is
+        built on its own: one whose sampling raises gets the exception
+        in its slot, and the others are still answered.
         """
         sim = batch[0].session.sim
         inputs = [u for p in batch for u in p.inputs]
-        coalesced = len(batch) > 1
-        if len(inputs) == 1:
-            return [self._build_payload(batch[0], sim.run(inputs[0]), 1, coalesced)]
-        result = sim.sweep(inputs)
-        payloads = []
+        result = sim.run(inputs[0]) if len(inputs) == 1 else sim.sweep(inputs)
+        payloads: list = []
         offset = 0
         for p in batch:
-            runs = result[offset : offset + p.n_runs]
+            runs = result if len(inputs) == 1 else result[offset : offset + p.n_runs]
             offset += p.n_runs
-            payloads.append(self._build_payload(p, runs, len(inputs), coalesced))
+            try:
+                payloads.append(
+                    self._build_payload(p, runs, len(inputs), len(batch) > 1)
+                )
+            except Exception as exc:  # fails this request alone
+                payloads.append(exc)
         return payloads
 
     def _build_payload(
@@ -822,6 +883,7 @@ class SimulationService:
         return {
             "requests": self._requests,
             "errors": self._errors,
+            "internal_errors": self._internal_errors,
             "batches": self._batches,
             "batched_runs": self._batched_runs,
             "coalesced_batches": self._coalesced_batches,

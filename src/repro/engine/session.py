@@ -11,7 +11,8 @@ does not depend on the input:
   :mod:`repro.engine.bundle`),
 * the fractional differentiation coefficients (uniform grids) or the
   full upper-triangular operator (adaptive grids), or -- for spectral
-  bases -- the Kronecker integral-form operator,
+  bases and zoo methods -- the integral operator ``F`` with its real
+  Schur form ``F = Q T Q^T``,
 * the backend choice (dense LAPACK vs ``scipy.sparse`` SuperLU, picked
   from system sparsity by
   :func:`~repro.engine.backends.select_backend`),
@@ -19,11 +20,11 @@ does not depend on the input:
   :class:`~repro.engine.backends.PencilBank`).
 
 ``sim.run(u)`` on a warm session therefore performs only the input
-projection and the triangular column sweep (or one cached Kronecker
-substitution for spectral bases).  ``sim.sweep(inputs)`` goes further
-and solves many inputs in one batched multi-RHS sweep -- one
-``lu_solve`` per column for *all* right-hand sides -- returning a
-:class:`~repro.core.result.BatchResult`.
+projection and the column sweep -- for every basis: the Schur rotation
+makes the spectral integral form block triangular too.
+``sim.sweep(inputs)`` goes further and solves many inputs in one
+batched multi-RHS sweep -- one ``lu_solve`` per column for *all*
+right-hand sides -- returning a :class:`~repro.core.result.BatchResult`.
 
 The one-shot solvers (:func:`repro.core.simulate_opm`,
 :func:`repro.core.simulate_multiterm`) are thin wrappers that build a
@@ -56,10 +57,6 @@ from .reduction import MOR_RESIDUAL_MARGIN, bind_reduction, equation_residual
 __all__ = ["Simulator", "resolve_grid", "InputLike"]
 
 InputLike = Union[Callable, np.ndarray, list, tuple, float, int]
-
-#: Refuse dense Kronecker operators (spectral plans) larger than this
-#: (rows); the sparse backend has no such limit.
-MAX_DENSE_KRON = 20_000
 
 
 def resolve_grid(grid) -> TimeGrid:
@@ -168,7 +165,43 @@ def _system_rhs(system, U: np.ndarray, offset_cols: np.ndarray | None) -> np.nda
     return _add_columns(R, offset_cols)
 
 
-class _DescriptorPlan:
+class _PencilPlan:
+    """Shared state of the (fractional) descriptor-system plans: the
+    pencil bank over the system's backend and the constant zero-IC
+    shift columns.  Subclasses set ``method`` before binding."""
+
+    def __init__(self, system: DescriptorSystem, bundle: OperatorBundle, backend: str):
+        self.system = system
+        self.bundle = bundle
+        self.backend_mode = backend
+        self.bank = PencilBank(self._pencil(system))
+        ones = bundle.ones_coefficients()
+        self._offset = system.shifted_input_offset()
+        self._offset_cols = _offset_columns(self._offset, ones)
+        self._x0_cols = _offset_columns(system.x0, ones)
+
+    def _pencil(self, system: DescriptorSystem):
+        return select_backend(system.E, system.A, mode=self.backend_mode)
+
+    def restamp(self, system: DescriptorSystem) -> int:
+        """Switch the bank to ``system``'s pencil (marching events)."""
+        return self.bank.restamp(self._pencil(system))
+
+    def right_hand_side(self, U: np.ndarray) -> np.ndarray:
+        """``R = B U`` plus the constant zero-IC shift ``A x0`` (if any)."""
+        return _system_rhs(self.system, U, self._offset_cols)
+
+    def info(self) -> dict:
+        """Solver metadata for result containers."""
+        return {
+            "method": self.method,
+            "alpha": self.system.alpha,
+            "factorisations": self.bank.factorisations,
+            "backend": self.bank.backend.name,
+        }
+
+
+class _DescriptorPlan(_PencilPlan):
     """Input-independent solve state for (fractional) descriptor systems.
 
     Covers the triangular solver routes: block-pulse grids (Toeplitz on
@@ -185,8 +218,6 @@ class _DescriptorPlan:
         adaptive_method: str,
         backend: str,
     ) -> None:
-        self.system = system
-        self.bundle = bundle
         alpha = system.alpha
         grid = bundle.grid
         if grid is not None and not grid.is_uniform:
@@ -209,16 +240,7 @@ class _DescriptorPlan:
                 self.method = "opm-toeplitz[laguerre]"
             else:
                 self.method = "opm-toeplitz"
-        self.backend_mode = backend
-        self.bank = PencilBank(select_backend(system.E, system.A, mode=backend))
-        ones = bundle.ones_coefficients()
-        self._offset = system.shifted_input_offset()
-        self._offset_cols = _offset_columns(self._offset, ones)
-        self._x0_cols = _offset_columns(system.x0, ones)
-
-    def right_hand_side(self, U: np.ndarray) -> np.ndarray:
-        """``R = B U`` plus the constant zero-IC shift ``A x0`` (if any)."""
-        return _system_rhs(self.system, U, self._offset_cols)
+        super().__init__(system, bundle, backend)
 
     def solve(self, R: np.ndarray) -> np.ndarray:
         """Column sweep for one (``(n, m)``) or many (``(n, m, k)``) inputs."""
@@ -229,15 +251,6 @@ class _DescriptorPlan:
                 self.bank, R, self.coeffs, alternating_tail=self.first_order
             )
         return _add_columns(X, self._x0_cols)
-
-    def info(self) -> dict:
-        """Solver metadata for result containers."""
-        return {
-            "method": self.method,
-            "alpha": self.system.alpha,
-            "factorisations": self.bank.factorisations,
-            "backend": self.bank.backend.name,
-        }
 
 
 class _MultiTermPlan:
@@ -312,198 +325,67 @@ class _MultiTermPlan:
         }
 
 
-class _SpectralPlan:
-    """Input-independent integral-form solve state for spectral bases.
+class _IntegralPlan(_PencilPlan):
+    """Integral-form solve state: spectral bases and zoo methods.
 
-    Polynomial bases have no (invertible) differentiation operational
-    matrix, so the session solves the classical integral formulation
-
-    .. math::  E Z = A Z F + R F, \\qquad X = Z + x_0 \\mathbf{1}^T,
-
-    with ``F`` the (fractional) integration matrix and ``Z`` the
-    coefficients of the zero-IC shifted state.  ``F`` is not
-    triangular, so the equation is solved through its Kronecker form
-    ``(I_m (x) E - F^T (x) A) vec(Z) = vec(R F)`` -- the operator is
-    input-independent, so one factorisation (cached in a
-    :class:`PencilBank` at shift 1) serves every ``run``/``sweep``/
-    ``march`` call, exactly like the triangular plans.  Spectral ``m``
-    is small by construction (that is the point of the basis), so the
-    Kronecker system stays modest; sparse systems stay sparse through
-    ``scipy.sparse.kron``.
-    """
-
-    kind = "spectral"
-
-    def __init__(
-        self, system: DescriptorSystem, bundle: OperatorBundle, backend: str
-    ) -> None:
-        if not isinstance(system, DescriptorSystem):
-            raise SolverError(
-                "spectral bases support (fractional) descriptor systems only; "
-                "convert multi-term models with to_first_order() or use a "
-                "piecewise-constant basis"
-            )
-        self.system = system
-        self.bundle = bundle
-        alpha = system.alpha
-        self.F = np.asarray(bundle.fractional_integration_matrix(alpha), dtype=float)
-        self.backend_mode = backend
-        self.bank = PencilBank(self.kron_backend(system))
-        self.method = f"opm-spectral[{bundle.name}]"
-        ones = bundle.ones_coefficients()
-        self._offset = system.shifted_input_offset()
-        self._offset_cols = _offset_columns(self._offset, ones)
-        self._x0_cols = _offset_columns(system.x0, ones)
-
-    def kron_backend(self, system: DescriptorSystem):
-        """Backend over the Kronecker operator of ``system`` (cached LUs
-        live in the plan's :class:`PencilBank`; marching events restamp
-        through this hook)."""
-        m = self.bundle.size
-        E_big = sp.kron(sp.identity(m, format="csr"), sp.csr_matrix(system.E))
-        A_big = sp.kron(sp.csr_matrix(self.F.T), sp.csr_matrix(system.A))
-        mode = self.backend_mode
-        if E_big.shape[0] > MAX_DENSE_KRON:
-            # decide BEFORE any densification: an (n m)^2 dense operator
-            # this large must never be materialised
-            if mode == "dense":
-                raise SolverError(
-                    f"dense spectral Kronecker operator of size {E_big.shape[0]} "
-                    f"exceeds {MAX_DENSE_KRON}; use backend='sparse' or a "
-                    "smaller spectral order m"
-                )
-            if mode == "auto":
-                mode = "sparse"
-        return select_backend(E_big, A_big, mode=mode)
-
-    def right_hand_side(self, U: np.ndarray) -> np.ndarray:
-        """``R = B U`` plus the constant zero-IC shift ``A x0`` (if any)."""
-        return _system_rhs(self.system, U, self._offset_cols)
-
-    def apply_F(self, R: np.ndarray) -> np.ndarray:
-        """Coefficients of ``I^alpha r`` for ``(n, m)`` or ``(n, m, k)``."""
-        if R.ndim == 2:
-            return R @ self.F
-        return np.einsum("nmk,mj->njk", R, self.F)
-
-    def kron_solve(self, S: np.ndarray) -> np.ndarray:
-        """Solve ``E Z - A Z F = S`` through the cached Kronecker LU."""
-        squeeze = S.ndim == 2
-        S3 = S[:, :, None] if squeeze else S
-        n, m, k = S3.shape
-        rhs = S3.transpose(1, 0, 2).reshape(m * n, k)
-        out = self.bank.solve(1.0, rhs)
-        Z = out.reshape(m, n, k).transpose(1, 0, 2)
-        return Z[:, :, 0] if squeeze else Z
-
-    def solve(self, R: np.ndarray) -> np.ndarray:
-        """Integral-form solve for one (``(n, m)``) or many inputs."""
-        X = self.kron_solve(self.apply_F(R))
-        return _add_columns(X, self._x0_cols)
-
-    def info(self) -> dict:
-        """Solver metadata for result containers."""
-        return {
-            "method": self.method,
-            "alpha": self.system.alpha,
-            "factorisations": self.bank.factorisations,
-            "backend": self.bank.backend.name,
-        }
-
-
-class _MethodPlan(_SpectralPlan):
-    """Input-independent solve state for a zoo method (``method=``).
-
-    A :class:`~repro.fractional.methods.FractionalMethod` supplies the
-    coefficient-space operator ``F`` of ``I^alpha``; the session solves
-    the same integral formulation as :class:`_SpectralPlan`,
+    Polynomial bases have no invertible differentiation matrix, and a
+    :class:`~repro.fractional.methods.FractionalMethod` supplies only
+    the operator ``F`` of ``I^alpha``, so these sessions solve
 
     .. math::  E Z = A Z F + R F, \\qquad X = Z + x_0 \\mathbf{1}^T,
 
-    through the cached-pencil machinery the native route uses: when
-    ``F`` is upper triangular with a nonzero diagonal (the Toeplitz
-    convolution methods -- GL, Oustaloup), a triangular column sweep
-    with one ``(E - F[j,j] A)`` factorisation per distinct diagonal
-    entry (one total for Toeplitz ``F``); otherwise (the spectral
-    collocation methods) the inherited Kronecker integral-form solve.
+    for the zero-IC shifted state ``Z``.  The real Schur form of ``F``,
+    taken once here (``O(m^3)``), makes it a block column sweep
+    (:func:`~repro.engine.kernels.sweep_integral`) with one cached
+    ``E - lambda A`` factorisation per real eigenvalue or conjugate
+    pair; an upper-triangular ``F`` (GL, Oustaloup) sweeps as is.
     """
-
-    kind = "method"
 
     def __init__(
         self,
         system: DescriptorSystem,
         bundle: OperatorBundle,
         backend: str,
-        method,
+        method=None,
     ) -> None:
-        if not isinstance(system, DescriptorSystem):
-            raise SolverError(
-                f"method={method.name!r} supports (fractional) descriptor "
-                "systems only; convert multi-term models with "
-                "to_first_order() first"
-            )
-        self.system = system
-        self.bundle = bundle
         self.zoo_method = method
-        F = np.asarray(
-            method.integration_operator(bundle, system.alpha), dtype=float
-        )
+        alpha = system.alpha
         m = bundle.size
-        if F.shape != (m, m):
-            raise SolverError(
-                f"method {method.name!r} built a {F.shape} operator for a "
-                f"size-{m} basis"
-            )
-        self.F = F
-        self.backend_mode = backend
-        scale = max(float(np.abs(F).max()), 1.0)
-        lower = F[np.tril_indices(m, -1)]
-        self._triangular = bool(
-            (not lower.size or np.max(np.abs(lower)) <= 1e-12 * scale)
-            and np.min(np.abs(np.diag(F))) > 1e-14 * scale
-        )
-        if self._triangular:
-            self.bank = PencilBank(select_backend(system.E, system.A, mode=backend))
+        if method is None:
+            self.kind = "spectral"
+            self.method = f"opm-spectral[{bundle.name}]"
+            F = bundle.fractional_integration_matrix(alpha)
         else:
-            self.bank = PencilBank(self.kron_backend(system))
-        self.method = f"{method.name}[{bundle.name}]"
-        ones = bundle.ones_coefficients()
-        self._offset = system.shifted_input_offset()
-        self._offset_cols = _offset_columns(self._offset, ones)
-        self._x0_cols = _offset_columns(system.x0, ones)
+            self.kind = "method"
+            self.method = f"{method.name}[{bundle.name}]"
+            F = method.integration_operator(bundle, alpha)
+        self.F = np.asarray(F, dtype=float)
+        if self.F.shape != (m, m):
+            raise SolverError(
+                f"method {method.name!r} built a {self.F.shape} operator for "
+                f"a size-{m} basis"
+            )
+        self._T, self._Q = kernels.schur_form(self.F)
+        super().__init__(system, bundle, backend)
+
+    def _pencil(self, system: DescriptorSystem):
+        # the swapped pencil (-A, -E): its shift-t factorisation is E - t A
+        return select_backend(-1.0 * system.A, -1.0 * system.E, mode=self.backend_mode)
+
+    def integral_sweep(self, S: np.ndarray) -> np.ndarray:
+        """Solve ``E Z - A Z F = S`` against the active pencil stamp."""
+        return kernels.sweep_integral(self.bank, S, self._T, self._Q)
 
     def solve(self, R: np.ndarray) -> np.ndarray:
         """Integral-form solve for one (``(n, m)``) or many inputs."""
-        S = self.apply_F(R)
-        Z = self._sweep_triangular(S) if self._triangular else self.kron_solve(S)
-        return _add_columns(Z, self._x0_cols)
-
-    def _sweep_triangular(self, S: np.ndarray) -> np.ndarray:
-        """Column sweep of ``E Z = A Z F + S`` for upper-triangular ``F``.
-
-        Column ``j`` satisfies ``(E - F[j,j] A) Z_j = A sum_{i<j}
-        F[i,j] Z_i + S_j``, solved as ``bank.solve(1/F[j,j], .../F[j,j])``
-        so Toeplitz operators reuse one cached factorisation throughout.
-        """
-        squeeze = S.ndim == 2
-        S3 = S[:, :, None] if squeeze else S
-        n, m, k = S3.shape
-        A, F = self.system.A, self.F
-        Z = np.empty((n, m, k))
-        for j in range(m):
-            f = float(F[j, j])
-            rhs = S3[:, j, :]
-            if j:
-                hist = np.tensordot(Z[:, :j, :], F[:j, j], axes=([1], [0]))
-                rhs = rhs + A @ hist
-            Z[:, j, :] = self.bank.solve(1.0 / f, rhs / f)
-        return Z[:, :, 0] if squeeze else Z
+        S = R @ self.F if R.ndim == 2 else np.einsum("nmk,mj->njk", R, self.F)
+        return _add_columns(self.integral_sweep(S), self._x0_cols)
 
     def info(self) -> dict:
         """Solver metadata for result containers."""
         info = super().info()
-        info["triangular_sweep"] = self._triangular
+        if self.zoo_method is not None:
+            info["schur"] = self._Q is not None
         return info
 
 
@@ -527,9 +409,10 @@ class Simulator:
         :func:`repro.engine.bundle.basis_names` (``'chebyshev'``,
         ``'legendre'``, ``'haar'``, ...), or a :class:`BasisSet`
         instance.  Walsh/Haar sessions solve in block-pulse coordinates
-        through the exact change of basis; polynomial bases use the
-        cached integral-form Kronecker operator; all families share the
-        same warm-cache semantics.
+        through the exact change of basis; polynomial bases sweep the
+        integral form in the Schur coordinates of their integration
+        matrix (an ``O(m^3)`` bind, so keep ``m`` small); all families
+        share the same warm-cache semantics.
     projection:
         Block-pulse input projection rule, ``'average'`` (paper
         eq. (2)) or ``'midpoint'``.  ``None`` (default) keeps the
@@ -692,11 +575,13 @@ class Simulator:
         session's bundle (also used for the lazy full-model fallback of
         reduced sessions)."""
         solver = self._bundle.solver_bundle
-        if self._method is not None:
-            # zoo methods solve the integral form through _MethodPlan
-            # (which validates the system kind and the bundle route)
-            return _MethodPlan(system, solver, self._backend_mode, self._method)
         if isinstance(system, MultiTermSystem):
+            if self._method is not None:
+                raise SolverError(
+                    f"method={self._method.name!r} supports (fractional) "
+                    "descriptor systems only; convert multi-term models with "
+                    "to_first_order() first"
+                )
             if solver.kind != "block-pulse":
                 raise SolverError(
                     "multi-term systems require a piecewise-constant basis "
@@ -704,19 +589,17 @@ class Simulator:
                     "to_first_order() to use a spectral basis"
                 )
             return _MultiTermPlan(system, solver, self._backend_mode)
-        if isinstance(system, DescriptorSystem):
-            if solver.kind in ("block-pulse", "toeplitz"):
-                return _DescriptorPlan(
-                    system,
-                    solver,
-                    self._adaptive_method,
-                    self._backend_mode,
-                )
-            return _SpectralPlan(system, solver, self._backend_mode)
-        raise TypeError(
-            "system must be a DescriptorSystem, FractionalDescriptorSystem "
-            f"or MultiTermSystem, got {type(system).__name__}"
-        )
+        if not isinstance(system, DescriptorSystem):
+            raise TypeError(
+                "system must be a DescriptorSystem, FractionalDescriptorSystem "
+                f"or MultiTermSystem, got {type(system).__name__}"
+            )
+        if self._method is None and solver.kind in ("block-pulse", "toeplitz"):
+            return _DescriptorPlan(
+                system, solver, self._adaptive_method, self._backend_mode
+            )
+        # spectral bases and zoo methods solve the integral form
+        return _IntegralPlan(system, solver, self._backend_mode, self._method)
 
     @classmethod
     def from_netlist(cls, netlist, grid=None, **kwargs) -> "Simulator":
@@ -1015,21 +898,28 @@ class Simulator:
         whether the pencil cache was already warm.
         """
         u = self._resolve_input(u)
+        U, X, wall, info = self._solve(lambda: self.project(u))
+        return SimulationResult(
+            self._basis, X, self._system, U, wall_time=wall, info=info
+        )
+
+    def _solve(self, project: Callable[[], np.ndarray], batch: int | None = None):
+        """``(U, X, wall, info)`` of one timed, locked project-and-solve."""
         with self._lock:
             warm = self.is_warm
             start = time.perf_counter()
-            U = self.project(u)
+            U = project()
             X_solver, mor = self._solve_encoded(self._encode_inputs(U))
             X = self._decode_states(X_solver)
             wall = time.perf_counter() - start
             self._runs += 1
             info = self._finalise_info(self._plan.info())
             info["warm"] = warm
+            if batch is not None:
+                info["batch"] = batch
             if mor is not None:
                 info["mor"] = mor
-        return SimulationResult(
-            self._basis, X, self._system, U, wall_time=wall, info=info
-        )
+        return U, X, wall, info
 
     def sweep(self, inputs: Iterable[InputLike]) -> BatchResult:
         """Simulate many inputs in one batched multi-RHS column sweep.
@@ -1057,19 +947,9 @@ class Simulator:
         inputs = list(inputs)
         if not inputs:
             raise SolverError("sweep requires at least one input")
-        with self._lock:
-            warm = self.is_warm
-            start = time.perf_counter()
-            U = np.stack([self.project(u) for u in inputs])  # (k, p, m)
-            X_solver, mor = self._solve_encoded(self._encode_inputs(U))
-            X = self._decode_states(X_solver)  # (n, m, k)
-            wall = time.perf_counter() - start
-            self._runs += 1
-            info = self._finalise_info(self._plan.info())
-            info["warm"] = warm
-            info["batch"] = len(inputs)
-            if mor is not None:
-                info["mor"] = mor
+        U, X, wall, info = self._solve(
+            lambda: np.stack([self.project(u) for u in inputs]), len(inputs)
+        )  # U (k, p, m), X (n, m, k)
         return BatchResult(
             self._basis,
             np.moveaxis(X, 2, 0),

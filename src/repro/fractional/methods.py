@@ -12,9 +12,12 @@ the ``m x m`` coefficient-space operator ``F`` with
 (the row-vector convention of the engine's integral formulation, so a
 causal operator is *upper* triangular under right-multiplication).
 The engine then solves ``E Z = A Z F + R F`` through exactly the same
-cached-pencil machinery as the native route (see
-:class:`repro.engine.session._MethodPlan`): a triangular column sweep
-when ``F`` is upper triangular, the Kronecker integral form otherwise.
+cached-pencil machinery as the spectral bases (see
+:class:`repro.engine.session._IntegralPlan`): a triangular column sweep
+with one ``E - F[j, j] A`` factorisation per distinct diagonal entry
+when ``F`` is upper triangular (GL, Oustaloup: one in total), and the
+same sweep in the real Schur coordinates ``F = Q T Q^T`` otherwise
+(``jacobi``: one factorisation per real eigenvalue or conjugate pair).
 
 Registered methods
 ------------------

@@ -171,11 +171,13 @@ class TestValidation:
         basis = BlockPulseBasis(TimeGrid.uniform(1.0, 16))
         res = simulate_opm_integral(scalar_ode, 1.0, basis)
         assert res.info["method"].startswith("opm-integral")
-        res2 = simulate_opm_integral(scalar_ode, 1.0, LegendreBasis(1.0, 8))
-        assert res2.info["method"] == "opm-integral[spectral]"
-        # Walsh/Haar stay on the dense integral-form Kronecker solve
-        # (NOT the engine's differential-form pwconst plan)
+        assert res.info["method"] == "opm-integral[tustin]"
+        # non-triangular F (spectral, and Walsh/Haar -- NOT the engine's
+        # differential-form pwconst plan) sweeps in Schur coordinates,
+        # one factorisation per real eigenvalue or conjugate pair
         from repro.basis import WalshBasis
 
-        res3 = simulate_opm_integral(scalar_ode, 1.0, WalshBasis(1.0, 8))
-        assert res3.info["method"] == "opm-integral[dense]"
+        for other in (LegendreBasis(1.0, 8), WalshBasis(1.0, 8)):
+            res2 = simulate_opm_integral(scalar_ode, 1.0, other)
+            assert res2.info["method"] == "opm-integral[schur]"
+            assert 1 <= res2.info["factorisations"] <= 8

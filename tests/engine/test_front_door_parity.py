@@ -55,7 +55,8 @@ def option_sets(draw, *, engine_only: bool):
         chosen["memory"] = draw(st.sampled_from(["exact", "soe"]))
     if draw(st.booleans()):
         chosen["memory_rtol"] = draw(st.sampled_from([1e-6, 1e-8]))
-    # spectral bases build a dense Kronecker pencil: keep m small
+    # a spectral bind costs an O(m^3) Schur form and up to m pencil
+    # factorisations: keep m small
     if draw(st.booleans()) or chosen.get("basis") == "chebyshev":
         chosen["grid"] = (
             draw(st.sampled_from([1e-3, 2e-3])),

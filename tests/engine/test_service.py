@@ -6,6 +6,9 @@ in a background thread and talks to it over TCP through
 session LRU, and the stats endpoint are all exercised end to end.
 """
 
+import json
+import logging
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -14,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Simulator
+from repro.engine import service as service_module
 from repro.engine.service import ServiceClient, SimulationService, serve
 from repro.errors import ServiceError
 
@@ -242,6 +246,79 @@ class TestProtocol:
             out = c.simulate(system=SYSTEM_SPEC, grid=[1.0, 16], input=1.0)
             assert out["runs"]
             assert c.stats()["errors"] == 1
+
+
+    def test_ragged_input_is_a_typed_error(self, daemon):
+        with daemon.client() as c:
+            with pytest.raises(ServiceError, match="'input' must be"):
+                c.simulate(system=SYSTEM_SPEC, grid=[1.0, 8], input=[[1, 2], [3]])
+            assert c.ping()
+            stats = c.stats()
+        assert (stats["errors"], stats["internal_errors"]) == (1, 0)
+
+    def test_unexpected_exception_answers_internal(
+        self, daemon, monkeypatch, caplog
+    ):
+        """The daemon's error boundary: an exception outside the typed
+        errors answers ``kind: "internal"`` with its type, is counted
+        and logged with its traceback, and the connection keeps
+        serving."""
+
+        async def broken_lint(request, writer):
+            raise RuntimeError("lint exploded")
+
+        monkeypatch.setattr(daemon.service, "_lint", broken_lint)
+        caplog.set_level(logging.ERROR, logger="repro.engine.service")
+        with daemon.client() as c:
+            reply = raw_round_trip(c, {"op": "lint", "netlist": DECK, "id": 7})
+            assert reply == {
+                "id": 7,
+                "ok": False,
+                "kind": "internal",
+                "error": "RuntimeError: lint exploded",
+            }
+            assert c.ping()
+            stats = c.stats()
+        assert (stats["errors"], stats["internal_errors"]) == (1, 1)
+        (record,) = [r for r in caplog.records if r.name == "repro.engine.service"]
+        assert "internal error" in record.getMessage()
+        assert record.exc_info is not None and record.exc_info[0] is RuntimeError
+
+    def test_request_longer_than_64_kib_is_served(self, daemon):
+        """A 400-state dense spec is a ~1.3 MB line, past asyncio's
+        64 KiB default stream limit."""
+        n = 400
+        A = -2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+        spec = {"E": np.eye(n).tolist(), "A": A.tolist(), "B": [[1.0]] * n}
+        assert len(json.dumps(spec)) > 2**16
+        with daemon.client() as c:
+            out = c.simulate(system=spec, grid=[1.0, 4], input=1.0, samples=2)
+            assert c.ping()
+        assert np.asarray(out["values"]).shape == (n, 2)
+
+    def test_over_limit_line_is_rejected_then_closed(self, monkeypatch):
+        monkeypatch.setattr(service_module, "REQUEST_LINE_LIMIT", 4096)
+        handle = ServiceHandle()
+        try:
+            with socket.create_connection(("127.0.0.1", handle.port), 30) as sock:
+                line = json.dumps({"op": "ping", "pad": "x" * 20000}) + "\n"
+                sock.sendall(line.encode())
+                stream = sock.makefile("rb")
+                reply = json.loads(stream.readline())
+                assert stream.readline() == b""  # then the connection closes
+            assert reply["ok"] is False and reply["kind"] == "error"
+            assert "4096-byte limit" in reply["error"]
+            with handle.client() as c:  # the daemon itself is unaffected
+                assert c.ping()
+        finally:
+            handle.stop()
+
+
+def raw_round_trip(client, payload: dict) -> dict:
+    """One request line and its raw reply line (no error raising)."""
+    client._file.write(json.dumps(payload).encode() + b"\n")
+    client._file.flush()
+    return json.loads(client._file.readline())
 
 
 FRACTIONAL_SPEC = {"alpha": 0.5, "E": [[1.0]], "A": [[-1.0]], "B": [[1.0]]}
@@ -482,6 +559,50 @@ class TestCoalescing:
             np.testing.assert_allclose(
                 np.asarray(out["values"]), v_direct, rtol=1e-12, atol=1e-15
             )
+
+    @pytest.mark.parametrize(
+        "bad, queued",
+        [({"samples": 1e30}, 2), ({"input": [1.0, 2.0, 3.0]}, 1)],
+        ids=["samples", "input"],
+    )
+    def test_bad_request_fails_alone_beside_coalesced_sibling(self, bad, queued):
+        """Two system requests queue behind a held block-pulse batch: a
+        bad one fails by itself -- a misshapen ``input`` before it
+        joins the queue, an unsampleable one inside the shared batch --
+        and the good one is answered."""
+        handle = ServiceHandle(workers=1)
+        good = {"system": SYSTEM_SPEC, "grid": [1.0, 8], "input": 1.0, "samples": 4}
+        with handle.client() as c:  # warm sessions: no build jobs
+            c.simulate(netlist=DECK, samples=4)
+            want = c.simulate(**good)
+        gate = SolveGate(handle.service, holds=lambda b: "netlist" in b[0].request)
+
+        def bad_request():
+            with handle.client() as c:
+                return raw_round_trip(c, {"op": "simulate", **good, **bad})
+
+        def good_request():
+            with handle.client() as c:
+                return c.simulate(**good)
+
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            try:
+                held = pool.submit(simulate_scaled, handle, 3.0)
+                assert gate.entered.wait(30)
+                futures = [pool.submit(good_request), pool.submit(bad_request)]
+                wait_for_stats(handle, lambda s: s["queue_depth"] == queued)
+            finally:
+                gate.release.set()
+            held.result()
+            ok, failed = (f.result() for f in futures)
+        with handle.client() as c:
+            stats = c.stats()
+        handle.stop()
+        assert failed["ok"] is False
+        assert ok["info"]["coalesced"] is (queued == 2)
+        # a coalesced sweep may round differently from the lone run
+        np.testing.assert_allclose(ok["values"], want["values"], rtol=1e-12)
+        assert stats["errors"] == 1
 
     def test_shutdown_answers_queued_requests(self):
         handle = ServiceHandle(workers=1)

@@ -228,7 +228,16 @@ class TestSimulatorFrontDoor:
         res = sim.run(0.5)
         assert res.info["factorisations"] == 1
         assert res.info["warm"] is True
-        assert res.info["triangular_sweep"] is True
+        # GL's operator is upper-triangular Toeplitz: no Schur rotation
+        assert res.info["schur"] is False
+
+    def test_jacobi_sweeps_in_schur_coordinates(self, scalar_fde):
+        sim = Simulator(scalar_fde, (1.0, 16), method="jacobi")
+        res = sim.run(1.0)
+        assert res.info["schur"] is True
+        assert 1 <= res.info["factorisations"] <= 16
+        sim.sweep([0.5, 2.0])
+        assert sim.factorisations == res.info["factorisations"]
 
     def test_sweep_matches_individual_runs(self, scalar_fde):
         sim = Simulator(scalar_fde, (1.0, 64), method="gl")
