@@ -83,12 +83,6 @@ class BlockPulseBasis(BasisSet):
         """The input projection rule (``'average'`` or ``'midpoint'``)."""
         return self._projection
 
-    def with_projection(self, projection: str) -> "BlockPulseBasis":
-        """A copy of this basis using the given projection rule."""
-        if projection == self._projection:
-            return self
-        return BlockPulseBasis(self._grid, projection=projection)
-
     @property
     def size(self) -> int:
         return self._grid.m

@@ -88,16 +88,6 @@ class PiecewiseConstantBasis(BasisSet):
         """Input projection rule of the underlying block-pulse basis."""
         return self._bpf.projection
 
-    def with_projection(self, projection: str) -> "PiecewiseConstantBasis":
-        """A copy of this basis using the given projection rule.
-
-        Returns ``self`` when the rule already matches; subclasses with
-        extra construction state override this to preserve it.
-        """
-        if projection == self.projection:
-            return self
-        return type(self)(self.t_end, self.size, projection=projection)
-
     # ------------------------------------------------------------------
     # function-space <-> coefficient-space
     # ------------------------------------------------------------------

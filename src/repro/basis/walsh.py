@@ -82,14 +82,6 @@ class WalshBasis(PiecewiseConstantBasis):
         self._ordering = ordering
         super().__init__(t_end, m, projection=projection)
 
-    def with_projection(self, projection: str) -> "WalshBasis":
-        """A copy with the given projection rule, preserving the ordering."""
-        if projection == self.projection:
-            return self
-        return WalshBasis(
-            self.t_end, self.size, ordering=self._ordering, projection=projection
-        )
-
     def _build_transform(self, m: int) -> np.ndarray:
         h = hadamard_matrix(m)
         if self._ordering == "sequency":

@@ -62,7 +62,7 @@ def simulate(
     t_end: float,
     steps: int | None = None,
     *,
-    method: str = "opm",
+    method: str | None = None,
     basis=None,
     jobs: int | None = None,
     parallel: str = "process",
@@ -77,8 +77,12 @@ def simulate(
         :class:`~repro.circuits.netlist.Netlist` -- netlists are
         assembled on the fly through
         :func:`repro.engine.netlist_session.build_system` (honouring
-        their ``.ic`` card), and ``u=None`` then means "drive with the
-        deck's own source waveforms" -- or an
+        their ``.ic`` card), their ``.tran`` / ``.options`` cards fill
+        every setting not given here (``t_end=None`` / ``steps=None``
+        defer to the cards; see
+        :func:`repro.engine.netlist_session.resolve_deck_options`), and
+        ``u=None`` means "drive with the deck's own source
+        waveforms" -- or an
         :class:`~repro.engine.executor.Ensemble` of ``(system, u)``
         members, executed across ``jobs`` workers and returning a
         :class:`~repro.core.result.BatchResult`.  (Method
@@ -96,7 +100,8 @@ def simulate(
         one-step schemes, sampling points for the FFT method.  Not used
         by ``'opm-adaptive'`` (pass ``rtol``/``atol`` instead).
     method:
-        One of :data:`SIMULATION_METHODS`: the OPM variants, the
+        ``None`` (``'opm'``, or a netlist's ``.options method=``
+        card) or one of :data:`SIMULATION_METHODS`: the OPM variants, the
         classical baselines, or a fractional zoo method from
         :data:`FRACTIONAL_ZOO_METHODS` (``'gl'``, ``'oustaloup'``,
         ``'jacobi'`` -- alternative discretisations of the fractional
@@ -122,7 +127,10 @@ def simulate(
         Forwarded to the underlying solver.  Notably, the OPM methods
         (``'opm'``, ``'opm-windowed'``, and ensembles) accept
         ``reduce='auto' | int | ReductionPlan`` for certified
-        reduce-then-sweep (see :mod:`repro.engine.reduction`).
+        reduce-then-sweep (see :mod:`repro.engine.reduction`).  A
+        netlist takes the deck vocabulary (``backend``, ``reduce``,
+        ``mor_order``, ``memory``, ``memory_rtol``, ``windows``) and
+        ``events``.
 
     Returns
     -------
@@ -131,11 +139,17 @@ def simulate(
         both expose ``outputs(times)`` /
         :func:`repro.analysis.sample_outputs`.
     """
-    if method not in SIMULATION_METHODS:
-        raise SolverError(unknown_method_message(method, SIMULATION_METHODS))
     # ensembles and netlists sit in layers this module does not import
     # (the executor, repro.circuits): an instance can only exist once its
     # module is loaded, so detect them through sys.modules
+    netlist_module = sys.modules.get("repro.circuits.netlist")
+    is_netlist = netlist_module is not None and isinstance(
+        system, netlist_module.Netlist
+    )
+    if not is_netlist:
+        method = method or "opm"
+        if method not in SIMULATION_METHODS:
+            raise SolverError(unknown_method_message(method, SIMULATION_METHODS))
     executor_module = sys.modules.get("repro.engine.executor")
     if executor_module is not None and isinstance(system, executor_module.Ensemble):
         return _simulate_ensemble(
@@ -147,16 +161,11 @@ def simulate(
             "jobs= is only meaningful when simulating an Ensemble; for "
             "many inputs on one system use Simulator.sweep(inputs)"
         )
-    # netlists assemble on the fly
-    netlist_module = sys.modules.get("repro.circuits.netlist")
-    if netlist_module is not None and isinstance(system, netlist_module.Netlist):
-        from ..engine.netlist_session import build_system
-
-        netlist = system
-        system = build_system(netlist)
-        if u is None:
-            u = netlist.input_function()
-    elif u is None:
+    if is_netlist:
+        return _simulate_netlist(
+            system, u, t_end, steps, method=method, basis=basis, **kwargs
+        )
+    if u is None:
         raise SolverError(
             "u=None is only valid for Netlist systems (whose decks carry "
             "their own source waveforms)"
@@ -212,6 +221,23 @@ def simulate(
     from ..baselines.expm import simulate_expm
 
     return simulate_expm(system, u, t_end, steps, **kwargs)
+
+
+def _simulate_netlist(netlist, u, t_end, steps, *, method, basis, events=(), **kwargs):
+    """Netlist dispatch: assemble the deck and solve its transient with
+    the settings :func:`~repro.engine.netlist_session.resolve_deck_options`
+    merges from the arguments (``kwargs``: its deck vocabulary) and the
+    deck's cards."""
+    from ..engine import netlist_session
+
+    options = netlist_session.resolve_deck_options(
+        netlist.analysis, basis=basis, method=method, t_end=t_end,
+        steps=steps, **kwargs,
+    )
+    system = netlist_session.build_system(netlist)
+    return netlist_session._solve_transient(
+        netlist, system, options, u=u, events=events
+    )
 
 
 def _simulate_ensemble(

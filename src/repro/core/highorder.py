@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 
-from ..engine.session import Simulator, resolve_grid
+from ..engine.session import Simulator
 from .lti import MultiTermSystem
 from .result import SimulationResult
 
@@ -50,7 +50,6 @@ def simulate_multiterm(
     u,
     grid,
     *,
-    projection: str = "average",
     backend: str = "auto",
 ) -> SimulationResult:
     """Simulate a :class:`~repro.core.lti.MultiTermSystem` with OPM.
@@ -65,12 +64,12 @@ def simulate_multiterm(
         Input specification (see
         :func:`repro.engine.inputs.project_input`).
     grid:
-        Uniform :class:`TimeGrid` or ``(t_end, m)`` tuple.  Adaptive
-        grids are rejected: the per-term matrices would lose their
-        shared Toeplitz structure (use the companion form plus
+        Uniform :class:`TimeGrid`, ``(t_end, m)`` tuple, or a
+        piecewise-constant basis instance carrying its input projection
+        rule (e.g. ``BlockPulseBasis(grid, projection='midpoint')``).
+        Adaptive grids are rejected: the per-term matrices would lose
+        their shared Toeplitz structure (use the companion form plus
         :func:`~repro.core.opm_adaptive.simulate_opm_adaptive` instead).
-    projection:
-        Input projection rule, ``'average'`` or ``'midpoint'``.
     backend:
         Linear-algebra backend selection for the pencil-sum
         factorisation (``'auto'`` / ``'dense'`` / ``'sparse'``).
@@ -94,12 +93,11 @@ def simulate_multiterm(
     >>> res.coefficients.shape
     (1, 64)
     """
-    grid = resolve_grid(grid)
     if not isinstance(system, MultiTermSystem):
         raise TypeError(f"system must be a MultiTermSystem, got {type(system).__name__}")
 
     start = time.perf_counter()
-    sim = Simulator(system, grid, projection=projection, backend=backend)
+    sim = Simulator(system, grid, backend=backend)
     result = sim.run(u)
     # one-shot call: charge session assembly + factorisation to the run
     result.wall_time = time.perf_counter() - start

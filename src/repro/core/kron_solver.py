@@ -38,12 +38,15 @@ def _dense(matrix) -> np.ndarray:
     return matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
 
 
-def simulate_opm_kron(system, u, grid, *, projection: str = "average") -> SimulationResult:
+def simulate_opm_kron(system, u, grid) -> SimulationResult:
     """Solve the OPM equation via the explicit Kronecker system.
 
     Accepts the same system types and inputs as
     :func:`repro.core.opm_solver.simulate_opm`; refuses problems with
     ``n * m > MAX_KRON_SIZE`` (this is a reference implementation).
+    ``grid`` is a :class:`~repro.basis.grid.TimeGrid`, an ``(t_end,
+    m)`` tuple, or a :class:`BlockPulseBasis` carrying its input
+    projection rule.
 
     Examples
     --------
@@ -58,8 +61,11 @@ def simulate_opm_kron(system, u, grid, *, projection: str = "average") -> Simula
     """
     from .opm_solver import _right_hand_side, project_input, resolve_grid
 
-    grid = resolve_grid(grid)
-    basis = BlockPulseBasis(grid, projection=projection)
+    if isinstance(grid, BlockPulseBasis):
+        basis, grid = grid, grid.grid
+    else:
+        grid = resolve_grid(grid)
+        basis = BlockPulseBasis(grid)
     m = grid.m
 
     if isinstance(system, MultiTermSystem):

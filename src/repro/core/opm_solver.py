@@ -19,8 +19,9 @@ many input waveforms) should construct a ``Simulator`` directly and
 reuse it -- a warm session skips basis assembly, coefficient
 construction, and the pencil LU factorisation.
 
-Multi-term systems (the paper's high-order case) are dispatched to
-:func:`repro.core.highorder.simulate_multiterm`.
+Multi-term systems (the paper's high-order case) run on the same
+session; :func:`repro.core.highorder.simulate_multiterm` is the
+multi-term-only spelling.
 
 :func:`simulate_opm_transformed` runs the same algorithm in a Walsh or
 Haar basis using the exact change-of-basis (section I's "switch to
@@ -34,11 +35,9 @@ import time
 
 import numpy as np
 
-from ..basis.base import BasisSet
 from ..basis.pwconst import PiecewiseConstantBasis
 from ..engine.inputs import project_input
 from ..engine.session import InputLike, Simulator, resolve_grid
-from .lti import MultiTermSystem
 from .result import SimulationResult
 
 __all__ = ["simulate_opm", "simulate_opm_transformed", "project_input", "resolve_grid"]
@@ -59,12 +58,9 @@ def simulate_opm(
     grid,
     *,
     basis=None,
-    projection: str | None = None,
-    adaptive_method: str = "auto",
     backend: str = "auto",
     reduce=None,
     memory="exact",
-    memory_rtol: float | None = None,
 ) -> SimulationResult:
     """Simulate a system with the OPM algorithm (block-pulse by default).
 
@@ -81,21 +77,16 @@ def simulate_opm(
         :class:`TimeGrid`, ``(t_end, m)`` tuple, or a ready
         :class:`~repro.basis.base.BasisSet` instance.  Uniform grids use
         the Toeplitz fast path; adaptive grids the general triangular
-        sweep (fractional adaptive grids additionally require pairwise
-        distinct steps for the eigendecomposition route, paper eq. (25)).
+        sweep (on fractional adaptive grids the steps pick paper
+        eq. (25)'s eigendecomposition or a Schur matrix power).
     basis:
         Basis family to solve in -- ``None`` (block pulse), a name from
         :func:`repro.engine.bundle.basis_names` (``'chebyshev'``,
         ``'legendre'``, ``'haar'``, ...), or a
-        :class:`~repro.basis.base.BasisSet` instance.  See
-        :class:`~repro.engine.session.Simulator`.
-    projection:
-        Input projection rule, ``'average'`` (eq. (2)) or
-        ``'midpoint'``; ``None`` keeps the basis' own rule.
-    adaptive_method:
-        Construction of ``D~^alpha`` on adaptive grids: ``'auto'``,
-        ``'eig'``, ``'schur'`` (see
-        :func:`repro.opmat.fractional.fractional_differentiation_matrix_adaptive`).
+        :class:`~repro.basis.base.BasisSet` instance, which carries the
+        input projection rule (``BlockPulseBasis(grid,
+        projection='midpoint')`` samples midpoints instead of eq. (2)'s
+        averages).  See :class:`~repro.engine.session.Simulator`.
     backend:
         Linear-algebra backend selection, ``'auto'`` / ``'dense'`` /
         ``'sparse'`` (see :func:`repro.engine.backends.select_backend`).
@@ -104,9 +95,11 @@ def simulate_opm(
         ``'auto'``, a moment count, or a
         :class:`~repro.engine.reduction.ReductionPlan` (see
         :mod:`repro.engine.reduction`).  First-order systems only.
-    memory, memory_rtol:
+    memory:
         Fractional-memory compression: ``'exact'`` (default),
-        ``'soe'``, or a :class:`~repro.fractional.soe.SoePlan`; see
+        ``'soe'``, or a :class:`~repro.fractional.soe.SoePlan` (which
+        carries the certification tolerance, e.g.
+        ``SoePlan(rtol=1e-6)``); see
         :class:`~repro.engine.session.Simulator` and
         :mod:`repro.fractional.soe`.
 
@@ -128,26 +121,9 @@ def simulate_opm(
     >>> float(np.abs(res.states([3.0])[0, 0] - (1 - np.exp(-3.0)))) < 1e-3
     True
     """
-    if not isinstance(grid, BasisSet):
-        grid = resolve_grid(grid)
-    if isinstance(system, MultiTermSystem) and basis is None and not isinstance(grid, BasisSet):
-        from .highorder import simulate_multiterm
-
-        return simulate_multiterm(
-            system, u, grid, projection=projection or "average", backend=backend
-        )
-
     start = time.perf_counter()
     sim = Simulator(
-        system,
-        grid,
-        basis=basis,
-        projection=projection,
-        adaptive_method=adaptive_method,
-        backend=backend,
-        reduce=reduce,
-        memory=memory,
-        memory_rtol=memory_rtol,
+        system, grid, basis=basis, backend=backend, reduce=reduce, memory=memory
     )
     result = sim.run(u)
     # one-shot call: charge session assembly + factorisation to the run
@@ -159,8 +135,6 @@ def simulate_opm_transformed(
     system,
     u: InputLike,
     basis: PiecewiseConstantBasis,
-    *,
-    projection: str | None = None,
 ) -> SimulationResult:
     """Run OPM in a Walsh or Haar basis via the exact change of basis.
 
@@ -174,7 +148,9 @@ def simulate_opm_transformed(
 
     Returns a result whose ``basis`` is the given Walsh/Haar family, so
     truncating its coefficient spectrum exposes the low-pass behaviour
-    the paper describes for Walsh functions.
+    the paper describes for Walsh functions.  The basis instance
+    carries the input projection rule (e.g. ``WalshBasis(t_end, m,
+    projection='midpoint')``).
 
     Since the basis-generic engine refactor this is a pure alias for
     ``simulate_opm(system, u, basis)``: the session itself performs the
@@ -186,4 +162,4 @@ def simulate_opm_transformed(
             "basis must be a Walsh/Haar PiecewiseConstantBasis, "
             f"got {type(basis).__name__}"
         )
-    return simulate_opm(system, u, basis, projection=projection)
+    return simulate_opm(system, u, basis)

@@ -46,24 +46,20 @@ def toeplitz_coefficients(alpha: float, m: int, h: float) -> np.ndarray:
     return _cached_coefficients(float(alpha), int(m), float(h))
 
 
-def adaptive_operator(
-    grid: TimeGrid, alpha: float, *, adaptive_method: str = "auto"
-) -> np.ndarray:
+def adaptive_operator(grid: TimeGrid, alpha: float) -> np.ndarray:
     """Upper-triangular ``D^alpha`` for an adaptive grid (paper eqs. (17)/(25)).
 
-    ``adaptive_method`` selects the fractional matrix-power construction
-    (``'auto'``/``'eig'``/``'schur'``); it is ignored for ``alpha = 1``.
+    Fractional orders use the ``'auto'`` construction of
+    :func:`~repro.opmat.fractional.fractional_differentiation_matrix_adaptive`,
+    which picks eq. (25)'s eigendecomposition or a Schur matrix power
+    from the grid's steps.
     """
     if alpha == 1.0:
         return differentiation_matrix_adaptive(grid.steps)
-    return fractional_differentiation_matrix_adaptive(
-        alpha, grid.steps, method=adaptive_method
-    )
+    return fractional_differentiation_matrix_adaptive(alpha, grid.steps)
 
 
-def dense_operator(
-    grid: TimeGrid, alpha: float, *, adaptive_method: str = "auto"
-) -> np.ndarray:
+def dense_operator(grid: TimeGrid, alpha: float) -> np.ndarray:
     """Full dense ``D^alpha`` for any grid and order (Kronecker reference).
 
     Uniform grids use the series closed form (paper eq. (22)); adaptive
@@ -74,4 +70,4 @@ def dense_operator(
         return fractional_differentiation_matrix(alpha, grid.m, grid.h)
     if alpha == 0.0:
         return np.eye(grid.m)
-    return adaptive_operator(grid, alpha, adaptive_method=adaptive_method)
+    return adaptive_operator(grid, alpha)

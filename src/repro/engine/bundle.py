@@ -69,24 +69,24 @@ __all__ = [
 ]
 
 
-def _make_block_pulse(grid: TimeGrid, projection: str) -> BasisSet:
-    return BlockPulseBasis(grid, projection=projection)
+def _make_block_pulse(grid: TimeGrid) -> BasisSet:
+    return BlockPulseBasis(grid)
 
 
 def _make_pwconst(cls):
-    def make(grid: TimeGrid, projection: str) -> BasisSet:
+    def make(grid: TimeGrid) -> BasisSet:
         if not grid.is_uniform:
             raise BasisError(
                 f"{cls.__name__} requires a uniform grid (its transform acts "
                 "on equal block pulses); use basis='block-pulse' for adaptive grids"
             )
-        return cls(grid.t_end, grid.m, projection=projection)
+        return cls(grid.t_end, grid.m)
 
     return make
 
 
 def _make_spectral(cls):
-    def make(grid: TimeGrid, projection: str) -> BasisSet:
+    def make(grid: TimeGrid) -> BasisSet:
         if not grid.is_uniform:
             raise BasisError(
                 f"{cls.__name__} is grid-free (only the span and the number "
@@ -98,7 +98,7 @@ def _make_spectral(cls):
     return make
 
 
-def _make_laguerre(grid: TimeGrid, projection: str) -> BasisSet:
+def _make_laguerre(grid: TimeGrid) -> BasisSet:
     raise BasisError(
         "the Laguerre family needs an explicit time scale: pass a "
         "LaguerreBasis(a, m) instance instead of the name 'laguerre' "
@@ -106,7 +106,7 @@ def _make_laguerre(grid: TimeGrid, projection: str) -> BasisSet:
     )
 
 
-#: Registered basis families: name -> factory(grid, projection).
+#: Registered basis families: name -> factory(grid).
 BASIS_FAMILIES = {
     "block-pulse": _make_block_pulse,
     "bpf": _make_block_pulse,
@@ -136,7 +136,7 @@ def validate_basis_name(name: str) -> str:
     )
 
 
-def resolve_basis(spec, grid: TimeGrid | None = None, *, projection: str = "average") -> BasisSet:
+def resolve_basis(spec, grid: TimeGrid | None = None) -> BasisSet:
     """Resolve a basis specification to a :class:`BasisSet`.
 
     Parameters
@@ -147,9 +147,9 @@ def resolve_basis(spec, grid: TimeGrid | None = None, *, projection: str = "aver
         (returned unchanged).
     grid:
         The session grid the named family is bound to (required for
-        names, ignored for instances).
-    projection:
-        Block-pulse projection rule, forwarded to the family factory.
+        names, ignored for instances).  Named families project with
+        their default rule; an instance carries its own (e.g.
+        ``BlockPulseBasis(grid, projection="midpoint")``).
     """
     if isinstance(spec, BasisSet):
         return spec
@@ -163,7 +163,7 @@ def resolve_basis(spec, grid: TimeGrid | None = None, *, projection: str = "aver
     key = validate_basis_name(spec)
     if grid is None:
         raise BasisError(f"a grid is required to build the {key!r} basis by name")
-    return BASIS_FAMILIES[key](grid, projection)
+    return BASIS_FAMILIES[key](grid)
 
 
 class OperatorBundle:

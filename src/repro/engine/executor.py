@@ -671,12 +671,9 @@ class ParallelExecutor:
         *,
         basis=None,
         u=None,
-        projection: str | None = None,
-        adaptive_method: str = "auto",
         solver_backend: str = "auto",
         reduce=None,
         memory="exact",
-        memory_rtol: float | None = None,
     ) -> BatchResult:
         """Execute every member and gather one member-ordered batch.
 
@@ -697,11 +694,14 @@ class ParallelExecutor:
             :class:`~repro.basis.base.BasisSet` instance.
         basis:
             Basis family name / instance shared by every member (see
-            :class:`~repro.engine.session.Simulator`).
+            :class:`~repro.engine.session.Simulator`); an instance
+            carries its input projection rule.
         u:
             Default input for members whose ``u`` is ``None``.
-        projection, adaptive_method, memory, memory_rtol:
-            Forwarded to each worker's session.
+        memory:
+            ``'exact'``, ``'soe'`` or an
+            :class:`~repro.fractional.soe.SoePlan` (which carries the
+            tolerance), forwarded to each worker's session.
         solver_backend:
             Dense/sparse pencil-backend mode (``'auto'`` default) --
             distinct from the executor's own process/serial backend.
@@ -736,20 +736,13 @@ class ParallelExecutor:
         start = time.perf_counter()
         if not isinstance(ensemble, Ensemble):
             ensemble = Ensemble(ensemble)
-        basis_obj = _resolve_session_basis(grid, basis, projection)
+        basis_obj = _resolve_session_basis(grid, basis)
         # workers receive the fully resolved basis instance as the grid
         # spec, so every accepted (grid, basis) flavour ships the same
         # way and the worker session is exactly the parent's (memory
         # settings ride along so a compressed parent never silently
         # shards into exact-memory workers)
-        session_kwargs = {
-            "basis": None,
-            "projection": None,
-            "adaptive_method": adaptive_method,
-            "backend": solver_backend,
-            "memory": memory,
-            "memory_rtol": memory_rtol,
-        }
+        session_kwargs = {"backend": solver_backend, "memory": memory}
 
         # project every input in the parent (workers never see
         # callables), each distinct input object once

@@ -45,7 +45,7 @@ Example
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from ..circuits.mna import assemble_mna
 from ..circuits.netlist import Netlist
 from ..errors import NetlistError, SolverError
 from ..fractional.methods import FractionalMethod, validate_method_name
+from ..fractional.soe import resolve_memory
 from .reduction import combine_reduce_options
 from .session import Simulator
 
@@ -95,6 +96,9 @@ class DeckOptions:
     Built only by :func:`resolve_deck_options`, which applies the
     "explicit argument > ``.options``/``.tran`` card > default" rule
     once for every front door (library, CLI, service daemon).
+    ``memory`` is the resolved fractional-memory plan: ``None`` (exact)
+    or an :class:`~repro.fractional.soe.SoePlan` carrying the deck's
+    ``memory_rtol``.
     """
 
     basis: object
@@ -102,7 +106,6 @@ class DeckOptions:
     backend: str
     reduce: object
     memory: object
-    memory_rtol: float | None
     windows: int
     t_end: float | None
     steps: int | None
@@ -126,9 +129,9 @@ class DeckOptions:
             )
         return self.t_end, self.steps
 
-    def session(self, system, grid=None, **session_kwargs) -> Simulator:
+    def session(self, system, grid=None) -> Simulator:
         """A warm :class:`Simulator` with these settings on ``grid``
-        (default: :meth:`grid`); ``session_kwargs`` go to the session."""
+        (default: :meth:`grid`)."""
         from ..core.dispatch import FRACTIONAL_ZOO_METHODS
 
         method = None if self.native else self.method
@@ -148,17 +151,7 @@ class DeckOptions:
             method=method,
             reduce=self.reduce,
             memory=self.memory,
-            memory_rtol=self.memory_rtol,
-            **session_kwargs,
         )
-
-
-def _memory_is_exact(memory) -> bool:
-    """True when a ``memory=`` setting names the exact (uncompressed) mode."""
-    return memory is None or (
-        isinstance(memory, str)
-        and memory.lower() in ("exact", "off", "none", "false", "")
-    )
 
 
 def resolve_deck_options(
@@ -187,9 +180,11 @@ def resolve_deck_options(
     * reduction: ``reduce`` / ``mor_order`` combine through
       :func:`~repro.engine.reduction.combine_reduce_options` (a moment
       count implies reduction);
-    * memory: an explicit ``memory_rtol`` alone implies ``'soe'``; the
-      ``.options memory_rtol=`` card applies only when compression is
-      on, so a bare card never turns it on;
+    * memory: resolves to ``None`` (exact) or an
+      :class:`~repro.fractional.soe.SoePlan`; an explicit
+      ``memory_rtol`` alone implies ``'soe'`` and with exact memory is
+      an error; the ``.options memory_rtol=`` card applies only when
+      compression is on, so a bare card never turns it on;
     * ``basis`` and ``method`` names are validated with a did-you-mean
       diagnostic (a ready :class:`~repro.fractional.methods.
       FractionalMethod` or basis instance passes through);
@@ -229,10 +224,18 @@ def resolve_deck_options(
     )
     if memory is None:
         memory = analysis.memory
-    if memory_rtol is None and not _memory_is_exact(memory):
-        memory_rtol = analysis.memory_rtol
-    if memory is None:
-        memory = "soe" if memory_rtol is not None else "exact"
+    if memory is None and memory_rtol is not None:
+        memory = "soe"
+    memory = resolve_memory(memory)
+    if memory is not None:
+        rtol = memory_rtol if memory_rtol is not None else analysis.memory_rtol
+        if rtol is not None:
+            memory = replace(memory, rtol=float(rtol))
+    elif memory_rtol is not None:
+        raise SolverError(
+            "memory_rtol is only meaningful with memory='soe' "
+            "(exact memory has no approximation tolerance)"
+        )
     windows = int(windows) if windows is not None else (analysis.windows or 1)
     if windows < 1:
         raise NetlistError(f"windows must be >= 1, got {windows}")
@@ -250,7 +253,7 @@ def resolve_deck_options(
                 f"method {name!r} does not support model-order reduction; "
                 "reduce/mor_order apply to the OPM engine only"
             )
-    if not _memory_is_exact(memory) and method not in (
+    if memory is not None and method not in (
         _SESSION_METHODS + ("grunwald-letnikov",)
     ):
         raise NetlistError(
@@ -264,7 +267,6 @@ def resolve_deck_options(
         backend=backend if backend is not None else (analysis.backend or "auto"),
         reduce=reduce,
         memory=memory,
-        memory_rtol=memory_rtol,
         windows=windows,
         t_end=None if t_end is None else float(t_end),
         steps=None if steps is None else int(steps),
@@ -315,7 +317,6 @@ def from_netlist(
     reduce=None,
     memory=None,
     memory_rtol=None,
-    **session_kwargs,
 ) -> Simulator:
     """Build a cached :class:`Simulator` session straight from a netlist.
 
@@ -332,12 +333,11 @@ def from_netlist(
     basis, backend, method, reduce, memory, memory_rtol:
         Session settings; ``None`` defers to the matching ``.options``
         card, merged by :func:`resolve_deck_options` exactly as the CLI
-        and the service daemon merge them.
+        and the service daemon merge them.  ``memory_rtol`` is the deck
+        spelling of the tolerance; it resolves into the session's
+        :class:`~repro.fractional.soe.SoePlan`.
     sparse, use_ic:
         Forwarded to :func:`build_system`.
-    **session_kwargs:
-        Forwarded to :class:`Simulator` (``projection``,
-        ``adaptive_method``).
 
     The parsed source waveforms are bound to the session
     (:meth:`Simulator.bind_input`), so ``sim.run()`` and
@@ -372,7 +372,7 @@ def from_netlist(
         t_end=grid[0] if pair else None,
         steps=grid[1] if pair else None,
     )
-    sim = options.session(system, None if pair else grid, **session_kwargs)
+    sim = options.session(system, None if pair else grid)
     sim.bind_input(netlist.input_function())
     return sim
 
@@ -511,16 +511,26 @@ class NetlistRun:
         )
 
 
-def _solve_transient(netlist: Netlist, system, options: DeckOptions, *, events=()):
+def _solve_transient(
+    netlist: Netlist, system, options: DeckOptions, *, u=None, events=()
+):
     """Run the deck's transient on the route ``options`` select.
 
     Non-session methods go through :func:`repro.core.dispatch.simulate`;
     ``windows > 1`` (or ``'opm-windowed'``) marches one cached session,
     firing ``events`` at window boundaries; anything else is one session
-    run.
+    run.  ``u=None`` drives the deck's own source waveforms.
     """
+    windows = options.windows
+    marches = options.native and (windows > 1 or options.method == "opm-windowed")
+    if events and not marches:
+        raise NetlistError(
+            "events fire at window boundaries: pass windows >= 2 so event "
+            "times can land strictly inside the horizon"
+        )
     t_end, m = options.grid()
-    u = netlist.input_function()
+    if u is None:
+        u = netlist.input_function()
     if not options.native:
         from ..core.dispatch import FRACTIONAL_ZOO_METHODS, simulate
 
@@ -529,7 +539,6 @@ def _solve_transient(netlist: Netlist, system, options: DeckOptions, *, events=(
             # The GL baseline is the only non-session method with a
             # history tail to compress.
             method_kwargs["memory"] = options.memory
-            method_kwargs["memory_rtol"] = options.memory_rtol
         elif options.method in FRACTIONAL_ZOO_METHODS:
             # zoo methods run on a Simulator inside dispatch: give
             # them the session backend the deck/caller picked
@@ -538,8 +547,7 @@ def _solve_transient(netlist: Netlist, system, options: DeckOptions, *, events=(
             system, u, t_end, m, method=options.method, basis=options.basis,
             **method_kwargs,
         )
-    windows = options.windows
-    if windows > 1 or options.method == "opm-windowed":
+    if marches:
         if m % windows:
             raise NetlistError(f"steps={m} must be divisible by windows={windows}")
         sim = options.session(system, (t_end / windows, m // windows))
@@ -567,7 +575,6 @@ def _solve_ensemble(
         return executor.run(
             ensemble, grid, basis=options.basis, solver_backend=options.backend,
             reduce=options.reduce, memory=options.memory,
-            memory_rtol=options.memory_rtol,
         )
 
 

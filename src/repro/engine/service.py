@@ -38,7 +38,8 @@ One JSON object per line, both directions.  Request ``op`` values:
     compression, see :mod:`repro.fractional.soe`),
     ``outputs`` (node names to return -- netlist requests only;
     default every node), ``scales`` (a list -- one request, many
-    runs: a *sweep request*), ``samples`` (output sample count),
+    runs: a *sweep request*), ``samples`` (output sample count, at
+    most :data:`MAX_SAMPLES`),
     ``values`` (``"outputs"`` / ``"states"``), ``format`` (``"json"``
     / ``"csv"``), ``id`` (echoed back).
 ``lint``
@@ -50,7 +51,8 @@ One JSON object per line, both directions.  Request ``op`` values:
     Returns the daemon counters (see above).
 ``ping`` / ``shutdown``
     Liveness probe / graceful stop (queued and solving requests are
-    answered first).
+    answered first, and answers still being written get up to
+    :data:`LINGER_S` seconds; idle connections close at once).
 
 A ``simulate`` response is a *header* line (``kind: "header"``, run
 and sample counts, solver info), ``kind: "chunk"`` lines streaming the
@@ -105,8 +107,13 @@ LATENCY_WINDOW = 4096
 #: ``system`` spec fits; a longer line is refused and its connection closed.
 REQUEST_LINE_LIMIT = 64 * 2**20
 
-#: Seconds a refused connection keeps discarding input before it closes.
+#: Seconds a refused connection keeps discarding input before it
+#: closes, and the longest shutdown waits for answers still being written.
 LINGER_S = 2.0
+
+#: Largest ``samples`` a request may ask for (each sample is one row of
+#: every output, so the bound caps one answer's memory).
+MAX_SAMPLES = 2**20
 
 _LOG = logging.getLogger(__name__)
 
@@ -196,9 +203,14 @@ def _validate_output_options(request: dict) -> None:
         raise ServiceError(f"'format' must be 'json' or 'csv', got {fmt!r}")
     samples = request.get("samples")
     if samples is not None and not (
-        _is_number(samples) and samples >= 1 and float(samples).is_integer()
+        _is_number(samples)
+        and 1 <= samples <= MAX_SAMPLES
+        and float(samples).is_integer()
     ):
-        raise ServiceError(f"'samples' must be a positive integer, got {samples!r}")
+        raise ServiceError(
+            f"'samples' must be an integer in [1, {MAX_SAMPLES}] (MAX_SAMPLES), "
+            f"got {samples!r}"
+        )
 
 
 #: Request fields that are solve settings, in session-key order.
@@ -385,6 +397,10 @@ class SimulationService:
         )
         #: every job on the pool, session builds included
         self._jobs: set[asyncio.Future] = set()
+        #: live connection handlers -> their writers, and the handlers
+        #: idle between requests (waiting for a request line)
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._idle: set[asyncio.Task] = set()
         self._server: asyncio.AbstractServer | None = None
         self._shutdown = asyncio.Event()
 
@@ -452,23 +468,34 @@ class SimulationService:
         self._pool.shutdown(wait=True)
 
     async def _drain(self) -> None:
-        """Wait until every queued and solving request has its answer:
-        a queued request always has a pool job ahead of it, and each
-        finished job starts the next batch."""
+        """Wait until every queued and solving request has its answer
+        (a queued request always has a pool job ahead of it, and each
+        finished job starts the next batch), then for up to
+        :data:`LINGER_S` until every answer is written; idle connections
+        close at once, so an idle client does not delay the exit."""
         while self._jobs:
             await asyncio.wait(set(self._jobs))
+        for task in self._idle:
+            self._connections[task].close()
+        if self._connections:
+            await asyncio.wait(set(self._connections), timeout=LINGER_S)
 
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while not self._shutdown.is_set():
+                self._idle.add(task)
                 try:
                     line = await reader.readline()
                 except ValueError:  # longer than REQUEST_LINE_LIMIT
                     await self._refuse_long_line(reader, writer)
                     break
+                finally:
+                    self._idle.discard(task)
                 if not line:
                     break
                 request: dict = {}
@@ -499,6 +526,7 @@ class SimulationService:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            del self._connections[task]
 
     async def _send_error(self, writer, request: dict, kind: str, error: str) -> None:
         self._errors += 1

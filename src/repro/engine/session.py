@@ -71,7 +71,7 @@ def resolve_grid(grid) -> TimeGrid:
     )
 
 
-def _resolve_session_basis(grid, basis, projection: str | None) -> BasisSet:
+def _resolve_session_basis(grid, basis) -> BasisSet:
     """Resolve the (grid, basis) constructor arguments to one basis.
 
     Accepted combinations:
@@ -84,9 +84,8 @@ def _resolve_session_basis(grid, basis, projection: str | None) -> BasisSet:
     * ``grid`` itself a :class:`BasisSet` (e.g. a
       ``LaguerreBasis(a, m)``, whose horizon is not a grid).
 
-    An explicitly requested ``projection`` rule is honoured for
-    block-pulse-backed instances through ``with_projection``; ``None``
-    keeps the instance's own rule (``'average'`` for named families).
+    An instance keeps its own input projection rule; named families
+    project with their default (``'average'`` for block pulses).
     """
     basis_obj = None
     if isinstance(grid, BasisSet):
@@ -121,13 +120,10 @@ def _resolve_session_basis(grid, basis, projection: str | None) -> BasisSet:
                 )
         basis_obj = basis
     if basis_obj is not None:
-        if projection is not None and hasattr(basis_obj, "with_projection"):
-            basis_obj = basis_obj.with_projection(projection)
         return basis_obj
     if grid is None:
         raise TypeError("a grid (or a BasisSet instance) is required")
-    g = resolve_grid(grid)
-    return resolve_basis(basis, g, projection=projection or "average")
+    return resolve_basis(basis, resolve_grid(grid))
 
 
 def _offset_columns(vector, ones: np.ndarray) -> np.ndarray | None:
@@ -215,7 +211,6 @@ class _DescriptorPlan(_PencilPlan):
         self,
         system: DescriptorSystem,
         bundle: OperatorBundle,
-        adaptive_method: str,
         backend: str,
     ) -> None:
         alpha = system.alpha
@@ -223,9 +218,7 @@ class _DescriptorPlan(_PencilPlan):
         if grid is not None and not grid.is_uniform:
             self.coeffs = None
             self.first_order = False
-            self.D = assembly.adaptive_operator(
-                grid, alpha, adaptive_method=adaptive_method
-            )
+            self.D = assembly.adaptive_operator(grid, alpha)
             self.method = "opm-general"
         else:
             self.coeffs = bundle.toeplitz_coefficients(alpha)
@@ -412,17 +405,16 @@ class Simulator:
         through the exact change of basis; polynomial bases sweep the
         integral form in the Schur coordinates of their integration
         matrix (an ``O(m^3)`` bind, so keep ``m`` small); all families
-        share the same warm-cache semantics.
-    projection:
-        Block-pulse input projection rule, ``'average'`` (paper
-        eq. (2)) or ``'midpoint'``.  ``None`` (default) keeps the
-        basis' own rule; an explicit value is honoured for
-        block-pulse-backed bases (including Walsh/Haar instances) and
-        ignored by spectral/Laguerre families, which project with
-        their own quadrature.
-    adaptive_method:
-        Fractional matrix-power construction on adaptive grids
-        (``'auto'``/``'eig'``/``'schur'``).
+        share the same warm-cache semantics.  The instance carries the
+        input projection rule: block-pulse-backed bases project by
+        cell averages (paper eq. (2)) unless built with
+        ``projection='midpoint'`` (e.g. ``BlockPulseBasis(grid,
+        projection='midpoint')``); spectral and Laguerre families use
+        their own quadrature.  On adaptive grids the grid picks
+        the fractional operator's construction (paper eq. (25)'s
+        eigendecomposition for few pairwise-distinct steps, else a
+        Schur matrix power; see
+        :func:`repro.opmat.fractional.fractional_differentiation_matrix_adaptive`).
     backend:
         ``'auto'`` (default; sparse backend for large sparse systems,
         dense otherwise), ``'dense'``, or ``'sparse'``.
@@ -447,9 +439,8 @@ class Simulator:
         marches); the fitted bound is checked against the plan's
         ``rtol`` at march bind and an uncertified fit falls back to
         exact memory, recorded in the result's ``info['memory']``.
-    memory_rtol:
-        Certification tolerance override for ``memory='soe'``
-        (default ``repro.fractional.soe.DEFAULT_MEMORY_RTOL``).
+        ``'soe'`` certifies to ``repro.fractional.soe.DEFAULT_MEMORY_RTOL``;
+        pass ``SoePlan(rtol=1e-6)`` for another tolerance.
 
     Examples
     --------
@@ -481,13 +472,10 @@ class Simulator:
         grid=None,
         *,
         basis=None,
-        projection: str | None = None,
-        adaptive_method: str = "auto",
         backend: str = "auto",
         method=None,
         reduce=None,
         memory="exact",
-        memory_rtol: float | None = None,
     ) -> None:
         # resolve method= first: it may bind the default basis family
         # (e.g. 'jacobi' sessions default to Legendre), and a typo must
@@ -499,7 +487,7 @@ class Simulator:
             and not isinstance(grid, BasisSet)
         ):
             basis = self._method.default_basis
-        basis_obj = _resolve_session_basis(grid, basis, projection)
+        basis_obj = _resolve_session_basis(grid, basis)
         bundle = OperatorBundle(basis_obj)
         solver = bundle.solver_bundle
         self._system = system
@@ -507,11 +495,10 @@ class Simulator:
         self._basis = basis_obj
         self._solve_basis = solver.basis
         self._transform = bundle.transform
-        self._adaptive_method = adaptive_method
         self._backend_mode = backend
         # validated at bind: a typo'd memory mode must fail here, not
         # deep inside the first march
-        self._memory_plan = resolve_memory(memory, memory_rtol)
+        self._memory_plan = resolve_memory(memory)
         if self._method is not None:
             if reduce is not None:
                 raise SolverError(
@@ -563,11 +550,9 @@ class Simulator:
         # reduce= stays parent-side: the executor reduces per
         # fingerprint group and ships only the small reduced pencils
         self._executor_options = {
-            "adaptive_method": adaptive_method,
             "solver_backend": backend,
             "reduce": reduce,
             "memory": memory,
-            "memory_rtol": memory_rtol,
         }
 
     def _make_plan(self, system):
@@ -595,9 +580,7 @@ class Simulator:
                 f"or MultiTermSystem, got {type(system).__name__}"
             )
         if self._method is None and solver.kind in ("block-pulse", "toeplitz"):
-            return _DescriptorPlan(
-                system, solver, self._adaptive_method, self._backend_mode
-            )
+            return _DescriptorPlan(system, solver, self._backend_mode)
         # spectral bases and zoo methods solve the integral form
         return _IntegralPlan(system, solver, self._backend_mode, self._method)
 
@@ -731,7 +714,6 @@ class Simulator:
         return (
             system_key,
             self._bundle.fingerprint(),
-            self._adaptive_method,
             self._backend_mode,
             # memory compression changes march arithmetic, so compressed
             # and exact sessions must never unify in a keyed cache

@@ -63,7 +63,6 @@ def simulate_grunwald_letnikov(
     n_steps: int,
     *,
     memory="exact",
-    memory_rtol: float | None = None,
 ) -> SampledResult:
     """Simulate ``E d^alpha x = A x + B u`` with implicit GL stepping.
 
@@ -89,9 +88,8 @@ def simulate_grunwald_letnikov(
         exact and folds everything older into a certified
         sum-of-exponentials mode recurrence, making the whole solve
         linear in ``n_steps``; an uncertified fit falls back to exact
-        memory (recorded in ``info['memory']``).
-    memory_rtol:
-        Certification tolerance override for ``memory='soe'``.
+        memory (recorded in ``info['memory']``).  The plan carries the
+        certification tolerance (``SoePlan(rtol=1e-6)``).
 
     Returns
     -------
@@ -139,7 +137,7 @@ def simulate_grunwald_letnikov(
 
     # optional SOE memory compression: keep L recent lags exact, fold
     # older history into P mode states updated by one AXPY per step
-    mem_plan = resolve_memory(memory, memory_rtol)
+    mem_plan = resolve_memory(memory)
     memory_info: dict = {"mode": "exact"}
     fit = None
     if mem_plan is not None:

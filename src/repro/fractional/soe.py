@@ -147,47 +147,28 @@ class SoePlan:
         )
 
 
-def resolve_memory(memory, memory_rtol=None) -> Optional[SoePlan]:
+def resolve_memory(memory) -> Optional[SoePlan]:
     """Normalise the ``memory=`` knob to ``None`` (exact) or a plan.
 
-    Accepts ``None`` / ``'exact'`` (exact memory), ``'soe'`` (default
-    plan, tolerance overridable through ``memory_rtol``), or a ready
-    :class:`SoePlan` (which ``memory_rtol`` must not contradict).
+    Accepts ``None`` / ``'exact'`` (exact memory), ``'soe'`` (the
+    default plan), or a ready :class:`SoePlan`, which carries its own
+    tolerance (``SoePlan(rtol=1e-6)``).
     """
-    if memory is None:
-        plan = None
-    elif isinstance(memory, SoePlan):
-        plan = memory
-    elif isinstance(memory, str):
+    if memory is None or isinstance(memory, SoePlan):
+        return memory
+    if isinstance(memory, str):
         name = memory.strip().lower()
         if name in ("", "exact", "off", "none", "false"):
-            plan = None
-        elif name == "soe":
-            plan = SoePlan()
-        else:
-            raise SolverError(
-                f"memory must be 'exact', 'soe', or an SoePlan, got {memory!r}"
-            )
-    else:
+            return None
+        if name == "soe":
+            return SoePlan()
         raise SolverError(
-            f"memory must be 'exact', 'soe', or an SoePlan, got "
-            f"{type(memory).__name__}"
+            f"memory must be 'exact', 'soe', or an SoePlan, got {memory!r}"
         )
-    if memory_rtol is not None:
-        rtol = float(memory_rtol)
-        if plan is None:
-            raise SolverError(
-                "memory_rtol is only meaningful with memory='soe' "
-                "(exact memory has no approximation tolerance)"
-            )
-        if rtol != plan.rtol:
-            plan = SoePlan(
-                rtol=rtol,
-                max_modes=plan.max_modes,
-                exact_lags=plan.exact_lags,
-                fallback=plan.fallback,
-            )
-    return plan
+    raise SolverError(
+        f"memory must be 'exact', 'soe', or an SoePlan, got "
+        f"{type(memory).__name__}"
+    )
 
 
 @dataclass(frozen=True)
@@ -513,8 +494,8 @@ def require_certified(fit: SoeFit, plan: SoePlan, what: str) -> bool:
     raise MemoryCompressionError(
         f"SOE compression of the {what} memory kernel missed its certified "
         f"tolerance (bound {fit.bound:.3e} > rtol {fit.rtol:.3e} with "
-        f"{fit.n_modes} modes); raise memory_rtol, raise max_modes, or use "
-        "memory='exact'"
+        f"{fit.n_modes} modes); loosen the plan's rtol (SoePlan(rtol=...), "
+        "or a deck's memory_rtol), raise max_modes, or use memory='exact'"
     )
 
 

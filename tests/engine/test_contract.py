@@ -369,17 +369,17 @@ class TestSessionConstruction:
         assert sim.basis is basis
 
     def test_projection_honoured_for_transformed_bases(self, rc):
-        """projection='midpoint' must reach the Walsh session's block pulses."""
-        from repro.basis import WalshBasis
+        """A midpoint Walsh instance's rule reaches its block pulses."""
+        from repro.basis import BlockPulseBasis, TimeGrid, WalshBasis
 
         mid = Simulator(
-            rc, WalshBasis(T_END, 64), projection="midpoint"
+            rc, WalshBasis(T_END, 64, projection="midpoint")
         ).run(lambda t: np.sin(t))
         avg = Simulator(rc, WalshBasis(T_END, 64)).run(lambda t: np.sin(t))
         assert np.max(np.abs(mid.coefficients - avg.coefficients)) > 0.0
-        ref = Simulator(rc, (T_END, 64), projection="midpoint").run(
-            lambda t: np.sin(t)
-        )
+        ref = Simulator(
+            rc, BlockPulseBasis(TimeGrid.uniform(T_END, 64), projection="midpoint")
+        ).run(lambda t: np.sin(t))
         np.testing.assert_allclose(
             mid.basis.to_block_pulse_coefficients(mid.coefficients),
             ref.coefficients,

@@ -5,9 +5,12 @@ Every door funnels its options through
 :func:`repro.engine.netlist_session.resolve_deck_options`; for the
 same settings they must produce equal :class:`DeckOptions` and warm
 sessions with equal fingerprints, and the CLI's CSV must equal the
-library's transient bit for bit.
+library's transient bit for bit.  The engine doors themselves
+(:class:`Simulator`, ``simulate_opm``, ``ParallelExecutor.run``) take
+one set of session options.
 """
 
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +21,14 @@ from hypothesis import strategies as st
 import repro.engine.netlist_session as ns
 from repro.__main__ import _deck_options, build_parser, run
 from repro.circuits.netlist import Netlist
+from repro.core import DescriptorSystem, simulate_opm
+from repro.core.dispatch import simulate
+from repro.engine import Simulator
+from repro.engine.executor import ParallelExecutor
 from repro.engine.netlist_session import build_system, from_netlist, simulate_netlist
 from repro.engine.service import _SessionSpec
 from repro.errors import ReproError, SolverError
+from repro.fractional import SoePlan
 
 EXAMPLES = sorted((Path(__file__).resolve().parents[2] / "examples").glob("*.cir"))
 
@@ -154,7 +162,8 @@ def test_every_door_resolves_the_same_session(deck, chosen, monkeypatch):
 )
 @given(deck=st.sampled_from(EXAMPLES), chosen=option_sets(engine_only=True))
 def test_cli_and_simulate_netlist_resolve_alike(deck, chosen, monkeypatch):
-    # windows/reduce/mor_order exist on the CLI and simulate_netlist only
+    # windows/reduce/mor_order exist on the CLI, simulate_netlist and
+    # repro.simulate(netlist, ...) only
     netlist = Netlist.from_spice_file(deck)
     cli = outcome(
         lambda: _deck_options(
@@ -162,19 +171,21 @@ def test_cli_and_simulate_netlist_resolve_alike(deck, chosen, monkeypatch):
         )
     )
     kwargs = dict(chosen)
-    if "grid" in kwargs:
-        kwargs["t_end"], kwargs["steps"] = kwargs.pop("grid")
+    t_end, steps = kwargs.pop("grid", (None, None))
     routed = []
     with monkeypatch.context() as patch:
         patch.setattr(
             ns, "_solve_transient",
             lambda netlist, system, options, **_: routed.append(options),
         )
-        library = outcome(lambda: simulate_netlist(deck, **kwargs))
-    if isinstance(cli, tuple):  # the error both doors must raise
-        assert library == cli
+        library = outcome(
+            lambda: simulate_netlist(deck, t_end=t_end, steps=steps, **kwargs)
+        )
+        dispatched = outcome(lambda: simulate(netlist, None, t_end, steps, **kwargs))
+    if isinstance(cli, tuple):  # the error every door must raise
+        assert library == dispatched == cli
     else:
-        assert routed == [cli]
+        assert routed == [cli, cli]
 
 
 @pytest.mark.parametrize("deck", EXAMPLES, ids=lambda p: p.stem)
@@ -210,7 +221,7 @@ class TestFixedDisagreements:
         path.write_text(CPE_DECK)
         args = build_parser().parse_args([str(path), "--memory-rtol", "1e-8"])
         cli = _deck_options(args, Netlist.from_spice_file(path))
-        assert (cli.memory, cli.memory_rtol) == ("soe", 1e-8)
+        assert cli.memory == SoePlan(rtol=1e-8)
         plans = [
             from_netlist(CPE_DECK, memory_rtol=1e-8).memory_plan,
             _SessionSpec.from_request(
@@ -229,7 +240,7 @@ class TestFixedDisagreements:
         path.write_text(deck)
         args = build_parser().parse_args([str(path)])
         cli = _deck_options(args, Netlist.from_spice_file(path))
-        assert (cli.memory, cli.memory_rtol) == ("exact", None)
+        assert cli.memory is None
         assert from_netlist(deck).memory_plan is None
         assert _SessionSpec.from_request({"netlist": deck}).build().memory_plan is None
         run = simulate_netlist(deck, windows=4)
@@ -249,3 +260,48 @@ class TestFixedDisagreements:
             simulate_netlist(CPE_DECK, jobs=2)
         assert run([str(path), "--jobs", "2"]) == 1
         assert "--jobs shards --ensemble members" in capsys.readouterr().err
+
+    def test_exact_memory_with_explicit_rtol_is_rejected_once(self):
+        deck = CPE_DECK + ".options memory=exact\n"
+        for memory, source in ((None, deck), ("exact", CPE_DECK)):
+            with pytest.raises(SolverError, match="memory_rtol"):
+                ns.resolve_deck_options(
+                    Netlist.from_spice(source).analysis,
+                    memory=memory, memory_rtol=1e-8,
+                )
+
+    def test_dispatch_honours_deck_options_cards(self):
+        deck = CPE_DECK + ".options basis=chebyshev m=24\n"
+        dispatched = simulate(Netlist.from_spice(deck), None, None)
+        tran = simulate_netlist(deck).tran
+        assert dispatched.basis.name == tran.basis.name == "Chebyshev"
+        assert np.array_equal(dispatched.coefficients, tran.coefficients)
+        explicit = simulate(Netlist.from_spice(deck), None, 2e-3, 16, basis="walsh")
+        assert explicit.basis.name.startswith("Walsh")
+        assert explicit.coefficients.shape[1] == 16
+
+
+def keyword_options(func) -> set:
+    return {
+        name
+        for name, parameter in inspect.signature(func).parameters.items()
+        if parameter.kind is parameter.KEYWORD_ONLY
+    }
+
+
+def as_session_names(names) -> set:
+    return {"backend" if name == "solver_backend" else name for name in names}
+
+
+def test_engine_doors_take_the_same_session_options():
+    """An option threaded into one engine door but not the others fails
+    here.  ``method`` is a session-only option: executor workers
+    rebuild native sessions, and ``simulate_opm`` is the native route."""
+    session = keyword_options(Simulator)
+    assert keyword_options(simulate_opm) == session - {"method"}
+    run = keyword_options(ParallelExecutor.run) - {"u"}
+    assert as_session_names(run) == session - {"method"}
+    sim = Simulator(DescriptorSystem([[1.0]], [[-1.0]], [[1.0]]), (1.0, 4))
+    # the basis ships to workers as the session's resolved instance
+    executor = as_session_names(sim._executor_options)
+    assert executor == session - {"method", "basis"}

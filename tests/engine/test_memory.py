@@ -37,22 +37,18 @@ class TestSessionKnob:
         assert isinstance(sim.memory_plan, SoePlan)
 
     def test_rtol_override(self):
-        sim = Simulator(
-            fractional_system(), (0.5, 16), memory="soe", memory_rtol=1e-6
-        )
+        sim = Simulator(fractional_system(), (0.5, 16), memory=SoePlan(rtol=1e-6))
         assert sim.memory_plan.rtol == 1e-6
 
     def test_bad_mode_rejected_at_bind(self):
         with pytest.raises(SolverError, match="memory"):
             Simulator(fractional_system(), (0.5, 16), memory="wavelet")
-        with pytest.raises(SolverError, match="memory_rtol"):
-            Simulator(fractional_system(), (0.5, 16), memory_rtol=1e-8)
 
     def test_fingerprint_distinguishes_memory_modes(self):
         system = fractional_system()
         exact = Simulator(system, (0.5, 16))
         soe = Simulator(system, (0.5, 16), memory="soe")
-        loose = Simulator(system, (0.5, 16), memory="soe", memory_rtol=1e-6)
+        loose = Simulator(system, (0.5, 16), memory=SoePlan(rtol=1e-6))
         prints = {exact.fingerprint, soe.fingerprint, loose.fingerprint}
         assert len(prints) == 3
 

@@ -334,6 +334,16 @@ class TestDispatchNetlist:
         result = simulate(nl, 2e-3, 5e-3, 100)
         assert result.states([5e-3])[0, 0] == pytest.approx(2.0, rel=1e-2)
 
+    def test_simulate_netlist_events_need_windows(self):
+        from repro.engine.marching import Event
+
+        nl = Netlist.from_spice("I1 0 a 1m\nR1 a 0 1k\nC1 a 0 1u\n")
+        events = [Event(t=2.5e-3, scale=2.0)]
+        with pytest.raises(NetlistError, match="windows >= 2"):
+            simulate(nl, None, 5e-3, 100, events=events)
+        marched = simulate(nl, None, 5e-3, 100, windows=2, events=events)
+        assert len(marched.info["events"]) == 1
+
     def test_u_none_without_netlist_rejected(self):
         nl = Netlist.from_spice("I1 0 a 1m\nR1 a 0 1k\nC1 a 0 1u\n")
         system = assemble_mna(nl)

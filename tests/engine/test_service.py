@@ -6,6 +6,7 @@ in a background thread and talks to it over TCP through
 session LRU, and the stats endpoint are all exercised end to end.
 """
 
+import asyncio
 import json
 import logging
 import socket
@@ -247,6 +248,22 @@ class TestProtocol:
             assert out["runs"]
             assert c.stats()["errors"] == 1
 
+    @pytest.mark.parametrize("samples", [1e30, 2**40])
+    def test_samples_above_limit_fail_before_queueing(self, daemon, samples):
+        """An oversized ``samples`` is a typed error naming the field
+        and :data:`MAX_SAMPLES`, raised before the request queues."""
+        request = {
+            "op": "simulate", "system": SYSTEM_SPEC, "grid": [1.0, 8],
+            "input": 1.0, "samples": samples,
+        }
+        with daemon.client() as c:
+            reply = raw_round_trip(c, request)
+            assert c.ping()
+            stats = c.stats()
+        assert (reply["ok"], reply["kind"]) == (False, "error")
+        assert "'samples'" in reply["error"]
+        assert str(service_module.MAX_SAMPLES) in reply["error"]
+        assert (stats["batches"], stats["internal_errors"]) == (0, 0)
 
     def test_ragged_input_is_a_typed_error(self, daemon):
         with daemon.client() as c:
@@ -562,20 +579,28 @@ class TestCoalescing:
 
     @pytest.mark.parametrize(
         "bad, queued",
-        [({"samples": 1e30}, 2), ({"input": [1.0, 2.0, 3.0]}, 1)],
+        [({"samples": 3}, 2), ({"input": [1.0, 2.0, 3.0]}, 1)],
         ids=["samples", "input"],
     )
     def test_bad_request_fails_alone_beside_coalesced_sibling(self, bad, queued):
         """Two system requests queue behind a held block-pulse batch: a
         bad one fails by itself -- a misshapen ``input`` before it
-        joins the queue, an unsampleable one inside the shared batch --
-        and the good one is answered."""
+        joins the queue, one whose payload fails (``samples: 3`` here)
+        inside the shared batch -- and the good one is answered."""
         handle = ServiceHandle(workers=1)
         good = {"system": SYSTEM_SPEC, "grid": [1.0, 8], "input": 1.0, "samples": 4}
         with handle.client() as c:  # warm sessions: no build jobs
             c.simulate(netlist=DECK, samples=4)
             want = c.simulate(**good)
         gate = SolveGate(handle.service, holds=lambda b: "netlist" in b[0].request)
+        build_payload = handle.service._build_payload
+
+        def failing_payload(pending, *args):
+            if pending.request.get("samples") == 3:
+                raise ServiceError("payload failed")
+            return build_payload(pending, *args)
+
+        handle.service._build_payload = failing_payload
 
         def bad_request():
             with handle.client() as c:
@@ -630,6 +655,46 @@ class TestCoalescing:
         assert_matches_direct(held, 3.0)
         for scale, out in zip(scales, outs):
             assert_matches_direct(out, scale)
+
+    def test_shutdown_waits_for_answer_being_written(self, monkeypatch):
+        """A shutdown arriving while a large answer drains to a slow
+        reader lets the answer finish; an idle connection is closed at
+        once, and the event loop reports no exception."""
+        reported = []
+        serve_async = service_module._serve_async
+
+        async def recording(service, **kwargs):
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context)
+            )
+            await serve_async(service, **kwargs)
+
+        monkeypatch.setattr(service_module, "_serve_async", recording)
+        handle = ServiceHandle(workers=1)
+        samples = 2**17
+        idle = handle.client()
+        slow = socket.socket()
+        slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        slow.settimeout(60)
+        slow.connect(("127.0.0.1", handle.port))
+        try:
+            request = {"op": "simulate", "netlist": DECK, "samples": samples}
+            slow.sendall(json.dumps(request).encode() + b"\n")
+            wait_for_stats(handle, lambda s: s["batches"] == 1 and s["solving"] == 0)
+            with handle.client() as c:
+                c.shutdown()
+            time.sleep(0.2)  # the slow reader: the daemon is shutting down
+            with slow.makefile("rb") as stream:
+                lines = [json.loads(line) for line in stream]
+            assert idle._file.readline() == b""
+        finally:
+            slow.close()
+            idle.close()
+        handle.thread.join(timeout=60)
+        assert not handle.thread.is_alive()
+        assert [lines[0]["kind"], lines[-1]["kind"]] == ["header", "done"]
+        assert sum(len(line.get("t", ())) for line in lines) == samples
+        assert reported == []
 
 
 class TestSessionLRU:

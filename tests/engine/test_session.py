@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.basis import TimeGrid
+from repro.basis import BlockPulseBasis, TimeGrid
 from repro.core import (
     DescriptorSystem,
     FractionalDescriptorSystem,
@@ -69,6 +69,24 @@ class TestSessionBasics:
         assert res.info["method"] == "opm-multiterm"
         sim.run(0.5)
         assert sim.factorisations == 1
+
+    def test_simulate_opm_runs_multiterm_on_its_session(self):
+        """No multi-term detour: ``reduce=`` is recorded, not dropped,
+        and a basis instance carries its projection rule."""
+        msys = MultiTermSystem(
+            [(2.0, np.eye(1)), (0.5, 0.5 * np.eye(1)), (0.0, np.eye(1))],
+            [[1.0]],
+        )
+        one_shot = simulate_opm(msys, 1.0, (10.0, 64), reduce="auto")
+        direct = Simulator(msys, (10.0, 64), reduce="auto").run(1.0)
+        assert one_shot.info["mor"]["reason"] == "unsupported-system"
+        assert one_shot.info["mor"] == direct.info["mor"]
+        np.testing.assert_array_equal(one_shot.coefficients, direct.coefficients)
+        midpoint = BlockPulseBasis(TimeGrid.uniform(10.0, 64), projection="midpoint")
+        res = simulate_multiterm(msys, np.sin, midpoint)
+        assert res.basis is midpoint
+        ref = Simulator(msys, midpoint).run(np.sin)
+        np.testing.assert_array_equal(res.coefficients, ref.coefficients)
 
     def test_multiterm_rejects_adaptive_grid(self):
         msys = MultiTermSystem([(2.0, np.eye(1)), (0.0, np.eye(1))], [[1.0]])

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.circuits.cards import AnalysisSpec
+from repro.engine.netlist_session import resolve_deck_options
 from repro.errors import MemoryCompressionError, SolverError
 from repro.fractional.definitions import (
     cached_gl_weights,
@@ -41,11 +43,13 @@ class TestResolveMemory:
         assert plan.rtol == DEFAULT_MEMORY_RTOL
 
     def test_rtol_override_rebuilds_plan(self):
-        plan = resolve_memory("soe", 1e-6)
-        assert plan.rtol == 1e-6
+        # a deck's memory_rtol resolves into the plan; the plan's other
+        # settings survive
+        plan = resolve_deck_options(AnalysisSpec(), memory="soe", memory_rtol=1e-6)
+        assert plan.memory == SoePlan(rtol=1e-6)
         custom = SoePlan(rtol=1e-4, max_modes=50)
-        again = resolve_memory(custom, 1e-5)
-        assert again.rtol == 1e-5 and again.max_modes == 50
+        again = resolve_deck_options(AnalysisSpec(), memory=custom, memory_rtol=1e-5)
+        assert again.memory == SoePlan(rtol=1e-5, max_modes=50)
 
     def test_plan_passthrough(self):
         plan = SoePlan(rtol=1e-7)
@@ -53,7 +57,7 @@ class TestResolveMemory:
 
     def test_rtol_with_exact_rejected(self):
         with pytest.raises(SolverError, match="memory_rtol"):
-            resolve_memory("exact", 1e-8)
+            resolve_deck_options(AnalysisSpec(), memory="exact", memory_rtol=1e-8)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(SolverError, match="memory"):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.__main__ import run
+from repro.__main__ import _deck_options, build_parser, run
+from repro.circuits.netlist import Netlist
+from repro.fractional import SoePlan
 
 RC_NETLIST = """
 * rc lowpass
@@ -303,10 +305,13 @@ class TestCliMemory:
         assert np.max(np.abs(soe[:, 1] - exact[:, 1])) / scale < 1e-8
 
     def test_memory_rtol_implies_soe(self, cpe_file, capsys):
-        code = run(
-            [str(cpe_file), "--t-end", "4.0", "--steps", "600",
-             "--windows", "20", "--memory-rtol", "1e-6", "--points", "4"]
+        argv = [str(cpe_file), "--t-end", "4.0", "--steps", "600",
+                "--windows", "20", "--memory-rtol", "1e-6", "--points", "4"]
+        options = _deck_options(
+            build_parser().parse_args(argv), Netlist.from_spice_file(cpe_file)
         )
+        assert options.memory == SoePlan(rtol=1e-6)
+        code = run(argv)
         out = capsys.readouterr().out
         assert code == 0
         assert "rtol 1e-06" in out
