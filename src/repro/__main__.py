@@ -130,10 +130,10 @@ import numpy as np
 # only what a plain deck solve runs: ensembles, events, marches and the
 # service load their modules inside the handlers that need them
 from . import __version__
+from .circuits.cards import OPTION_ROWS
 from .circuits.netlist import Netlist
-from .core.dispatch import FRACTIONAL_ZOO_METHODS, SIMULATION_METHODS
+from .core.dispatch import FRACTIONAL_ZOO_METHODS
 from .core.result import MarchingResult
-from .engine.bundle import basis_names
 from .engine.inputs import scaled_input
 from .engine.netlist_session import (
     _solve_ensemble,
@@ -144,6 +144,17 @@ from .engine.netlist_session import (
 )
 from .errors import ReproError
 from .io import Table, write_csv
+
+
+def _add_option_flags(parser, rows) -> None:
+    """One flag per deck-option row that has one (see
+    :data:`repro.circuits.cards.OPTION_ROWS`)."""
+    for row in rows:
+        if row.flag is not None:
+            parser.add_argument(
+                row.flag, type=row.type, default=None, metavar=row.metavar,
+                choices=row.choices, help=row.help_text(),
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,34 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="simulation horizon in seconds (default: the .tran card's tstop)",
     )
-    parser.add_argument(
-        "--steps",
-        type=int,
-        default=None,
-        help="number of basis terms: block pulses, or spectral coefficients "
-        "for polynomial bases (default: .options m, else the .tran card's "
-        "tstop/tstep, else 500)",
-    )
-    parser.add_argument(
-        "--basis",
-        default=None,
-        metavar="FAMILY",
-        help="basis family to solve in: "
-        + ", ".join(n for n in basis_names() if n != "laguerre")
-        + " (default: block-pulse; the Laguerre family needs a time "
-        "scale and is library-API only)",
-    )
-    parser.add_argument(
-        "--method",
-        default=None,
-        metavar="NAME",
-        help="solver method: " + ", ".join(SIMULATION_METHODS)
-        + " (default: .options method, else opm; 'gl', 'oustaloup' and "
-        "'jacobi' are the fractional method zoo -- alternative "
-        "discretisations of the fractional operator solved through the "
-        "cached-pencil engine; unknown names fail with a did-you-mean "
-        "suggestion)",
-    )
+    _add_option_flags(parser, OPTION_ROWS.values())
     parser.add_argument(
         "--outputs",
         nargs="+",
@@ -244,14 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'serial' runs the same task plan on one core)",
     )
     parser.add_argument(
-        "--windows",
-        type=int,
-        default=None,
-        help="march the horizon as this many windows of steps/windows block "
-        "pulses each (default: .options windows, else 1: one single-window "
-        "solve)",
-    )
-    parser.add_argument(
         "--event",
         action="append",
         nargs="+",
@@ -260,42 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="mid-run event at a window boundary: t=TIME required, plus "
         "file=NETLIST (re-stamp the pencil from another netlist) and/or "
         "scale=FACTOR (scale the active input); repeatable",
-    )
-    parser.add_argument(
-        "--reduce",
-        default=None,
-        metavar="MODE",
-        help="certified model-order reduction: 'auto' reduces large "
-        "first-order pencils at session bind (skipping small or "
-        "unsupported ones), 'off' disables a deck's .options reduce= "
-        "card; reduced runs are certified against a residual error "
-        "bound and fall back to the full model when it is exceeded",
-    )
-    parser.add_argument(
-        "--mor-order",
-        type=int,
-        default=None,
-        metavar="Q",
-        help="number of block moments for --reduce (implies reduction "
-        "when --reduce is unset; default 12)",
-    )
-    parser.add_argument(
-        "--memory",
-        choices=("exact", "soe"),
-        default=None,
-        help="fractional-memory mode: 'soe' compresses the power-law "
-        "history tail into a certified sum-of-exponentials recurrence "
-        "(linear-time long-horizon marching; falls back to exact when "
-        "the fit cannot be certified), 'exact' disables a deck's "
-        ".options memory= card (default: .options memory, else exact)",
-    )
-    parser.add_argument(
-        "--memory-rtol",
-        type=float,
-        default=None,
-        metavar="TOL",
-        help="certified relative L1 bound the SOE kernel fit must meet "
-        "(implies --memory soe when unset; default 1e-10)",
     )
     parser.add_argument(
         "--lint",
@@ -602,15 +542,12 @@ def _deck_options(args, netlist):
     """Resolve the analysis flags against the deck's cards."""
     options = resolve_deck_options(
         netlist.analysis,
-        basis=args.basis,
-        method=args.method,
-        reduce=args.reduce,
-        mor_order=args.mor_order,
-        memory=args.memory,
-        memory_rtol=args.memory_rtol,
-        windows=args.windows,
         t_end=args.t_end,
-        steps=args.steps,
+        **{
+            row.keyword: getattr(args, row.keyword)
+            for row in OPTION_ROWS.values()
+            if row.flag is not None
+        },
     )
     if options.steps is None:
         # --steps' documented last resort: no flag and no card gave one
@@ -695,6 +632,10 @@ def _run_serve(argv) -> int:
     return 0
 
 
+#: The deck options the ``client`` subcommand forwards to the daemon.
+_CLIENT_ROWS = [row for row in OPTION_ROWS.values() if row.client]
+
+
 def build_client_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro client",
@@ -734,15 +675,6 @@ def build_client_parser() -> argparse.ArgumentParser:
         help="response encoding (default json)",
     )
     parser.add_argument(
-        "--memory", choices=("exact", "soe"), default=None,
-        help="fractional-memory mode for the service session "
-        "(default: the deck's .options memory= card, else exact)",
-    )
-    parser.add_argument(
-        "--memory-rtol", type=float, default=None, metavar="TOL",
-        help="certified bound the SOE kernel fit must meet",
-    )
-    parser.add_argument(
         "--csv", type=Path, metavar="FILE",
         help="write a --format csv response to this file",
     )
@@ -751,6 +683,7 @@ def build_client_parser() -> argparse.ArgumentParser:
         help="with --netlist: graph-lint the deck on the service instead of "
         "simulating it (exit 0 when clean, 1 with findings)",
     )
+    _add_option_flags(parser, _CLIENT_ROWS)
     return parser
 
 
@@ -801,10 +734,9 @@ def _run_client(argv) -> int:
             request["scale"] = args.scale
         if args.samples is not None:
             request["samples"] = args.samples
-        if args.memory is not None:
-            request["memory"] = args.memory
-        if args.memory_rtol is not None:
-            request["memory_rtol"] = args.memory_rtol
+        for row in _CLIENT_ROWS:
+            if getattr(args, row.keyword) is not None:
+                request[row.name] = getattr(args, row.keyword)
         out = client.simulate(**request)
         if args.format == "csv":
             if args.csv is not None:

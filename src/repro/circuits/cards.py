@@ -33,30 +33,174 @@ parser for SPICE-deck compatibility.
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import NetlistError
 
-__all__ = ["TranCard", "AcCard", "AnalysisSpec"]
+__all__ = ["TranCard", "AcCard", "AnalysisSpec", "OptionRow", "OPTION_ROWS"]
 
 #: ``.ac`` sweep variations (points per decade / per octave / total).
 AC_VARIATIONS = ("dec", "oct", "lin")
 
-#: ``.options`` keys the engine interprets (anything else is retained
-#: in :attr:`AnalysisSpec.extra_options`).
-KNOWN_OPTIONS = (
-    "basis",
-    "method",
-    "m",
-    "windows",
-    "backend",
-    "reduce",
-    "mor_order",
-    "memory",
-    "memory_rtol",
-)
+
+def _basis_help() -> str:
+    from ..engine.bundle import basis_names
+
+    return (
+        "basis family to solve in: "
+        + ", ".join(n for n in basis_names() if n != "laguerre")
+        + " (default: block-pulse; the Laguerre family needs a time "
+        "scale and is library-API only)"
+    )
+
+
+def _method_help() -> str:
+    from ..core.dispatch import SIMULATION_METHODS
+
+    return (
+        "solver method: " + ", ".join(SIMULATION_METHODS)
+        + " (default: .options method, else opm; 'gl', 'oustaloup' and "
+        "'jacobi' are the fractional method zoo -- alternative "
+        "discretisations of the fractional operator solved through the "
+        "cached-pencil engine; unknown names fail with a did-you-mean "
+        "suggestion)"
+    )
+
+
+#: What the service daemon says of a setting it takes from cards only.
+_CARD_ONLY = "the daemon takes it from the deck's .options card only"
+
+
+@dataclass(frozen=True)
+class OptionRow:
+    """One ``.options`` setting, as every front door spells it.
+
+    ``kind`` picks the parser: ``'count'`` (an integer >= 1), ``'rtol'``
+    (a number in (0, 1)) or ``'name'`` (a lower-cased string).
+    ``keyword`` is the library keyword and the CLI's ``--keyword`` flag
+    (none when ``cli`` is off), with ``help`` (text, or a function
+    building it from a name registry); ``client`` flags are forwarded
+    by the ``client`` subcommand.  The daemon honours the field unless
+    ``refusal`` gives its reason to refuse it.
+    """
+
+    name: str
+    kind: str
+    help: str | Callable[[], str] = ""
+    keyword: str = ""
+    cli: bool = True
+    metavar: str | None = None
+    choices: tuple[str, ...] | None = None
+    client: bool = False
+    refusal: str | None = None
+
+    def __post_init__(self) -> None:
+        if not self.keyword:
+            object.__setattr__(self, "keyword", self.name)
+
+    @property
+    def flag(self) -> str | None:
+        """The CLI flag (``None`` when the CLI has none)."""
+        return "--" + self.keyword.replace("_", "-") if self.cli else None
+
+    @property
+    def type(self):
+        """The CLI flag's argparse ``type``."""
+        return {"count": int, "rtol": float}.get(self.kind)
+
+    def help_text(self) -> str:
+        """The CLI flag's help text."""
+        return self.help() if callable(self.help) else self.help
+
+    def parse(self, value, error=NetlistError, *, instances: bool = False):
+        """Type and range-check one value, raising ``error`` with the
+        same message at every door; a ``bool`` is never a number, and
+        with ``instances`` a ``'name'`` setting passes a ready object
+        (a basis, method or plan instance) through."""
+        name = self.name
+        if self.kind == "name":
+            if isinstance(value, str):
+                return value.lower()
+            if instances:
+                return value
+            raise error(f"option {name!r} must be a name string, got {value!r}")
+        count = self.kind == "count"
+        try:
+            if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
+                raise ValueError
+            parsed = int(value) if count else float(value)
+            if count and not isinstance(value, str) and parsed != value:
+                raise ValueError  # a fractional count
+        except (ValueError, OverflowError):
+            expected = "an integer" if count else "a number"
+            raise error(f"option {name!r} expects {expected}, got {value!r}") from None
+        if count and parsed < 1:
+            raise error(f"option {name!r} must be >= 1, got {parsed}")
+        if not count and not 0.0 < parsed < 1.0:
+            raise error(f"option {name!r} must lie in (0, 1), got {parsed!r}")
+        return parsed
+
+
+#: The ``.options`` settings the engine interprets, in CLI flag order;
+#: every front door (cards, CLI, ``client``, daemon, the resolver) reads
+#: this table.  Anything else in a card lands in
+#: :attr:`AnalysisSpec.extra_options`.
+OPTION_ROWS = {
+    row.name: row
+    for row in (
+        OptionRow(
+            "m", "count", keyword="steps",
+            help="number of basis terms: block pulses, or spectral "
+            "coefficients for polynomial bases (default: .options m, else "
+            "the .tran card's tstop/tstep, else 500)",
+            refusal="send the term count in 'grid': [t_end, m]",
+        ),
+        OptionRow("basis", "name", _basis_help, metavar="FAMILY"),
+        OptionRow("method", "name", _method_help, metavar="NAME"),
+        OptionRow(
+            "windows", "count",
+            "march the horizon as this many windows of steps/windows block "
+            "pulses each (default: .options windows, else 1: one "
+            "single-window solve)",
+            refusal=_CARD_ONLY,
+        ),
+        OptionRow("backend", "name", cli=False),
+        OptionRow(
+            "reduce", "name",
+            "certified model-order reduction: 'auto' reduces large "
+            "first-order pencils at session bind (skipping small or "
+            "unsupported ones), 'off' disables a deck's .options reduce= "
+            "card; reduced runs are certified against a residual error "
+            "bound and fall back to the full model when it is exceeded",
+            metavar="MODE", refusal=_CARD_ONLY,
+        ),
+        OptionRow(
+            "mor_order", "count",
+            "number of block moments for --reduce (implies reduction "
+            "when --reduce is unset; default 12)",
+            metavar="Q", refusal=_CARD_ONLY,
+        ),
+        OptionRow(
+            "memory", "name",
+            "fractional-memory mode: 'soe' compresses the power-law "
+            "history tail into a certified sum-of-exponentials recurrence "
+            "(linear-time long-horizon marching; falls back to exact when "
+            "the fit cannot be certified), 'exact' disables a deck's "
+            ".options memory= card (default: .options memory, else exact)",
+            choices=("exact", "soe"), client=True,
+        ),
+        OptionRow(
+            "memory_rtol", "rtol",
+            "certified relative L1 bound the SOE kernel fit must meet "
+            "(implies --memory soe when unset; default 1e-10)",
+            metavar="TOL", client=True,
+        ),
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -164,10 +308,9 @@ class AnalysisSpec:
     ic:
         Initial node voltages from ``.ic v(node)=value`` entries.
     options:
-        Engine-interpreted ``.options`` entries (keys from
-        ``KNOWN_OPTIONS``, already typed: ``m``, ``windows`` and
-        ``mor_order`` are ``int``, ``memory_rtol`` is ``float``, the
-        rest strings).
+        Engine-interpreted ``.options`` entries, keyed and typed by
+        :data:`OPTION_ROWS`.  Each also reads as an attribute:
+        ``spec.basis``, ``spec.m`` (``None`` when the deck is silent).
     extra_options:
         Unrecognised ``.options`` entries, retained verbatim.
     """
@@ -181,83 +324,18 @@ class AnalysisSpec:
     def set_option(self, key: str, value: str) -> None:
         """Record one ``.options`` entry, typing the known keys."""
         key = key.lower()
-        if key not in KNOWN_OPTIONS:
+        row = OPTION_ROWS.get(key)
+        if row is None:
             self.extra_options[key] = value
-            return
-        if key in ("m", "windows", "mor_order"):
-            try:
-                parsed: object = int(value)
-            except ValueError:
-                raise NetlistError(
-                    f".options {key}= expects an integer, got {value!r}"
-                ) from None
-            if parsed < 1:  # type: ignore[operator]
-                raise NetlistError(f".options {key}= must be >= 1, got {parsed}")
-        elif key == "memory_rtol":
-            try:
-                parsed = float(value)
-            except ValueError:
-                raise NetlistError(
-                    f".options memory_rtol= expects a number, got {value!r}"
-                ) from None
-            if not 0.0 < parsed < 1.0:  # type: ignore[operator]
-                raise NetlistError(
-                    f".options memory_rtol= must lie in (0, 1), got {parsed!r}"
-                )
         else:
-            parsed = str(value).lower()
-        self.options[key] = parsed
+            self.options[key] = row.parse(value)
 
-    @property
-    def basis(self) -> str | None:
-        """Requested basis family (``.options basis=...``)."""
-        return self.options.get("basis")
-
-    @property
-    def method(self) -> str | None:
-        """Requested solver method (``.options method=...``).
-
-        Stored verbatim; the front doors validate it against
-        :data:`repro.core.dispatch.SIMULATION_METHODS` (native OPM
-        routes, fractional zoo methods, one-shot baselines) with a
-        did-you-mean diagnostic on typos.
-        """
-        return self.options.get("method")
-
-    @property
-    def m(self) -> int | None:
-        """Requested basis-term count (``.options m=...``)."""
-        return self.options.get("m")
-
-    @property
-    def windows(self) -> int | None:
-        """Requested marching window count (``.options windows=...``)."""
-        return self.options.get("windows")
-
-    @property
-    def backend(self) -> str | None:
-        """Requested linear-algebra backend (``.options backend=...``)."""
-        return self.options.get("backend")
-
-    @property
-    def reduce(self) -> str | None:
-        """Requested model-order reduction (``.options reduce=auto``)."""
-        return self.options.get("reduce")
-
-    @property
-    def mor_order(self) -> int | None:
-        """Requested reduction moment count (``.options mor_order=...``)."""
-        return self.options.get("mor_order")
-
-    @property
-    def memory(self) -> str | None:
-        """Requested fractional-memory mode (``.options memory=exact|soe``)."""
-        return self.options.get("memory")
-
-    @property
-    def memory_rtol(self) -> float | None:
-        """Requested SOE certification tolerance (``.options memory_rtol=...``)."""
-        return self.options.get("memory_rtol")
+    def __getattr__(self, name: str):
+        if name in OPTION_ROWS:
+            return self.options.get(name)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     @property
     def has_analyses(self) -> bool:

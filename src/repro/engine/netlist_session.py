@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..circuits.cards import AcCard
+from ..circuits.cards import OPTION_ROWS, AcCard
 from ..circuits.graph import CircuitGraph, LintReport
 from ..circuits.mna import assemble_mna
 from ..circuits.netlist import Netlist
@@ -154,26 +154,19 @@ class DeckOptions:
         )
 
 
-def resolve_deck_options(
-    analysis,
-    *,
-    basis=None,
-    method=None,
-    backend=None,
-    reduce=None,
-    mor_order=None,
-    memory=None,
-    memory_rtol=None,
-    windows=None,
-    t_end=None,
-    steps=None,
-) -> DeckOptions:
+#: The deck-option rows by library keyword (``steps`` is the ``m`` row).
+_ROWS_BY_KEYWORD = {row.keyword: row for row in OPTION_ROWS.values()}
+
+
+def resolve_deck_options(analysis, *, t_end=None, **given) -> DeckOptions:
     """Merge explicit settings with a deck's cards into :class:`DeckOptions`.
 
-    Every argument is an explicit setting, ``None`` meaning "not
-    given"; each falls back to its ``.options`` card (``analysis`` is
-    the deck's :class:`~repro.circuits.cards.AnalysisSpec`), then to
-    the default.  The rules every front door shares:
+    ``given`` holds the explicit settings by library keyword (the rows
+    of :data:`repro.circuits.cards.OPTION_ROWS`; ``steps`` sets the
+    ``m`` row), ``None`` meaning "not given".  Each is parsed by its
+    row, then falls back to its ``.options`` card (``analysis`` is the
+    deck's :class:`~repro.circuits.cards.AnalysisSpec`), then to the
+    default.  The rules every front door shares:
 
     * grid: ``t_end`` falls back to the ``.tran`` horizon; ``steps`` to
       ``.options m=``, then the ``.tran`` card's ``tstop / tstep``;
@@ -183,8 +176,9 @@ def resolve_deck_options(
     * memory: resolves to ``None`` (exact) or an
       :class:`~repro.fractional.soe.SoePlan`; an explicit
       ``memory_rtol`` alone implies ``'soe'`` and with exact memory is
-      an error; the ``.options memory_rtol=`` card applies only when
-      compression is on, so a bare card never turns it on;
+      an error; the ``.options memory_rtol=`` card applies only to a
+      plan named ``'soe'`` (by a card or explicitly), so a bare card
+      never turns compression on and never retunes a ready plan;
     * ``basis`` and ``method`` names are validated with a did-you-mean
       diagnostic (a ready :class:`~repro.fractional.methods.
       FractionalMethod` or basis instance passes through);
@@ -195,14 +189,24 @@ def resolve_deck_options(
     from ..core.dispatch import SIMULATION_METHODS
     from .bundle import basis_names, validate_basis_name
 
+    explicit = {}
+    for keyword, value in given.items():
+        row = _ROWS_BY_KEYWORD.get(keyword)
+        if row is None:
+            raise TypeError(
+                f"resolve_deck_options() got an unexpected keyword argument "
+                f"{keyword!r}"
+            )
+        if value is not None:
+            explicit[row.name] = row.parse(value, instances=True)
+    merged = {**analysis.options, **explicit}
+
     tran = analysis.tran
     if t_end is None and tran is not None:
         t_end = tran.tstop
-    if steps is None:
-        steps = analysis.m or (tran.steps if tran is not None else None)
+    steps = merged.get("m") or (tran.steps if tran is not None else None)
 
-    if basis is None:
-        basis = analysis.basis
+    basis = merged.get("basis")
     if isinstance(basis, str):
         basis = validate_basis_name(basis)
         if basis == "laguerre":
@@ -212,33 +216,27 @@ def resolve_deck_options(
                 "instance, or pick one of "
                 + ", ".join(n for n in basis_names() if n != "laguerre")
             )
-    if method is None:
-        method = analysis.method or "opm"
+    method = merged.get("method", "opm")
     if not isinstance(method, FractionalMethod):
         method = validate_method_name(
             method, SIMULATION_METHODS, context="method", error=NetlistError
         )
-    reduce = combine_reduce_options(
-        reduce if reduce is not None else analysis.reduce,
-        mor_order if mor_order is not None else analysis.mor_order,
-    )
-    if memory is None:
-        memory = analysis.memory
-    if memory is None and memory_rtol is not None:
+    reduce = combine_reduce_options(merged.get("reduce"), merged.get("mor_order"))
+    memory = merged.get("memory")
+    if memory is None and "memory_rtol" in explicit:
         memory = "soe"
-    memory = resolve_memory(memory)
-    if memory is not None:
-        rtol = memory_rtol if memory_rtol is not None else analysis.memory_rtol
-        if rtol is not None:
-            memory = replace(memory, rtol=float(rtol))
-    elif memory_rtol is not None:
+    plan = resolve_memory(memory)
+    rtol = explicit.get("memory_rtol")
+    if rtol is None and isinstance(memory, str):
+        rtol = analysis.memory_rtol
+    if plan is not None and rtol is not None:
+        plan = replace(plan, rtol=rtol)
+    elif plan is None and "memory_rtol" in explicit:
         raise SolverError(
             "memory_rtol is only meaningful with memory='soe' "
             "(exact memory has no approximation tolerance)"
         )
-    windows = int(windows) if windows is not None else (analysis.windows or 1)
-    if windows < 1:
-        raise NetlistError(f"windows must be >= 1, got {windows}")
+    windows = merged.get("windows", 1)
 
     name = getattr(method, "name", method)
     if method not in _SESSION_METHODS:
@@ -253,7 +251,7 @@ def resolve_deck_options(
                 f"method {name!r} does not support model-order reduction; "
                 "reduce/mor_order apply to the OPM engine only"
             )
-    if memory is not None and method not in (
+    if plan is not None and method not in (
         _SESSION_METHODS + ("grunwald-letnikov",)
     ):
         raise NetlistError(
@@ -264,12 +262,12 @@ def resolve_deck_options(
     return DeckOptions(
         basis=basis,
         method=method,
-        backend=backend if backend is not None else (analysis.backend or "auto"),
+        backend=merged.get("backend", "auto"),
         reduce=reduce,
-        memory=memory,
+        memory=plan,
         windows=windows,
         t_end=None if t_end is None else float(t_end),
-        steps=None if steps is None else int(steps),
+        steps=steps,
     )
 
 
@@ -584,20 +582,12 @@ def simulate_netlist(
     title: str = "",
     outputs=None,
     t_end: float | None = None,
-    steps: int | None = None,
-    basis=None,
-    windows: int | None = None,
-    method: str | None = None,
-    backend: str | None = None,
-    reduce=None,
-    mor_order: int | None = None,
-    memory=None,
-    memory_rtol: float | None = None,
     sparse: str = "auto",
     use_ic: bool = True,
     ensemble=None,
     jobs: int | None = None,
     parallel: str = "process",
+    **settings,
 ) -> NetlistRun:
     """Parse a deck and run every analysis it (or the caller) requests.
 
@@ -620,20 +610,18 @@ def simulate_netlist(
         Title for text sources (file sources use the file stem).
     outputs:
         Output node names (default: every node).
-    t_end, steps:
-        Transient horizon / term count overrides.  A transient runs
-        when the deck has a ``.tran`` card or ``t_end`` is given.
-    basis, windows, method, backend:
-        Overrides for the matching ``.options`` keys.
-    reduce, mor_order:
-        Certified model-order reduction: override ``.options reduce=``
-        / ``.options mor_order=`` (session methods and ensembles only;
-        see :mod:`repro.engine.reduction`).
-    memory, memory_rtol:
-        Fractional-memory compression: override ``.options memory=`` /
-        ``.options memory_rtol=`` (session methods and the
-        ``'grunwald-letnikov'`` baseline; see
-        :mod:`repro.fractional.soe`).
+    t_end:
+        Transient horizon override.  A transient runs when the deck has
+        a ``.tran`` card or ``t_end`` is given.
+    **settings:
+        Overrides for the deck's ``.options`` cards, one keyword per row
+        of :data:`repro.circuits.cards.OPTION_ROWS`: ``steps`` (the term
+        count, card ``m``), ``basis``, ``method``, ``windows``,
+        ``backend``, ``reduce`` / ``mor_order`` (certified model-order
+        reduction, session methods and ensembles only; see
+        :mod:`repro.engine.reduction`) and ``memory`` / ``memory_rtol``
+        (fractional-memory compression, session methods and the
+        ``'grunwald-letnikov'`` baseline; see :mod:`repro.fractional.soe`).
     sparse, use_ic:
         Forwarded to :func:`build_system`.
     ensemble:
@@ -673,19 +661,7 @@ def simulate_netlist(
     spec = netlist.analysis
     output_names = tuple(outputs) if outputs is not None else tuple(netlist.nodes)
     system = build_system(netlist, outputs=output_names, sparse=sparse, use_ic=use_ic)
-    options = resolve_deck_options(
-        spec,
-        basis=basis,
-        method=method,
-        backend=backend,
-        reduce=reduce,
-        mor_order=mor_order,
-        memory=memory,
-        memory_rtol=memory_rtol,
-        windows=windows,
-        t_end=t_end,
-        steps=steps,
-    )
+    options = resolve_deck_options(spec, t_end=t_end, **settings)
 
     tran = None
     if options.t_end is not None:

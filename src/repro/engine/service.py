@@ -29,22 +29,20 @@ One JSON object per line, both directions.  Request ``op`` values:
 ``simulate``
     ``{"op": "simulate", "netlist": "<deck>", "scale": 2.0}`` or
     ``{"op": "simulate", "system": {"E": [[...]], "A": [[...]],
-    "B": [[...]]}, "grid": [1.0, 200], "input": 1.0}``.  Optional:
-    ``basis``, ``backend``, ``grid`` (overrides the deck's ``.tran``),
-    ``method`` (fractional-operator discretisation: ``"opm"`` or a zoo
-    name -- ``"gl"`` / ``"oustaloup"`` / ``"jacobi"``; see
-    :mod:`repro.fractional.methods`; typos fail with a did-you-mean
-    suggestion), ``memory`` / ``memory_rtol`` (fractional-memory
-    compression, see :mod:`repro.fractional.soe`),
-    ``outputs`` (node names to return -- netlist requests only;
-    default every node), ``scales`` (a list -- one request, many
-    runs: a *sweep request*), ``samples`` (output sample count, at
-    most :data:`MAX_SAMPLES`),
-    ``values`` (``"outputs"`` / ``"states"``), ``format`` (``"json"``
-    / ``"csv"``), ``id`` (echoed back).
+    "B": [[...]]}, "grid": [1.0, 200], "input": 1.0}``.  Fields:
+    ``op``, ``id`` (echoed back), ``netlist`` / ``system``, ``grid``
+    (overrides the deck's ``.tran``), ``input``, ``scale`` or ``scales``
+    (a list -- one request, many runs: a *sweep request*), ``outputs``
+    (node names -- netlist requests only; default every node),
+    ``samples`` (at most :data:`MAX_SAMPLES`), ``values``
+    (``"outputs"`` / ``"states"``), ``format`` (``"json"`` / ``"csv"``),
+    and the deck options the daemon honours (the rows of
+    :data:`repro.circuits.cards.OPTION_ROWS` without a ``refusal``):
+    ``basis``, ``backend``, ``method`` (``"opm"`` or a zoo name; typos
+    fail with a did-you-mean suggestion), ``memory`` / ``memory_rtol``.
 ``lint``
-    ``{"op": "lint", "netlist": "<deck>"}``.  Parses and graph-lints
-    the deck (floating nodes, missing DC paths; see
+    ``{"op": "lint", "netlist": "<deck>"}`` (plus ``id``).  Parses and
+    graph-lints the deck (floating nodes, missing DC paths; see
     :mod:`repro.circuits.graph`) without assembling or solving it,
     returning the issue report and the structural graph summary.
 ``stats``
@@ -53,6 +51,12 @@ One JSON object per line, both directions.  Request ``op`` values:
     Liveness probe / graceful stop (queued and solving requests are
     answered first, and answers still being written get up to
     :data:`LINGER_S` seconds; idle connections close at once).
+
+Any other field fails the request with an error line naming it -- a
+refused deck option (``m`` travels in ``grid``; ``windows``,
+``reduce`` and ``mor_order`` come from ``.options`` cards only) with
+the reason, an unknown one with a did-you-mean -- and the connection
+keeps serving.
 
 A ``simulate`` response is a *header* line (``kind: "header"``, run
 and sample counts, solver info), ``kind: "chunk"`` lines streaming the
@@ -66,6 +70,7 @@ an unexpected exception); the request ``id`` rides along on every line.
 from __future__ import annotations
 
 import asyncio
+import difflib
 import json
 import logging
 import math
@@ -78,7 +83,7 @@ from functools import partial
 
 import numpy as np
 
-from ..circuits.cards import AnalysisSpec
+from ..circuits.cards import OPTION_ROWS, AnalysisSpec
 from ..errors import ReproError, ServiceError
 from .inputs import scaled_input
 from .session import Simulator
@@ -213,8 +218,39 @@ def _validate_output_options(request: dict) -> None:
         )
 
 
-#: Request fields that are solve settings, in session-key order.
-_SOLVE_OPTIONS = ("basis", "backend", "method", "memory", "memory_rtol")
+#: The deck-option rows the daemon honours as request fields.
+_HONOURED = [row for row in OPTION_ROWS.values() if row.refusal is None]
+
+#: The fields each request ``op`` accepts.
+_OP_FIELDS = dict.fromkeys(("ping", "stats", "shutdown"), frozenset({"op", "id"}))
+_OP_FIELDS["lint"] = _OP_FIELDS["ping"] | {"netlist"}
+_OP_FIELDS["simulate"] = _OP_FIELDS["lint"] | {row.name for row in _HONOURED} | {
+    "system", "grid", "input", "scale", "scales", "outputs", "samples",
+    "values", "format",
+}
+
+
+def _check_fields(request: dict, op: str) -> None:
+    """Refuse a field the ``op`` does not accept, naming it: a refused
+    deck option with the reason, anything else with a did-you-mean."""
+    accepted = _OP_FIELDS.get(op) if isinstance(op, str) else None
+    if accepted is None:
+        raise ServiceError(
+            f"unknown op {op!r}; expected simulate/lint/stats/ping/shutdown"
+        )
+    for name in request:
+        if name in accepted:
+            continue
+        row = OPTION_ROWS.get(name)
+        if row is not None and row.refusal is not None:
+            raise ServiceError(f"field {name!r} is refused: {row.refusal}")
+        close = difflib.get_close_matches(name, accepted, n=1)
+        hint = f" (did you mean {close[0]!r}?)" if close else ""
+        raise ServiceError(
+            f"unknown field {name!r} for op {op!r}{hint}; it accepts "
+            + ", ".join(sorted(accepted))
+        )
+
 
 #: Cumulative :meth:`PencilBank.stats
 #: <repro.engine.backends.PencilBank.stats>` counters.
@@ -236,12 +272,17 @@ class _SessionSpec:
 
     @classmethod
     def from_request(cls, request: dict) -> "_SessionSpec":
+        _check_fields(request, "simulate")
         netlist = request.get("netlist")
         system = request.get("system")
         if (netlist is None) == (system is None):
             raise ServiceError(
                 "a simulate request needs exactly one of 'netlist' "
                 "(deck text) or 'system' (an E/A/B spec)"
+            )
+        if netlist is not None and not isinstance(netlist, str):
+            raise ServiceError(
+                f"'netlist' must be deck text, got {type(netlist).__name__}"
             )
         outputs = request.get("outputs")
         if outputs is not None:
@@ -262,25 +303,12 @@ class _SessionSpec:
             grid = _parse_grid(grid)
         elif system is not None:
             raise ServiceError("a 'system' request requires 'grid': [t_end, m]")
-        options = {name: request.get(name) for name in _SOLVE_OPTIONS}
-        for name in ("basis", "backend"):
-            if options[name] is not None and not isinstance(options[name], str):
-                raise ServiceError(
-                    f"{name!r} must be a name string, got {options[name]!r}"
-                )
-        memory = options["memory"]
-        if memory is not None and not isinstance(memory, str):
-            raise ServiceError(
-                f"'memory' must be 'exact' or 'soe', got {memory!r}"
+        options = {}
+        for row in _HONOURED:
+            value = request.get(row.name)
+            options[row.keyword] = (
+                None if value is None else row.parse(value, ServiceError)
             )
-        if options["memory_rtol"] is not None:
-            try:
-                options["memory_rtol"] = float(options["memory_rtol"])
-            except (TypeError, ValueError) as exc:
-                raise ServiceError(
-                    f"'memory_rtol' must be a number, got "
-                    f"{options['memory_rtol']!r}"
-                ) from exc
         if options["method"] is not None:
             # a typo'd method must fail at request validation (with the
             # shared did-you-mean diagnostic), not on a worker thread
@@ -559,6 +587,11 @@ class SimulationService:
     async def _handle_request(self, request: dict, writer) -> None:
         op = request.get("op", "simulate")
         rid = request.get("id")
+        if op == "simulate":
+            # _SessionSpec.from_request checks a simulate request's fields
+            await self._simulate(request, writer)
+            return
+        _check_fields(request, op)
         if op == "ping":
             await self._send(writer, {"id": rid, "ok": True, "kind": "pong"})
         elif op == "stats":
@@ -569,14 +602,8 @@ class SimulationService:
         elif op == "shutdown":
             await self._send(writer, {"id": rid, "ok": True, "kind": "done"})
             self._shutdown.set()
-        elif op == "lint":
+        else:  # "lint": _check_fields refused every other op
             await self._lint(request, writer)
-        elif op == "simulate":
-            await self._simulate(request, writer)
-        else:
-            raise ServiceError(
-                f"unknown op {op!r}; expected simulate/lint/stats/ping/shutdown"
-            )
 
     async def _lint(self, request: dict, writer) -> None:
         """Graph-lint a deck without assembling or solving it.
@@ -1023,14 +1050,16 @@ class ServiceClient:
     def simulate(self, **request) -> dict:
         """One simulate round trip; assembles the chunked response.
 
-        Accepts the request schema fields (``netlist`` / ``system`` +
-        ``grid``, ``input``, ``scale`` / ``scales``, ``basis``,
-        ``backend``, ``method``, ``memory`` / ``memory_rtol``,
-        ``outputs``, ``samples``, ``values``, ``format``).  Returns a
-        dict with ``info``, ``latency_ms`` / ``queue_ms`` / ``solve_ms``,
-        and either ``runs`` (a list of ``{"t": [...], "values": [[...]]}``
-        per run, with ``t`` / ``values`` aliased to the first run) or
-        ``csv`` text.
+        Takes the ``simulate`` fields of the protocol (see the module
+        docstring): ``netlist`` / ``system`` + ``grid``, ``input``,
+        ``scale`` / ``scales``, ``outputs``, ``samples``, ``values``,
+        ``format``, ``id`` and the honoured deck options ``basis``,
+        ``backend``, ``method``, ``memory`` / ``memory_rtol``; the
+        daemon refuses any other field with a :class:`ServiceError`
+        naming it.  Returns a dict with ``info``, ``latency_ms`` /
+        ``queue_ms`` / ``solve_ms``, and either ``runs`` (a list of
+        ``{"t": [...], "values": [[...]]}`` per run, with ``t`` /
+        ``values`` aliased to the first run) or ``csv`` text.
         """
         request["op"] = "simulate"
         header = self._round_trip(request)

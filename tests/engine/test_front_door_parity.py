@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import repro.engine.netlist_session as ns
 from repro.__main__ import _deck_options, build_parser, run
+from repro.circuits.cards import OPTION_ROWS
 from repro.circuits.netlist import Netlist
 from repro.core import DescriptorSystem, simulate_opm
 from repro.core.dispatch import simulate
@@ -27,10 +28,18 @@ from repro.engine import Simulator
 from repro.engine.executor import ParallelExecutor
 from repro.engine.netlist_session import build_system, from_netlist, simulate_netlist
 from repro.engine.service import _SessionSpec
-from repro.errors import ReproError, SolverError
+from repro.errors import NetlistError, ReproError, ServiceError, SolverError
 from repro.fractional import SoePlan
 
 EXAMPLES = sorted((Path(__file__).resolve().parents[2] / "examples").glob("*.cir"))
+
+#: first-order (reducible), with 32 terms (a power of two, for Walsh)
+RC_DECK = """
+I1 0 a 1m
+R1 a 0 100
+C1 a 0 1u
+.tran 50u 1.6m
+"""
 
 CPE_DECK = """
 I1 0 a 1m
@@ -39,15 +48,19 @@ P1 a 0 1u 0.5
 .tran 50u 2m
 """
 
-#: option -> CLI flag, for the options every door shares
-CLI_FLAGS = {
-    "basis": "--basis",
-    "method": "--method",
-    "memory": "--memory",
-    "memory_rtol": "--memory-rtol",
-    "reduce": "--reduce",
-    "mor_order": "--mor-order",
-    "windows": "--windows",
+#: Settings (as deck text) that exercise each deck-option row; a new
+#: row fails ``test_every_row_has_settings`` until it gets some.
+ROW_SETTINGS = {
+    "m": {"m": "16"},
+    "basis": {"basis": "walsh"},
+    "method": {"method": "oustaloup"},
+    "windows": {"windows": "2"},
+    "backend": {"backend": "dense"},
+    "reduce": {"reduce": "auto"},
+    "mor_order": {"mor_order": "4"},
+    "memory": {"memory": "soe"},
+    # a bare memory_rtol card never turns compression on
+    "memory_rtol": {"memory": "soe", "memory_rtol": "1e-8"},
 }
 
 
@@ -84,9 +97,9 @@ def cli_argv(deck: Path, chosen: dict) -> list[str]:
     argv = [str(deck)]
     for name, value in chosen.items():
         if name == "grid":
-            argv += ["--t-end", repr(value[0]), "--steps", str(value[1])]
+            argv += ["--t-end", repr(value[0]), OPTION_ROWS["m"].flag, str(value[1])]
         else:
-            argv += [CLI_FLAGS[name], str(value)]
+            argv += [OPTION_ROWS[name].flag, str(value)]
     return argv
 
 
@@ -188,6 +201,62 @@ def test_cli_and_simulate_netlist_resolve_alike(deck, chosen, monkeypatch):
         assert routed == [cli, cli]
 
 
+def test_every_row_has_settings():
+    assert ROW_SETTINGS.keys() == OPTION_ROWS.keys()
+
+
+@pytest.mark.parametrize("row", OPTION_ROWS.values(), ids=lambda row: row.name)
+def test_every_row_is_honoured_or_refused_at_every_door(row, tmp_path, monkeypatch):
+    """Each deck option gives equal :class:`DeckOptions` and session
+    fingerprints through a ``.options`` card, ``simulate_netlist``, the
+    CLI and the daemon -- or the door refuses it, naming it."""
+    settings = ROW_SETTINGS[row.name]
+    typed = {name: OPTION_ROWS[name].parse(text) for name, text in settings.items()}
+    path = tmp_path / "rc.cir"
+    path.write_text(RC_DECK)
+    netlist = Netlist.from_spice(RC_DECK)
+    system = build_system(netlist, outputs=list(netlist.nodes))
+
+    def resolved(options):
+        return options, options.session(system).fingerprint
+
+    cards = "".join(f".options {name}={text}\n" for name, text in settings.items())
+    card = resolved(
+        ns.resolve_deck_options(Netlist.from_spice(RC_DECK + cards).analysis)
+    )
+    # the setting changes the resolved options
+    assert card != resolved(ns.resolve_deck_options(netlist.analysis))
+
+    routed = []
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            ns, "_solve_transient",
+            lambda netlist, system, options, **_: routed.append(options),
+        )
+        simulate_netlist(
+            path, **{OPTION_ROWS[name].keyword: v for name, v in typed.items()}
+        )
+    assert resolved(routed[0]) == card
+
+    if row.flag is None:
+        flag = "--" + row.keyword.replace("_", "-")
+        assert flag not in build_parser()._option_string_actions
+    else:
+        argv = [str(path)]
+        for name, text in settings.items():
+            argv += [OPTION_ROWS[name].flag, text]
+        cli = _deck_options(build_parser().parse_args(argv), netlist)
+        assert resolved(cli) == card
+
+    request = {"netlist": RC_DECK, **typed}
+    if row.refusal is not None:
+        with pytest.raises(ServiceError, match=repr(row.name)):
+            _SessionSpec.from_request(request)
+    else:
+        with monkeypatch.context() as patch:
+            assert service_door(path, typed, patch) == card
+
+
 @pytest.mark.parametrize("deck", EXAMPLES, ids=lambda p: p.stem)
 def test_cli_csv_is_the_library_transient(deck, tmp_path, capsys):
     csv = tmp_path / "out.csv"
@@ -245,6 +314,43 @@ class TestFixedDisagreements:
         assert _SessionSpec.from_request({"netlist": deck}).build().memory_plan is None
         run = simulate_netlist(deck, windows=4)
         assert (run.tran.info.get("memory") or {}).get("mode", "exact") == "exact"
+
+    def test_memory_rtol_card_leaves_a_ready_plan_alone(self):
+        deck = CPE_DECK + ".options memory_rtol=1e-9\n"
+        plan = SoePlan(rtol=1e-6)
+        assert from_netlist(deck, memory=plan).memory_plan.rtol == 1e-6
+        # a plan named 'soe', by a card or explicitly, takes the card
+        assert from_netlist(deck, memory="soe").memory_plan.rtol == 1e-9
+        soe_deck = deck + ".options memory=soe\n"
+        assert from_netlist(soe_deck).memory_plan.rtol == 1e-9
+        assert from_netlist(soe_deck, memory=plan).memory_plan.rtol == 1e-6
+
+    def test_bad_numeric_option_has_one_message_at_every_door(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "cpe.cir"
+        path.write_text(CPE_DECK)
+        message = "option 'memory_rtol' must lie in (0, 1), got 2.0"
+        with pytest.raises(NetlistError) as card:
+            Netlist.from_spice(CPE_DECK + ".options memory_rtol=2.0\n")
+        with pytest.raises(NetlistError) as library:
+            simulate_netlist(CPE_DECK, memory_rtol=2.0)
+        with pytest.raises(ServiceError) as daemon:
+            _SessionSpec.from_request({"netlist": CPE_DECK, "memory_rtol": 2.0})
+        assert run([str(path), "--memory-rtol", "2.0"]) == 1
+        cli = capsys.readouterr().err
+        for text in (str(card.value), str(library.value), str(daemon.value), cli):
+            assert message in text
+        # a bool is never a number
+        for door in (
+            lambda: simulate_netlist(CPE_DECK, memory_rtol=True),
+            lambda: simulate_netlist(CPE_DECK, windows=True),
+            lambda: _SessionSpec.from_request(
+                {"netlist": CPE_DECK, "memory_rtol": True}
+            ),
+        ):
+            with pytest.raises(ReproError, match="expects"):
+                door()
 
     def test_jobs_without_ensemble_is_rejected_at_every_door(
         self, tmp_path, capsys

@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.circuits.cards import OPTION_ROWS
 from repro.engine import Simulator
 from repro.engine import service as service_module
 from repro.engine.service import ServiceClient, SimulationService, serve
@@ -247,6 +248,37 @@ class TestProtocol:
             out = c.simulate(system=SYSTEM_SPEC, grid=[1.0, 16], input=1.0)
             assert out["runs"]
             assert c.stats()["errors"] == 1
+
+    @pytest.mark.parametrize(
+        "request_fields, field",
+        [
+            ({"netlist": DECK, "basiss": "chebyshev"}, "basiss"),
+            *[
+                ({"netlist": DECK, row.name: 4}, row.name)
+                for row in OPTION_ROWS.values()
+                if row.refusal is not None
+            ],
+            ({"op": "lint", "netlist": DECK, "samples": 4}, "samples"),
+            ({"op": "ping", "verbose": True}, "verbose"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else None,
+    )
+    def test_unknown_or_refused_field_fails_alone(
+        self, daemon, request_fields, field
+    ):
+        """A field the request's op does not accept answers ``ok: false``
+        naming it (an unknown one with a did-you-mean), counts as an
+        error, and the connection keeps serving."""
+        request = {"op": "simulate", **request_fields}
+        with daemon.client() as c:
+            reply = raw_round_trip(c, request)
+            assert c.ping()
+            stats = c.stats()
+        assert (reply["ok"], reply["kind"]) == (False, "error")
+        assert repr(field) in reply["error"]
+        assert (stats["errors"], stats["batches"]) == (1, 0)
+        if field == "basiss":
+            assert "did you mean 'basis'?" in reply["error"]
 
     @pytest.mark.parametrize("samples", [1e30, 2**40])
     def test_samples_above_limit_fail_before_queueing(self, daemon, samples):
