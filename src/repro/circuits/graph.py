@@ -33,8 +33,8 @@ reference node are independent.
 
 A component is **grounded** when at least one element that can carry
 the component's KCL current into the reference -- resistor, capacitor,
-inductor, CPE, voltage source, or VCCS output -- has a grounded
-terminal.  Current sources do not count: they stamp only the input
+inductor, CPE, voltage source, or VCCS output, the card kinds whose
+table row ``pins`` -- has a grounded terminal.  Current sources do not count: they stamp only the input
 matrix, so a component tied to ground through nothing but current
 sources keeps zero row-sums and stays singular at every frequency.
 
@@ -58,21 +58,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import NetlistError
-from .components import (
-    CPE,
-    VCCS,
-    Capacitor,
-    Inductor,
-    Resistor,
-    VoltageSource,
-)
+from .components import kind_of
 from .netlist import Netlist
 
 __all__ = ["CircuitGraph", "GraphComponent", "LintIssue", "LintReport"]
-
-#: Element classes whose grounded terminal pins a component's DC path
-#: (current sources stamp only ``B`` and never pin).
-_PINNING_TYPES = (Resistor, Capacitor, Inductor, CPE, VoltageSource, VCCS)
 
 
 @dataclass(frozen=True)
@@ -204,24 +193,24 @@ class CircuitGraph:
         def union(a: str, b: str) -> None:
             parent[find(a)] = find(b)
 
-        inductor_nodes: dict[str, tuple[str, ...]] = {}
+        element_nodes: dict[str, list[str]] = {}
         for element in netlist.elements:
             live = [t for t in (element.a, element.b) if not Netlist.is_ground(t)]
             for node in live:
                 self._degree[node] += 1
                 self._attached[node].append(element.name)
-            if isinstance(element, VCCS):
-                # control refs add no degree but do merge components
-                live += [t for t in (element.c, element.d) if not Netlist.is_ground(t)]
-            if isinstance(element, Inductor):
-                inductor_nodes[element.name] = tuple(live)
+            # control refs (a VCCS's c, d) add no degree but do merge components
+            for field in kind_of(element).controls:
+                if not Netlist.is_ground(getattr(element, field)):
+                    live.append(getattr(element, field))
+            element_nodes[element.name] = live
             for node in live[1:]:
                 union(live[0], node)
         for pair in netlist.couplings:
             joined = [
                 node
-                for name in (pair.inductor1, pair.inductor2)
-                for node in inductor_nodes.get(name, ())
+                for field in kind_of(pair).refs
+                for node in element_nodes.get(getattr(pair, field), ())
             ]
             for node in joined[1:]:
                 union(joined[0], node)
@@ -247,12 +236,12 @@ class CircuitGraph:
             if index is None:
                 continue
             comp_elements[index].append(element.name)
-            if isinstance(element, _PINNING_TYPES) and (
+            if kind_of(element).pins and (
                 Netlist.is_ground(element.a) or Netlist.is_ground(element.b)
             ):
                 comp_grounded[index] = True
         for pair in netlist.couplings:
-            nodes = inductor_nodes.get(pair.inductor1, ())
+            nodes = element_nodes.get(pair.inductor1, ())
             index = self._component_of[nodes[0]] if nodes else None
             self._elements_of[pair.name] = index
             if index is not None:

@@ -36,15 +36,7 @@ import scipy.sparse as sp
 from ..core.lti import DescriptorSystem, FractionalDescriptorSystem, MultiTermSystem
 from ..engine.backends import SPARSE_SIZE_THRESHOLD
 from ..errors import NetlistError
-from .components import (
-    CPE,
-    VCCS,
-    Capacitor,
-    CurrentSource,
-    Inductor,
-    Resistor,
-    VoltageSource,
-)
+from .components import CONDUCTANCE, ELEMENT_KINDS, MUTUAL, ONE, kind_of
 from .netlist import Netlist
 
 __all__ = [
@@ -74,45 +66,29 @@ def output_matrix(netlist: Netlist, nodes, size: int) -> np.ndarray:
     return C
 
 
-#: Value forms of a stamped entry (see :meth:`_Stamper.values`).
-_VALUE, _CONDUCTANCE, _CONSTANT, _MUTUAL = range(4)
-
-
 class _Stamper:
-    """COO pattern of one matrix: where each entry lands, and its value form.
+    """COO pattern of one block: where each entry lands, and its value form.
 
     An entry's value is ``sign * v``, ``sign * (1.0 / v)`` (a resistor's
     conductance), ``sign * 1.0``, or ``k * sqrt(L1 * L2)`` (a mutual
     inductance), where ``v``, ``k``, ``L1``, ``L2`` are element values
-    picked from value *slots*.
+    picked from value *slots* (see :mod:`~repro.circuits.components`).
     """
 
-    def __init__(self) -> None:
-        self._entries: list[tuple] = []
-
-    def add(self, row: int, col: int, form: int, sign: float, *slots: int) -> None:
-        if row >= 0 and col >= 0:
-            self._entries.append((row, col, form, sign, slots))
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def freeze(self) -> "_Stamper":
-        """Turn the recorded entries into index arrays (once, after stamping)."""
-        entries = self._entries
+    def __init__(self, entries=()) -> None:
+        entries = list(entries)  # (row, col, form, sign, slots) each
         self.rows = np.array([e[0] for e in entries], dtype=np.intp)
         self.cols = np.array([e[1] for e in entries], dtype=np.intp)
-        forms = np.array([e[2] for e in entries], dtype=np.intp)
+        forms = np.array([e[2] for e in entries], dtype=object)
         self.signs = np.array([e[3] for e in entries], dtype=float)
         self.slots = np.array([e[4][0] for e in entries], dtype=np.intp)
-        self.conductance = np.flatnonzero(forms == _CONDUCTANCE)
-        self.constant = np.flatnonzero(forms == _CONSTANT)
-        self.mutual = np.flatnonzero(forms == _MUTUAL)
+        self.conductance = np.flatnonzero(forms == CONDUCTANCE)
+        self.constant = np.flatnonzero(forms == ONE)
+        self.mutual = np.flatnonzero(forms == MUTUAL)
         #: the two inductance slots of each mutual entry
         self.inductances = np.array(
             [entries[i][4][1:] for i in self.mutual], dtype=np.intp
         ).reshape(-1, 2)
-        return self
 
     def values(self, values: np.ndarray) -> np.ndarray:
         """Entry values ``(k, nnz)`` for a ``(k, n_slots)`` value matrix.
@@ -132,6 +108,68 @@ class _Stamper:
                 values[:, l1] * values[:, l2]
             )
         return out * self.signs
+
+    def matrix(self, entries: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
+        """The CSR block of one value row's ``entries`` (duplicates summed)."""
+        return sp.coo_matrix((entries, (self.rows, self.cols)), shape=shape).tocsr()
+
+    def inputs(self, entries: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        """The dense input block(s) of ``(..., nnz)`` entries, summed in order."""
+        out = np.zeros(shape)
+        np.add.at(out, (..., self.rows, self.cols), entries)
+        return out
+
+
+def _stamp(netlist: Netlist, analysis: str, first_branch: int):
+    """One pass over the netlist: every element's table stamps of ``analysis``.
+
+    ``analysis`` is ``'mna'`` or ``'na'`` (the :class:`ElementKind
+    <repro.circuits.components.ElementKind>` field read); branch
+    elements (inductors, then voltage sources) get consecutive branch
+    indices from ``first_branch``.  Returns the stamper of each
+    block -- keyed by block name, ``('frac', alpha)`` per CPE order,
+    present once any element names it -- and the number of branches.
+    Entries keep element order within each block, which fixes how
+    duplicates sum.
+    """
+
+    indices: dict[str, int] = {}
+
+    def node(name: str) -> int:
+        if name not in indices:
+            ground = netlist.is_ground(name)
+            indices[name] = -1 if ground else netlist.node_index(name)
+        return indices[name]
+
+    branches = [
+        el for kind in ELEMENT_KINDS if kind.branch for el in netlist.of_type(kind.record)
+    ]
+    branch = {el.name: first_branch + k for k, el in enumerate(branches)}
+    slot_of: dict[str, int] = {}
+    blocks: dict = {}
+    for slot, el in enumerate((*netlist.elements, *netlist.couplings)):
+        kind = kind_of(el)
+        slot_of[el.name] = slot
+        stamps = getattr(kind, analysis)
+        if stamps is None:
+            raise NetlistError(f"element {el.name!r} has no {analysis.upper()} stamp")
+        index = {field: node(getattr(el, field)) for field in kind.nodes}
+        if kind.branch:
+            index["branch"] = branch[el.name]
+        if kind.source:
+            index["channel"] = el.channel
+        slots: tuple[int, ...] = (slot,)
+        for field in kind.refs:
+            index[field] = branch[getattr(el, field)]
+            slots += (slot_of[getattr(el, field)],)
+        for block, row, col, form, sign in stamps:
+            key = ("frac", float(el.alpha)) if block == "frac" else block
+            entries = blocks.setdefault(key, [])
+            r, c = index[row], index[col]
+            if r >= 0 and c >= 0:
+                entries.append((r, c, form, sign, slots))
+    stampers = {key: _Stamper(entries) for key, entries in blocks.items()}
+    return stampers, len(branches)
 
 
 class MnaPattern:
@@ -168,86 +206,14 @@ class MnaPattern:
         n_nodes = netlist.n_nodes
         if n_nodes == 0:
             raise NetlistError("netlist has no non-ground nodes")
-        inductors = netlist.inductors
-        vsources = netlist.voltage_sources
-        n_l, n_v = len(inductors), len(vsources)
-        size = n_nodes + n_l + n_v
+        blocks, n_branches = _stamp(netlist, "mna", n_nodes)
+        size = n_nodes + n_branches
         self.shape = (size, size)
         self.n_inputs = max(netlist.n_channels, 1)
-
-        def vidx(node: str) -> int:
-            return -1 if netlist.is_ground(node) else netlist.node_index(node)
-
-        e1 = _Stamper()  # order-1 block: C on nodes, L on currents
-        a = _Stamper()
-        frac: dict[float, _Stamper] = {}
-        #: ``(op, row, channel, slot)`` input-matrix updates, in element order
-        self._sources: list[tuple[str, int, int, int]] = []
-        l_row = {el.name: n_nodes + k for k, el in enumerate(inductors)}
-        v_row = {el.name: n_nodes + n_l + k for k, el in enumerate(vsources)}
-        slot_of: dict[str, int] = {}
-
-        for slot, el in enumerate(netlist.elements):
-            slot_of[el.name] = slot
-            ia, ib = vidx(el.a), vidx(el.b)
-            if isinstance(el, Resistor):
-                # KCL: +g(va - vb) leaving a  ->  A gets -g pattern
-                a.add(ia, ia, _CONDUCTANCE, -1.0, slot)
-                a.add(ib, ib, _CONDUCTANCE, -1.0, slot)
-                a.add(ia, ib, _CONDUCTANCE, +1.0, slot)
-                a.add(ib, ia, _CONDUCTANCE, +1.0, slot)
-            elif isinstance(el, Capacitor):
-                e1.add(ia, ia, _VALUE, +1.0, slot)
-                e1.add(ib, ib, _VALUE, +1.0, slot)
-                e1.add(ia, ib, _VALUE, -1.0, slot)
-                e1.add(ib, ia, _VALUE, -1.0, slot)
-            elif isinstance(el, CPE):
-                st = frac.setdefault(float(el.alpha), _Stamper())
-                st.add(ia, ia, _VALUE, +1.0, slot)
-                st.add(ib, ib, _VALUE, +1.0, slot)
-                st.add(ia, ib, _VALUE, -1.0, slot)
-                st.add(ib, ia, _VALUE, -1.0, slot)
-            elif isinstance(el, Inductor):
-                row = l_row[el.name]
-                e1.add(row, row, _VALUE, +1.0, slot)
-                # branch: L di/dt = va - vb
-                a.add(row, ia, _CONSTANT, +1.0, slot)
-                a.add(row, ib, _CONSTANT, -1.0, slot)
-                # KCL: +i leaving a
-                a.add(ia, row, _CONSTANT, -1.0, slot)
-                a.add(ib, row, _CONSTANT, +1.0, slot)
-            elif isinstance(el, VoltageSource):
-                row = v_row[el.name]
-                # branch: va - vb = scale * u  ->  0 = (va - vb) - scale u
-                a.add(row, ia, _CONSTANT, +1.0, slot)
-                a.add(row, ib, _CONSTANT, -1.0, slot)
-                self._sources.append(("set", row, el.channel, slot))
-                # KCL: +i_V leaving a
-                a.add(ia, row, _CONSTANT, -1.0, slot)
-                a.add(ib, row, _CONSTANT, +1.0, slot)
-            elif isinstance(el, VCCS):
-                # i(a->b) = gm (v_c - v_d): leaves a, enters b
-                vc, vd = vidx(el.c), vidx(el.d)
-                a.add(ia, vc, _VALUE, -1.0, slot)
-                a.add(ia, vd, _VALUE, +1.0, slot)
-                a.add(ib, vc, _VALUE, +1.0, slot)
-                a.add(ib, vd, _VALUE, -1.0, slot)
-            elif isinstance(el, CurrentSource):
-                # +scale*u leaves node a, enters node b
-                if ia >= 0:
-                    self._sources.append(("sub", ia, el.channel, slot))
-                if ib >= 0:
-                    self._sources.append(("add", ib, el.channel, slot))
-            else:  # pragma: no cover - future element types
-                raise NetlistError(f"element {el.name!r} has no MNA stamp")
-
-        # mutual inductances: off-diagonal entries of the inductance matrix
-        # (branch equations become L1 di1/dt + M di2/dt = v drop, etc.)
-        for k, pair in enumerate(netlist.couplings, start=len(netlist.elements)):
-            r1, r2 = l_row[pair.inductor1], l_row[pair.inductor2]
-            l1, l2 = slot_of[pair.inductor1], slot_of[pair.inductor2]
-            e1.add(r1, r2, _MUTUAL, 1.0, k, l1, l2)
-            e1.add(r2, r1, _MUTUAL, 1.0, k, l1, l2)
+        empty = _Stamper()
+        #: order-1 block (C on nodes, L on currents), A and the input matrix
+        e1, self._a, self._b = (blocks.pop(key, empty) for key in ("E1", "A", "B"))
+        frac = {alpha: stamper for (_, alpha), stamper in sorted(blocks.items())}
 
         values = netlist.element_values()
         #: Value-slot names: element names in order, then ``K`` couplings.
@@ -265,10 +231,9 @@ class MnaPattern:
         self.keep_sparse = sparse == "always" or (
             sparse == "auto" and size >= SPARSE_SIZE_THRESHOLD
         )
-        self._has_integer_dynamics = bool(e1)
-        self._e1 = e1.freeze()
-        self._a = a.freeze()
-        self._frac = {alpha: st.freeze() for alpha, st in sorted(frac.items())}
+        self._has_integer_dynamics = bool(e1.rows.size)
+        self._e1 = e1
+        self._frac = frac
         multi_term = bool(frac) and (self._has_integer_dynamics or len(frac) > 1)
         if multi_term and self.x0 is not None:
             raise NetlistError(
@@ -293,14 +258,9 @@ class MnaPattern:
             )
         stampers = (self._e1, self._a, *self._frac.values())
         blocks = [(st, st.values(values)) for st in stampers]
-        b = np.zeros((values.shape[0], self.shape[0], self.n_inputs))
-        for op, row, channel, slot in self._sources:
-            if op == "set":
-                b[:, row, channel] = -values[:, slot]
-            elif op == "sub":
-                b[:, row, channel] -= values[:, slot]
-            else:
-                b[:, row, channel] += values[:, slot]
+        b = self._b.inputs(
+            self._b.values(values), (values.shape[0], self.shape[0], self.n_inputs)
+        )
         systems = []
         for i in range(values.shape[0]):
             E1, A, *frac = (self._build(st, entries[i]) for st, entries in blocks)
@@ -308,9 +268,7 @@ class MnaPattern:
         return systems
 
     def _build(self, stamper: _Stamper, values: np.ndarray):
-        matrix = sp.coo_matrix(
-            (values, (stamper.rows, stamper.cols)), shape=self.shape
-        ).tocsr()
+        matrix = stamper.matrix(values, self.shape)
         return matrix if self.keep_sparse else matrix.toarray()
 
     def _system(self, E1, A, frac: dict, b: np.ndarray):

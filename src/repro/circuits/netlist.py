@@ -71,6 +71,7 @@ unit text is ignored (``1kOhm``, ``10uF``).  Node ``0`` (or ``gnd`` /
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Callable
 
@@ -79,6 +80,7 @@ import numpy as np
 from ..errors import NetlistError
 from .cards import AnalysisSpec, AcCard, TranCard
 from .components import (
+    CARD_KINDS,
     CPE,
     VCCS,
     Capacitor,
@@ -88,6 +90,7 @@ from .components import (
     MutualInductance,
     Resistor,
     VoltageSource,
+    kind_of,
 )
 from .sources import (
     Constant,
@@ -138,13 +141,23 @@ def parse_value(token: str) -> float:
     (3.0, 1000.0, 1e-05)
     >>> parse_value("5mil") == 5 * 25.4e-6
     True
+
+    A token whose value overflows a float is rejected like any other
+    unparsable token:
+
+    >>> parse_value("1e400")
+    Traceback (most recent call last):
+    ...
+    repro.errors.NetlistError: cannot parse numeric value '1e400'
     """
     match = _VALUE_RE.match(token.strip().lower())
-    if not match:
-        raise NetlistError(f"cannot parse numeric value {token!r}")
-    base = float(match.group(1))
-    suffix = match.group(2)
-    return base * _SUFFIXES[suffix] if suffix else base
+    if match:
+        base = float(match.group(1))
+        suffix = match.group(2)
+        value = base * _SUFFIXES[suffix] if suffix else base
+        if math.isfinite(value):  # not an overflow such as 1e400
+            return value
+    raise NetlistError(f"cannot parse numeric value {token!r}")
 
 
 def _is_value(token: str) -> bool:
@@ -263,20 +276,6 @@ def parse_source_spec(spec: str, name: str = "?") -> tuple[Waveform, complex | N
 #: ``{param}`` reference inside a subcircuit-body token.
 _PARAM_RE = re.compile(r"\{([A-Za-z_][\w.]*)\}")
 
-#: Field count of each element card, its name included, as
-#: ``(fewest, most)``; ``most`` is ``None`` where a source spec follows.
-_CARD_FIELDS = {
-    "R": (4, 4),
-    "C": (4, 4),
-    "L": (4, 4),
-    "K": (4, 4),
-    "P": (5, 5),
-    "G": (6, 6),
-    "I": (4, None),
-    "V": (4, None),
-}
-
-
 class _SubcktDef:
     """One ``.subckt`` definition collected before flattening.
 
@@ -376,13 +375,28 @@ class Netlist:
     # element insertion
     # ------------------------------------------------------------------
     def add(self, element: Element) -> None:
-        """Add a pre-built element record (used by the typed helpers)."""
+        """Add a pre-built element record (used by the typed helpers).
+
+        Registers the record's node fields in its card kind's order (a
+        VCCS's control nodes ``c``, ``d`` before its terminals); a ``K``
+        coupling's inductors must already be in the netlist.
+        """
+        kind = kind_of(element)
         if element.name in self._names:
             raise NetlistError(f"duplicate element name {element.name!r}")
+        if kind.refs:
+            inductor_names = {el.name for el in self.inductors}
+            for field in kind.refs:
+                ref = getattr(element, field)
+                if ref not in inductor_names:
+                    raise NetlistError(
+                        f"{element.name}: inductor {ref!r} must be added before "
+                        "coupling it"
+                    )
         self._names.add(element.name)
-        self._register_node(element.a)
-        self._register_node(element.b)
-        self.elements.append(element)
+        for field in kind.nodes:
+            self._register_node(getattr(element, field))
+        (self.couplings if kind.refs else self.elements).append(element)
 
     def add_resistor(self, name: str, a: str, b: str, resistance: float) -> None:
         """Add a resistor of ``resistance`` ohms between nodes ``a`` and ``b``."""
@@ -402,24 +416,11 @@ class Netlist:
 
     def add_vccs(self, name: str, a: str, b: str, c: str, d: str, gm: float) -> None:
         """Add a VCCS: ``i(a->b) = gm * (v(c) - v(d))`` (SPICE G element)."""
-        self._register_node(c)
-        self._register_node(d)
         self.add(VCCS(name, a, b, c=c, d=d, gm=float(gm)))
 
     def add_mutual(self, name: str, inductor1: str, inductor2: str, coupling: float) -> None:
         """Couple two existing inductors with coefficient ``k`` (SPICE K element)."""
-        if name in self._names:
-            raise NetlistError(f"duplicate element name {name!r}")
-        inductor_names = {el.name for el in self.inductors}
-        for ref in (inductor1, inductor2):
-            if ref not in inductor_names:
-                raise NetlistError(
-                    f"{name}: inductor {ref!r} must be added before coupling it"
-                )
-        self._names.add(name)
-        self.couplings.append(
-            MutualInductance(name, inductor1, inductor2, coupling=float(coupling))
-        )
+        self.add(MutualInductance(name, inductor1, inductor2, coupling=float(coupling)))
 
     def _allocate_channel(self, waveform: Waveform | None, channel: int | None) -> int:
         if channel is None:
@@ -574,32 +575,6 @@ class Netlist:
     # ------------------------------------------------------------------
     # parameter variations
     # ------------------------------------------------------------------
-    #: The element field that ``with_values`` / ``element_values``
-    #: treat as *the* value of each component class.
-    _VALUE_FIELDS: dict = {}
-
-    @classmethod
-    def _value_field(cls, element) -> str:
-        if not cls._VALUE_FIELDS:
-            cls._VALUE_FIELDS.update(
-                {
-                    Resistor: "resistance",
-                    Capacitor: "capacitance",
-                    Inductor: "inductance",
-                    CPE: "q",
-                    VCCS: "gm",
-                    CurrentSource: "scale",
-                    VoltageSource: "scale",
-                }
-            )
-        try:
-            return cls._VALUE_FIELDS[type(element)]
-        except KeyError:
-            raise NetlistError(
-                f"element {element.name!r} of type "
-                f"{type(element).__name__} has no variable value"
-            ) from None
-
     def element_values(self) -> dict[str, float]:
         """Nominal value of every element, keyed by name.
 
@@ -608,13 +583,10 @@ class Netlist:
         the coupling coefficient for ``K`` cards -- exactly the numbers
         :meth:`with_values` can override.
         """
-        values = {
-            el.name: float(getattr(el, self._value_field(el)))
-            for el in self.elements
+        return {
+            el.name: float(getattr(el, kind_of(el).value))
+            for el in (*self.elements, *self.couplings)
         }
-        for pair in self.couplings:
-            values[pair.name] = float(pair.coupling)
-        return values
 
     def with_values(self, overrides: dict) -> "Netlist":
         """A copy of this netlist with some element values replaced.
@@ -652,23 +624,12 @@ class Netlist:
                 f"netlist has {sorted(known)}"
             )
         varied = Netlist(self.title)
-        for el in self.elements:
+        for el in (*self.elements, *self.couplings):
             if el.name in overrides:
                 el = dataclasses.replace(
-                    el, **{self._value_field(el): float(overrides[el.name])}
+                    el, **{kind_of(el).value: float(overrides[el.name])}
                 )
-            if isinstance(el, VCCS):
-                # match add_vccs: control nodes register before terminals
-                varied._register_node(el.c)
-                varied._register_node(el.d)
             varied.add(el)
-        for pair in self.couplings:
-            if pair.name in overrides:
-                pair = dataclasses.replace(
-                    pair, coupling=float(overrides[pair.name])
-                )
-            varied._names.add(pair.name)
-            varied.couplings.append(pair)
         varied.analysis = self.analysis
         varied._waveforms = dict(self._waveforms)
         varied._ac_magnitudes = dict(self._ac_magnitudes)
@@ -961,37 +922,26 @@ class Netlist:
                 )
                 continue
             flat_name = f"{prefix}.{body_fields[0]}"
-            if kind == "K":
-                if len(body_fields) != 4:
-                    raise NetlistError(
-                        f"coupling card {flat_name!r} (line {body_lineno}): "
-                        f"expected 4 fields, got {len(body_fields)}"
-                    )
-                out.append(
-                    (
-                        body_lineno,
-                        [
-                            flat_name,
-                            f"{prefix}.{body_fields[1]}",
-                            f"{prefix}.{body_fields[2]}",
-                            body_fields[3],
-                        ],
-                    )
-                )
-                continue
-            n_nodes = 4 if kind == "G" else 2
-            if len(body_fields) < 1 + n_nodes:
+            # node fields map through the ports; a coupling's inductor
+            # references name elements of this instance
+            card = CARD_KINDS.get(kind)
+            linked = len(card.refs or card.nodes) if card else 2
+            if len(body_fields) < 1 + linked:
                 raise NetlistError(
                     f"card {flat_name!r} (line {body_lineno}): too few fields "
                     f"for a {kind} element"
                 )
+            refs = bool(card and card.refs)
             out.append(
                 (
                     body_lineno,
                     [
                         flat_name,
-                        *(map_node(t) for t in body_fields[1 : 1 + n_nodes]),
-                        *body_fields[1 + n_nodes :],
+                        *(
+                            f"{prefix}.{t}" if refs else map_node(t)
+                            for t in body_fields[1 : 1 + linked]
+                        ),
+                        *body_fields[1 + linked :],
                     ],
                 )
             )
@@ -1128,8 +1078,8 @@ class Netlist:
             # hierarchical names keep the element-kind letter in the
             # leaf segment ("xa.R1" is a resistor)
             leaf = name.rsplit(".", 1)[-1]
-            kind = leaf[0].upper() if leaf else "?"
-            if kind not in _CARD_FIELDS:
+            kind = CARD_KINDS.get(leaf[0].upper() if leaf else "?")
+            if kind is None:
                 raise NetlistError(f"unsupported card {name!r}")
             prior = seen.get(name)
             if prior is not None and prior != lineno:
@@ -1138,38 +1088,23 @@ class Netlist:
                     f"line {prior}, redefined at line {lineno}"
                 )
             seen[name] = lineno
-            fewest, most = _CARD_FIELDS[kind]
+            fewest, most = kind.arity
             if len(fields) < fewest or (most is not None and len(fields) > most):
                 expected = fewest if most == fewest else f"at least {fewest}"
                 raise NetlistError(
                     f"card {name!r}: expected {expected} fields, got {len(fields)}"
                 )
-            if kind == "K":
-                netlist.add_mutual(name, fields[1], fields[2], parse_value(fields[3]))
-                continue
-            a, b = fields[1], fields[2]
-            if kind == "R":
-                netlist.add_resistor(name, a, b, parse_value(fields[3]))
-            elif kind == "C":
-                netlist.add_capacitor(name, a, b, parse_value(fields[3]))
-            elif kind == "L":
-                netlist.add_inductor(name, a, b, parse_value(fields[3]))
-            elif kind in "IV":
+            if kind.source:  # its nodes, then its source spec
                 waveform, ac = parse_source_spec(" ".join(fields[3:]), name)
-                adder = (
-                    netlist.add_current_source
-                    if kind == "I"
-                    else netlist.add_voltage_source
-                )
-                channel = adder(name, a, b, waveform)
+                channel = netlist._allocate_channel(waveform, None)
+                netlist.add(kind.record(name, fields[1], fields[2], channel=channel))
                 if ac is not None:
                     netlist.set_ac_magnitude(channel, ac)
-            elif kind == "G":
-                netlist.add_vccs(
-                    name, a, b, fields[3], fields[4], parse_value(fields[5])
-                )
-            else:  # "P"
-                netlist.add_cpe(name, a, b, parse_value(fields[3]), parse_value(fields[4]))
+                continue
+            given = dict(zip(kind.card, fields[1:]))
+            for field in kind.numbers:
+                given[field] = parse_value(given[field])
+            netlist.add(kind.record(name, **given))
         if not netlist.elements:
             raise NetlistError("netlist contains no elements")
         for node in netlist.analysis.ic:

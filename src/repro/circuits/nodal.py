@@ -33,8 +33,7 @@ import scipy.sparse as sp
 
 from ..core.lti import MultiTermSystem, SecondOrderSystem
 from ..errors import NetlistError
-from .components import CPE, VCCS, Capacitor, CurrentSource, Inductor, Resistor
-from .mna import output_matrix
+from .mna import _stamp, _Stamper, output_matrix
 from .netlist import Netlist
 
 __all__ = ["assemble_na"]
@@ -83,106 +82,37 @@ def assemble_na(netlist: Netlist, outputs=None):
     if n == 0:
         raise NetlistError("netlist has no non-ground nodes")
     p = max(netlist.n_channels, 1)
+    blocks, n_l = _stamp(netlist, "na", 0)
+    values = np.array([list(netlist.element_values().values())], dtype=float)
+    empty = _Stamper()
 
-    def vidx(node: str) -> int:
-        return -1 if netlist.is_ground(node) else netlist.node_index(node)
+    def build(key, shape) -> sp.csr_matrix:
+        stamper = blocks.get(key, empty)
+        return stamper.matrix(stamper.values(values)[0], shape)
 
-    def stamp_pair(rows, cols, vals, ia, ib, w) -> None:
-        for r, c, v in (
-            (ia, ia, +w),
-            (ib, ib, +w),
-            (ia, ib, -w),
-            (ib, ia, -w),
-        ):
-            if r >= 0 and c >= 0:
-                rows.append(r)
-                cols.append(c)
-                vals.append(v)
-
-    cap = ([], [], [])
-    con = ([], [], [])
-    frac: dict[float, tuple[list, list, list]] = {}
-    b = np.zeros((n, p))
-    inductors = netlist.inductors
-    n_l = len(inductors)
-
-    for el in netlist.elements:
-        ia, ib = vidx(el.a), vidx(el.b)
-        if isinstance(el, Capacitor):
-            stamp_pair(*cap, ia, ib, el.capacitance)
-        elif isinstance(el, Resistor):
-            stamp_pair(*con, ia, ib, el.conductance)
-        elif isinstance(el, Inductor):
-            pass  # handled below via the inductance-matrix route
-        elif isinstance(el, CPE):
-            entry = frac.setdefault(float(el.alpha), ([], [], []))
-            stamp_pair(*entry, ia, ib, el.q)
-        elif isinstance(el, VCCS):
-            # KCL: +gm (v_c - v_d) leaves a, enters b (asymmetric stamp)
-            ic, idx = vidx(el.c), vidx(el.d)
-            rows, cols, vals = con
-            for r, c_, v in (
-                (ia, ic, +el.gm),
-                (ia, idx, -el.gm),
-                (ib, ic, -el.gm),
-                (ib, idx, +el.gm),
-            ):
-                if r >= 0 and c_ >= 0:
-                    rows.append(r)
-                    cols.append(c_)
-                    vals.append(v)
-        elif isinstance(el, CurrentSource):
-            # KCL carries +scale*u leaving node a; after moving to the
-            # right-hand side and differentiating, B multiplies du/dt.
-            if ia >= 0:
-                b[ia, el.channel] -= el.scale
-            if ib >= 0:
-                b[ib, el.channel] += el.scale
-        else:  # pragma: no cover - voltage sources rejected above
-            raise NetlistError(f"element {el.name!r} has no NA stamp")
-
-    def build(triple) -> sp.csr_matrix:
-        rows, cols, vals = triple
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-    C_mat, G_mat = build(cap), build(con)
+    C_mat, G_mat = build("C", (n, n)), build("G", (n, n))
+    inputs = blocks.get("B", empty)
+    b = inputs.inputs(inputs.values(values)[0], (n, p))
 
     # stiffness term Gamma = A_L L^{-1} A_L^T with A_L the inductor
     # incidence and L the (possibly coupled) inductance matrix; the
     # uncoupled case reduces to the familiar 1/L_i pair stamps
     if n_l:
-        inc_rows, inc_cols, inc_vals = [], [], []
-        for col, el in enumerate(inductors):
-            for node, sign in ((vidx(el.a), 1.0), (vidx(el.b), -1.0)):
-                if node >= 0:
-                    inc_rows.append(node)
-                    inc_cols.append(col)
-                    inc_vals.append(sign)
-        a_l = sp.coo_matrix((inc_vals, (inc_rows, inc_cols)), shape=(n, n_l)).tocsc()
-        l_mat = sp.lil_matrix((n_l, n_l))
-        col_of = {el.name: k for k, el in enumerate(inductors)}
-        for k, el in enumerate(inductors):
-            l_mat[k, k] = el.inductance
-        for pair in netlist.couplings:
-            i, j = col_of[pair.inductor1], col_of[pair.inductor2]
-            mutual = pair.coupling * np.sqrt(
-                inductors[i].inductance * inductors[j].inductance
-            )
-            l_mat[i, j] += mutual
-            l_mat[j, i] += mutual
         import scipy.sparse.linalg as spla
 
-        solved = spla.spsolve(l_mat.tocsc(), a_l.T.tocsc())
+        a_l = build("A_L", (n, n_l)).tocsc()
+        solved = spla.spsolve(build("L", (n_l, n_l)).tocsc(), a_l.T.tocsc())
         if not sp.issparse(solved):  # tiny systems may come back dense
             solved = sp.csr_matrix(np.atleast_2d(solved))
         Gamma = sp.csr_matrix(a_l @ solved)
     else:
         Gamma = sp.csr_matrix((n, n))
     C_out = None if outputs is None else output_matrix(netlist, outputs, n)
+    frac = sorted(key[1] for key in blocks if isinstance(key, tuple))
 
     if not frac:
         return SecondOrderSystem(C_mat, G_mat, Gamma, b, C=C_out)
     terms = [(2.0, C_mat), (1.0, G_mat), (0.0, Gamma)]
-    for alpha, entry in sorted(frac.items()):
-        terms.append((alpha + 1.0, build(entry)))
+    for alpha in frac:
+        terms.append((alpha + 1.0, build(("frac", alpha), (n, n))))
     return MultiTermSystem(terms, b, C=C_out)

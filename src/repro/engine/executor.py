@@ -172,17 +172,6 @@ def _spread_bounds(nominal: float, spec) -> tuple[float, float]:
     return low, high
 
 
-def _valid_values(field_name: str, values: np.ndarray) -> np.ndarray:
-    """Vectorised form of the element records' own value checks."""
-    if field_name == "scale":  # sources take any scale
-        return np.ones(values.shape, dtype=bool)
-    if field_name == "gm":
-        return values != 0.0
-    if field_name == "coupling":
-        return (0.0 < np.abs(values)) & (np.abs(values) < 1.0)
-    return values > 0.0  # R, C, L, CPE q
-
-
 def _member_label(params: Mapping[str, float]) -> str:
     return ",".join(f"{name}={value:.6g}" for name, value in params.items())
 
@@ -305,6 +294,7 @@ class Ensemble:
             (pass ``base.analysis.ic`` to honour the deck's ``.ic``
             card); every member starts from them.
         """
+        from ..circuits.components import kind_of
         from ..circuits.mna import MnaPattern
 
         if not params:
@@ -348,10 +338,12 @@ class Ensemble:
             drawn = np.random.default_rng(seed).uniform(
                 low, high, size=(int(n), len(names))
             )
-        field_of = {el.name: base._value_field(el) for el in base.elements}
+        rule_of = {
+            el.name: kind_of(el).rule for el in (*base.elements, *base.couplings)
+        }
         valid = np.ones(len(drawn), dtype=bool)
         for column, name in enumerate(names):
-            valid &= _valid_values(field_of.get(name, "coupling"), drawn[:, column])
+            valid &= rule_of[name].valid(drawn[:, column])
         if not valid.all():
             # the element records raise the precise error for the first
             # offending member

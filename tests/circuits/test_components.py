@@ -1,9 +1,23 @@
 """Tests for circuit element records."""
 
+import math
+import re
+
 import pytest
 
-from repro.circuits import CPE, Capacitor, CurrentSource, Inductor, Resistor, VoltageSource
+from repro.circuits import (
+    CPE,
+    VCCS,
+    Capacitor,
+    CurrentSource,
+    Inductor,
+    MutualInductance,
+    Resistor,
+    VoltageSource,
+)
 from repro.errors import NetlistError
+
+INF, NAN = math.inf, math.nan
 
 
 class TestResistor:
@@ -74,3 +88,52 @@ class TestSources:
     def test_voltage_rejects_negative_channel(self):
         with pytest.raises(NetlistError):
             VoltageSource("V1", "a", "0", channel=-2)
+
+
+class TestFiniteValues:
+    """Every kind's value rule requires a finite value."""
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda v: Resistor("R1", "a", "0", resistance=v), "R1: resistance"),
+            (lambda v: Capacitor("C1", "a", "0", capacitance=v), "C1: capacitance"),
+            (lambda v: Inductor("L1", "a", "0", inductance=v), "L1: inductance"),
+            (lambda v: CPE("P1", "a", "0", q=v, alpha=0.5), "P1: q"),
+            (lambda v: VCCS("G1", "a", "0", c="b", d="0", gm=v), "G1: gm"),
+            (lambda v: CurrentSource("I1", "0", "a", scale=v), "I1: scale"),
+            (lambda v: VoltageSource("V1", "a", "0", scale=v), "V1: scale"),
+        ],
+    )
+    def test_rejects_infinity(self, make, message):
+        with pytest.raises(NetlistError, match=f"^{message} must be finite, got inf$"):
+            make(INF)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: VCCS("G1", "a", "0", c="b", d="0", gm=-INF), "G1: gm must be finite, got -inf"),
+            (lambda: VCCS("G1", "a", "0", c="b", d="0", gm=NAN), "G1: gm must be finite, got nan"),
+            (lambda: CurrentSource("I1", "0", "a", scale=NAN), "I1: scale must be finite, got nan"),
+        ],
+    )
+    def test_rejects_non_finite_gm_and_scale(self, make, message):
+        with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
+            make()
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Resistor("R1", "a", "0", resistance=NAN), "R1: resistance must be positive, got nan"),
+            (lambda: Capacitor("C1", "a", "0", capacitance=-INF), "C1: capacitance must be positive, got -inf"),
+            (lambda: VCCS("G1", "a", "0", c="b", d="0", gm=0.0), "G1: gm must be nonzero"),
+            (
+                lambda: MutualInductance("K1", "L1", "L2", coupling=INF),
+                "K1: coupling must satisfy 0 < |k| < 1, got inf "
+                "(|k| = 1 makes the inductance matrix singular)",
+            ),
+        ],
+    )
+    def test_messages_of_the_other_rules(self, make, message):
+        with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
+            make()

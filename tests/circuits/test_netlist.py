@@ -172,6 +172,8 @@ class TestParseValue:
             # the mil suffix (1/1000 inch)
             ("1mil", 25.4e-6),
             ("5MIL", 5 * 25.4e-6),
+            # an underflow is zero, not an error
+            ("1e-400", 0.0),
         ],
     )
     def test_values(self, token, expected):
@@ -181,9 +183,12 @@ class TestParseValue:
         """``mil`` must win over the ``m`` suffix with trailing 'il'."""
         assert parse_value("1mil") != pytest.approx(1e-3)
 
-    @pytest.mark.parametrize("bad", ["", "abc", "--1", "1 k", "1k5", "."])
+    # the overflows (float() reads them as +-inf) are rejected too
+    @pytest.mark.parametrize(
+        "bad", ["", "abc", "--1", "1 k", "1k5", ".", "1e400", "-1e400", "1e305t"]
+    )
     def test_rejects_garbage(self, bad):
-        with pytest.raises(NetlistError):
+        with pytest.raises(NetlistError, match="cannot parse numeric value"):
             parse_value(bad)
 
 
@@ -226,6 +231,26 @@ class TestSpiceParser:
     def test_ignores_comments_and_dot_cards(self):
         nl = Netlist.from_spice("* hi\n.tran 1n 10n\nR1 a 0 1")
         assert len(nl.resistors) == 1
+
+    @pytest.mark.parametrize(
+        "card",
+        ["R1 a 0 1e400", "C1 a 0 1e400", "G1 a 0 b 0 1e400", "P1 a 0 1 1e400",
+         "I1 0 a SIN(0 1e400 1k)", "V1 a 0 DC 1e400"],
+    )
+    def test_rejects_overflowing_values(self, card):
+        deck = f"I0 0 a 1m\nR0 a 0 1k\nR9 b 0 1k\n{card}\n"
+        with pytest.raises(NetlistError, match="cannot parse numeric value '1e400'"):
+            Netlist.from_spice(deck)
+
+    def test_helpers_reject_non_finite_values(self):
+        nl = Netlist()
+        with pytest.raises(NetlistError, match="^R1: resistance must be finite, got inf$"):
+            nl.add_resistor("R1", "a", "0", float("inf"))
+        with pytest.raises(NetlistError, match="^I1: scale must be finite, got inf$"):
+            nl.add_current_source("I1", "0", "a", Constant(1.0), scale=float("inf"))
+        base = Netlist.from_spice("I1 0 a 1m\nR1 a 0 1k\n")
+        with pytest.raises(NetlistError, match="^R1: resistance must be finite, got inf$"):
+            base.with_values({"R1": float("inf")})
 
     def test_rejects_wrong_field_count(self):
         with pytest.raises(NetlistError, match="expected 4 fields"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.circuits import Constant, Netlist, Ramp, assemble_mna, assemble_na
+from repro.circuits import VCCS, Constant, Netlist, Ramp, assemble_mna, assemble_na
 from repro.core import simulate_opm
 from repro.errors import NetlistError
 
@@ -28,6 +28,20 @@ class TestElement:
         nl = Netlist()
         nl.add_vccs("G1", "a", "0", "c", "0", 1e-3)
         assert "c" in nl.nodes
+
+    def test_add_registers_control_nodes_like_add_vccs(self):
+        # a record-built VCCS must register its control node, or
+        # assembly fails with "unknown node 'y'"
+        built, helper = Netlist(), Netlist()
+        built.add(VCCS("G1", "x", "0", c="y", d="0", gm=1e-3))
+        helper.add_vccs("G1", "x", "0", "y", "0", 1e-3)
+        assert built.nodes == helper.nodes == ["y", "x"]
+        for nl in (built, helper):
+            nl.add_resistor("Rx", "x", "0", 1e3)
+            nl.add_resistor("Ry", "y", "0", 1e3)
+        np.testing.assert_array_equal(
+            dense(assemble_mna(built).A), dense(assemble_mna(helper).A)
+        )
 
 
 class TestMnaStamp:

@@ -351,6 +351,11 @@ class TestErrors:
             {"G1": 0.0},
             {"R1": float("nan")},
             {"C1": 1e-6, "R1": 0.0, "G1": 0.0},
+            # every value must be finite, a source's scale too
+            {"R1": float("inf")},
+            {"G1": float("-inf")},
+            {"G1": float("nan")},
+            {"I1": float("inf")},
         ],
     )
     def test_invalid_cartesian_values(self, rc, overrides):

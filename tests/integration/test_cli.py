@@ -519,6 +519,14 @@ class TestCliNetlistMode:
             assert run(args) == 1
             assert "error: unsupported card 'Z1'" in capsys.readouterr().err
 
+    def test_overflowing_value_is_a_parse_error(self, tmp_path, capsys):
+        # an overflow is a parse error, not an inf value that surfaces
+        # as a singular pencil
+        path = tmp_path / "huge.cir"
+        path.write_text("I1 0 a 1m\nR1 a 0 1k\nC1 a 0 1e400\n.tran 1u 1m\n")
+        assert run([str(path)]) == 1
+        assert "error: cannot parse numeric value '1e400'" in capsys.readouterr().err
+
     def test_flag_and_positional_conflict(self, cir_file, capsys):
         code = run(["--netlist", str(cir_file), str(cir_file)])
         assert code == 2
