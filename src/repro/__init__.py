@@ -98,6 +98,7 @@ _EXPORTS = {
     "SingularPencilError": ".errors",
     "ConvergenceError": ".errors",
     "NetlistError": ".errors",
+    "OptionError": ".errors",
     "EnsembleError": ".errors",
     "MemoryCompressionError": ".errors",
     "ServiceError": ".errors",

@@ -130,9 +130,7 @@ import numpy as np
 # only what a plain deck solve runs: ensembles, events, marches and the
 # service load their modules inside the handlers that need them
 from . import __version__
-from .circuits.cards import OPTION_ROWS
 from .circuits.netlist import Netlist
-from .core.dispatch import FRACTIONAL_ZOO_METHODS
 from .core.result import MarchingResult
 from .engine.inputs import scaled_input
 from .engine.netlist_session import (
@@ -142,13 +140,14 @@ from .engine.netlist_session import (
     build_system,
     resolve_deck_options,
 )
+from .engine.options import OPTION_ROWS
 from .errors import ReproError
 from .io import Table, write_csv
 
 
 def _add_option_flags(parser, rows) -> None:
     """One flag per deck-option row that has one (see
-    :data:`repro.circuits.cards.OPTION_ROWS`)."""
+    :data:`repro.engine.options.OPTION_ROWS`)."""
     for row in rows:
         if row.flag is not None:
             parser.add_argument(
@@ -363,6 +362,7 @@ def _run_transient(args, options, netlist, system, outputs, events) -> int:
 
 def _run_sweep(args, options, netlist, system, outputs) -> int:
     scales = list(args.sweep)
+    options.route.require("sweep")
     sim = options.session(system)
     base_u = netlist.input_function()
     sweep = sim.sweep([scaled_input(base_u, s) for s in scales])
@@ -843,21 +843,6 @@ def run(argv=None) -> int:
                 "--jobs shards --ensemble members; pass --ensemble with it"
             )
         if options.t_end is not None:
-            if not options.native and (args.event or args.ensemble is not None):
-                raise ReproError(
-                    f"method {options.method!r} only supports a plain "
-                    "transient: --event and --ensemble are native-route "
-                    "engine-session features; drop the method option or the "
-                    "conflicting flag"
-                )
-            if args.sweep and not (
-                options.native or options.method in FRACTIONAL_ZOO_METHODS
-            ):
-                raise ReproError(
-                    f"method {options.method!r} cannot batch a --sweep: "
-                    "batched multi-RHS sweeps run on a cached session (opm or "
-                    "a fractional zoo method)"
-                )
             if args.ensemble is not None and (
                 args.sweep or options.windows > 1 or args.event
             ):
@@ -871,12 +856,6 @@ def run(argv=None) -> int:
             elif args.sweep:
                 code = _run_sweep(args, options, netlist, system, outputs)
             else:
-                if args.event and options.windows < 2:
-                    raise ReproError(
-                        "--event fires at a window boundary: pass --windows K "
-                        "(K >= 2) so event times can land strictly inside the "
-                        "horizon"
-                    )
                 events = [
                     _parse_event(tokens, netlist, outputs)
                     for tokens in args.event or ()

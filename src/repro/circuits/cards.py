@@ -18,9 +18,7 @@ Supported cards::
     .ac  dec|oct|lin <n> <fstart> <fstop>
     .ic  v(<node>)=<value> ...
     .options [basis=<family>] [method=<name>] [m=<terms>]
-             (method: 'opm' and the fractional zoo -- 'gl',
-             'oustaloup', 'jacobi' -- or a one-shot baseline name;
-             see repro.core.dispatch.SIMULATION_METHODS)
+             (method: a name of repro.core.dispatch.ROUTES)
              [windows=<k>] [backend=dense|sparse|auto]
              [reduce=auto|off] [mor_order=<q>]
              [memory=exact|soe] [memory_rtol=<tol>] ...
@@ -33,174 +31,17 @@ parser for SPICE-deck compatibility.
 
 from __future__ import annotations
 
-import numbers
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..engine.options import OPTION_ROWS, OptionRow
 from ..errors import NetlistError
 
 __all__ = ["TranCard", "AcCard", "AnalysisSpec", "OptionRow", "OPTION_ROWS"]
 
 #: ``.ac`` sweep variations (points per decade / per octave / total).
 AC_VARIATIONS = ("dec", "oct", "lin")
-
-
-def _basis_help() -> str:
-    from ..engine.bundle import basis_names
-
-    return (
-        "basis family to solve in: "
-        + ", ".join(n for n in basis_names() if n != "laguerre")
-        + " (default: block-pulse; the Laguerre family needs a time "
-        "scale and is library-API only)"
-    )
-
-
-def _method_help() -> str:
-    from ..core.dispatch import SIMULATION_METHODS
-
-    return (
-        "solver method: " + ", ".join(SIMULATION_METHODS)
-        + " (default: .options method, else opm; 'gl', 'oustaloup' and "
-        "'jacobi' are the fractional method zoo -- alternative "
-        "discretisations of the fractional operator solved through the "
-        "cached-pencil engine; unknown names fail with a did-you-mean "
-        "suggestion)"
-    )
-
-
-#: What the service daemon says of a setting it takes from cards only.
-_CARD_ONLY = "the daemon takes it from the deck's .options card only"
-
-
-@dataclass(frozen=True)
-class OptionRow:
-    """One ``.options`` setting, as every front door spells it.
-
-    ``kind`` picks the parser: ``'count'`` (an integer >= 1), ``'rtol'``
-    (a number in (0, 1)) or ``'name'`` (a lower-cased string).
-    ``keyword`` is the library keyword and the CLI's ``--keyword`` flag
-    (none when ``cli`` is off), with ``help`` (text, or a function
-    building it from a name registry); ``client`` flags are forwarded
-    by the ``client`` subcommand.  The daemon honours the field unless
-    ``refusal`` gives its reason to refuse it.
-    """
-
-    name: str
-    kind: str
-    help: str | Callable[[], str] = ""
-    keyword: str = ""
-    cli: bool = True
-    metavar: str | None = None
-    choices: tuple[str, ...] | None = None
-    client: bool = False
-    refusal: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.keyword:
-            object.__setattr__(self, "keyword", self.name)
-
-    @property
-    def flag(self) -> str | None:
-        """The CLI flag (``None`` when the CLI has none)."""
-        return "--" + self.keyword.replace("_", "-") if self.cli else None
-
-    @property
-    def type(self):
-        """The CLI flag's argparse ``type``."""
-        return {"count": int, "rtol": float}.get(self.kind)
-
-    def help_text(self) -> str:
-        """The CLI flag's help text."""
-        return self.help() if callable(self.help) else self.help
-
-    def parse(self, value, error=NetlistError, *, instances: bool = False):
-        """Type and range-check one value, raising ``error`` with the
-        same message at every door; a ``bool`` is never a number, and
-        with ``instances`` a ``'name'`` setting passes a ready object
-        (a basis, method or plan instance) through."""
-        name = self.name
-        if self.kind == "name":
-            if isinstance(value, str):
-                return value.lower()
-            if instances:
-                return value
-            raise error(f"option {name!r} must be a name string, got {value!r}")
-        count = self.kind == "count"
-        try:
-            if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
-                raise ValueError
-            parsed = int(value) if count else float(value)
-            if count and not isinstance(value, str) and parsed != value:
-                raise ValueError  # a fractional count
-        except (ValueError, OverflowError):
-            expected = "an integer" if count else "a number"
-            raise error(f"option {name!r} expects {expected}, got {value!r}") from None
-        if count and parsed < 1:
-            raise error(f"option {name!r} must be >= 1, got {parsed}")
-        if not count and not 0.0 < parsed < 1.0:
-            raise error(f"option {name!r} must lie in (0, 1), got {parsed!r}")
-        return parsed
-
-
-#: The ``.options`` settings the engine interprets, in CLI flag order;
-#: every front door (cards, CLI, ``client``, daemon, the resolver) reads
-#: this table.  Anything else in a card lands in
-#: :attr:`AnalysisSpec.extra_options`.
-OPTION_ROWS = {
-    row.name: row
-    for row in (
-        OptionRow(
-            "m", "count", keyword="steps",
-            help="number of basis terms: block pulses, or spectral "
-            "coefficients for polynomial bases (default: .options m, else "
-            "the .tran card's tstop/tstep, else 500)",
-            refusal="send the term count in 'grid': [t_end, m]",
-        ),
-        OptionRow("basis", "name", _basis_help, metavar="FAMILY"),
-        OptionRow("method", "name", _method_help, metavar="NAME"),
-        OptionRow(
-            "windows", "count",
-            "march the horizon as this many windows of steps/windows block "
-            "pulses each (default: .options windows, else 1: one "
-            "single-window solve)",
-            refusal=_CARD_ONLY,
-        ),
-        OptionRow("backend", "name", cli=False),
-        OptionRow(
-            "reduce", "name",
-            "certified model-order reduction: 'auto' reduces large "
-            "first-order pencils at session bind (skipping small or "
-            "unsupported ones), 'off' disables a deck's .options reduce= "
-            "card; reduced runs are certified against a residual error "
-            "bound and fall back to the full model when it is exceeded",
-            metavar="MODE", refusal=_CARD_ONLY,
-        ),
-        OptionRow(
-            "mor_order", "count",
-            "number of block moments for --reduce (implies reduction "
-            "when --reduce is unset; default 12)",
-            metavar="Q", refusal=_CARD_ONLY,
-        ),
-        OptionRow(
-            "memory", "name",
-            "fractional-memory mode: 'soe' compresses the power-law "
-            "history tail into a certified sum-of-exponentials recurrence "
-            "(linear-time long-horizon marching; falls back to exact when "
-            "the fit cannot be certified), 'exact' disables a deck's "
-            ".options memory= card (default: .options memory, else exact)",
-            choices=("exact", "soe"), client=True,
-        ),
-        OptionRow(
-            "memory_rtol", "rtol",
-            "certified relative L1 bound the SOE kernel fit must meet "
-            "(implies --memory soe when unset; default 1e-10)",
-            metavar="TOL", client=True,
-        ),
-    )
-}
 
 
 @dataclass(frozen=True)

@@ -78,11 +78,21 @@ def _check_nodes(name: str, node_a: str, node_b: str) -> None:
         raise NetlistError(f"{name}: both terminals connect to node {node_a!r}")
 
 
+def _number(name: str, field: str, value) -> float:
+    """``float(value)``, or a :class:`NetlistError` naming the element."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise NetlistError(f"{name}: {field} must be a number, got {value!r}") from None
+
+
 def _check_value(record) -> None:
-    """Apply the record's card-kind value rule (a bare :class:`Element` has none)."""
+    """Apply the record's card-kind value rule (a bare :class:`Element`
+    has none) and store the value as a float."""
     kind = _KIND_OF.get(type(record))
     if kind is not None:
-        kind.rule.check(record.name, kind.value, getattr(record, kind.value))
+        value = kind.rule.check(record.name, kind.value, getattr(record, kind.value))
+        object.__setattr__(record, kind.value, value)
 
 
 @dataclass(frozen=True)
@@ -142,7 +152,8 @@ class CPE(Element):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        alpha = float(self.alpha)
+        alpha = _number(self.name, "alpha", self.alpha)
+        object.__setattr__(self, "alpha", alpha)
         if not 0.0 < alpha <= 1.0:
             raise NetlistError(f"{self.name}: CPE alpha must be in (0, 1], got {alpha}")
 
@@ -241,13 +252,15 @@ class ValueRule:
     test: Callable
     message: str
 
-    def check(self, name: str, field: str, value) -> None:
-        """Raise :class:`NetlistError` naming the element if ``value`` fails."""
-        value = float(value)
+    def check(self, name: str, field: str, value) -> float:
+        """``value`` as a float; raises :class:`NetlistError` naming the
+        element if it fails."""
+        value = _number(name, field, value)
         if not self.test(value):
             raise NetlistError(self.message.format(name=name, field=field, value=value))
         if not math.isfinite(value):
             raise NetlistError(f"{name}: {field} must be finite, got {value}")
+        return value
 
     def valid(self, values: np.ndarray) -> np.ndarray:
         """Elementwise :meth:`check` as a boolean mask."""

@@ -400,27 +400,27 @@ class Netlist:
 
     def add_resistor(self, name: str, a: str, b: str, resistance: float) -> None:
         """Add a resistor of ``resistance`` ohms between nodes ``a`` and ``b``."""
-        self.add(Resistor(name, a, b, resistance=float(resistance)))
+        self.add(Resistor(name, a, b, resistance=resistance))
 
     def add_capacitor(self, name: str, a: str, b: str, capacitance: float) -> None:
         """Add a capacitor of ``capacitance`` farads between ``a`` and ``b``."""
-        self.add(Capacitor(name, a, b, capacitance=float(capacitance)))
+        self.add(Capacitor(name, a, b, capacitance=capacitance))
 
     def add_inductor(self, name: str, a: str, b: str, inductance: float) -> None:
         """Add an inductor of ``inductance`` henries between ``a`` and ``b``."""
-        self.add(Inductor(name, a, b, inductance=float(inductance)))
+        self.add(Inductor(name, a, b, inductance=inductance))
 
     def add_cpe(self, name: str, a: str, b: str, q: float, alpha: float) -> None:
         """Add a constant-phase element ``i = q d^alpha v/dt^alpha`` (fractional capacitor)."""
-        self.add(CPE(name, a, b, q=float(q), alpha=float(alpha)))
+        self.add(CPE(name, a, b, q=q, alpha=alpha))
 
     def add_vccs(self, name: str, a: str, b: str, c: str, d: str, gm: float) -> None:
         """Add a VCCS: ``i(a->b) = gm * (v(c) - v(d))`` (SPICE G element)."""
-        self.add(VCCS(name, a, b, c=c, d=d, gm=float(gm)))
+        self.add(VCCS(name, a, b, c=c, d=d, gm=gm))
 
     def add_mutual(self, name: str, inductor1: str, inductor2: str, coupling: float) -> None:
         """Couple two existing inductors with coefficient ``k`` (SPICE K element)."""
-        self.add(MutualInductance(name, inductor1, inductor2, coupling=float(coupling)))
+        self.add(MutualInductance(name, inductor1, inductor2, coupling=coupling))
 
     def _allocate_channel(self, waveform: Waveform | None, channel: int | None) -> int:
         if channel is None:
@@ -450,7 +450,7 @@ class Netlist:
     ) -> int:
         """Add a current source; returns its input-channel index."""
         channel = self._allocate_channel(waveform, channel)
-        self.add(CurrentSource(name, a, b, channel=channel, scale=float(scale)))
+        self.add(CurrentSource(name, a, b, channel=channel, scale=scale))
         return channel
 
     def add_voltage_source(
@@ -465,7 +465,7 @@ class Netlist:
     ) -> int:
         """Add a voltage source; returns its input-channel index."""
         channel = self._allocate_channel(waveform, channel)
-        self.add(VoltageSource(name, a, b, channel=channel, scale=float(scale)))
+        self.add(VoltageSource(name, a, b, channel=channel, scale=scale))
         return channel
 
     def set_channel_waveform(self, channel: int, waveform: Waveform) -> None:
@@ -627,7 +627,7 @@ class Netlist:
         for el in (*self.elements, *self.couplings):
             if el.name in overrides:
                 el = dataclasses.replace(
-                    el, **{kind_of(el).value: float(overrides[el.name])}
+                    el, **{kind_of(el).value: overrides[el.name]}
                 )
             varied.add(el)
         varied.analysis = self.analysis

@@ -20,7 +20,8 @@ the system, so source waveforms must be differentiable
 
 CPEs of order ``alpha`` contribute a ``d^{alpha+1}`` term after the
 differentiation, turning the result into a general
-:class:`~repro.core.lti.MultiTermSystem`.
+:class:`~repro.core.lti.MultiTermSystem`; an ``alpha = 1`` CPE is a
+capacitance and joins ``C``, as MNA merges it into ``E``.
 
 Restrictions (validated): no ideal voltage sources (NA cannot stamp
 them -- convert to Norton form, as the power-grid generator does).
@@ -109,6 +110,11 @@ def assemble_na(netlist: Netlist, outputs=None):
         Gamma = sp.csr_matrix((n, n))
     C_out = None if outputs is None else output_matrix(netlist, outputs, n)
     frac = sorted(key[1] for key in blocks if isinstance(key, tuple))
+    if 1.0 in frac:
+        # an alpha = 1 CPE is a capacitance: its d^2 term joins C, as
+        # MNA merges it into E
+        frac.remove(1.0)
+        C_mat = C_mat + build(("frac", 1.0), (n, n))
 
     if not frac:
         return SecondOrderSystem(C_mat, G_mat, Gamma, b, C=C_out)

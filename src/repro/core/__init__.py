@@ -43,6 +43,7 @@ _EXPORTS = {
     "ParallelExecutor": "..engine",
     "simulate": ".dispatch",
     "SIMULATION_METHODS": ".dispatch",
+    "ROUTES": ".dispatch",
     "simulate_opm": ".opm_solver",
     "simulate_opm_adaptive": ".opm_adaptive",
     "simulate_opm_integral": ".opm_integral",

@@ -1,12 +1,23 @@
-"""Unified simulation entry point.
+"""Unified simulation entry point and the route table behind it.
 
-:func:`simulate` routes one call signature to every solver in the
-package -- the OPM variants and the classical baselines -- so scripts
-and benchmarks can switch methods with a string:
+:data:`ROUTES` holds one :class:`Route` per ``method=`` name -- the OPM
+variants, the classical baselines and the fractional method zoo.  A row
+says how its route runs (a lazily imported one-shot solver, or a warm
+:class:`~repro.engine.session.Simulator` session) and which solve
+settings and features it honours.  Every front door -- :func:`simulate`,
+the deck resolver, the CLI and the service daemon -- takes its answers
+from the row, and refuses anything else with the row's one message:
+
+>>> ROUTES["trapezoidal"].refusal("windows")  # doctest: +NORMALIZE_WHITESPACE
+"method 'trapezoidal' only supports a plain transient: windowed marching
+runs on method='opm' or 'opm-windowed' only; drop the method or the
+windows setting"
+
+:func:`simulate` routes one call signature to every row, so scripts and
+benchmarks can switch methods with a string:
 
 >>> import numpy as np
 >>> from repro.core import DescriptorSystem
->>> from repro.core.dispatch import simulate
 >>> rc = DescriptorSystem([[1.0]], [[-1.0]], [[1.0]])
 >>> opm = simulate(rc, 1.0, 5.0, 500)                      # OPM (default)
 >>> trap = simulate(rc, 1.0, 5.0, 500, method="trapezoidal")
@@ -16,44 +27,178 @@ True
 
 from __future__ import annotations
 
+import importlib
 import sys
+import time
+from dataclasses import dataclass
 
-from ..basis.base import BasisSet
-from ..engine.bundle import validate_basis_name
-from ..errors import SolverError
-from ..fractional.methods import (
-    FRACTIONAL_METHODS,
-    unknown_method_message,
-)
-from .opm_solver import simulate_opm
+from ..errors import OptionError, SolverError
 
-__all__ = ["simulate", "SIMULATION_METHODS", "FRACTIONAL_ZOO_METHODS"]
+__all__ = ["simulate", "ROUTES", "Route", "SIMULATION_METHODS"]
 
-#: The pluggable fractional-operator discretisations (the method zoo);
-#: each runs on a warm :class:`~repro.engine.session.Simulator` through
-#: the same cached-pencil machinery as ``'opm'``.
-FRACTIONAL_ZOO_METHODS = tuple(sorted(FRACTIONAL_METHODS))
+#: Why a route refuses a setting or feature it does not honour; ``{}``
+#: lists the routes that do (see :meth:`Route.refusal`).
+_REFUSALS = {
+    "basis": "does not take a basis; only {} are basis-generic",
+    "backend": "has no pencil backend to pick; backend applies to {} only",
+    "reduce": "does not support model-order reduction; reduce/mor_order "
+    "apply to {} only",
+    "memory": "has no fractional memory tail to compress; "
+    "memory/memory_rtol apply to {} only",
+    "windows": "only supports a plain transient: windowed marching runs on "
+    "{} only; drop the method or the windows setting",
+    "events": "only supports a plain transient: events fire at the window "
+    "boundaries of a march on {} only",
+    "sweep": "cannot batch a sweep: batched multi-RHS sweeps run on a "
+    "cached session of {} only",
+    "ensemble": "cannot solve an ensemble: ensemble members run on {} only",
+    "session": "is a one-shot baseline and cannot run on a warm session; "
+    "use simulate_netlist() for it, or pick {}",
+}
+
+#: The resolved deck settings a row may honour (``reduce`` stands for
+#: ``reduce``/``mor_order``, ``memory`` for ``memory``/``memory_rtol``);
+#: the rest of :data:`_REFUSALS` are features.
+SETTINGS = ("basis", "backend", "reduce", "memory", "windows")
+
+
+@dataclass(frozen=True)
+class Route:
+    """One ``method=`` route: how it runs and what it honours.
+
+    ``runner`` is the ``"module:function"`` of a one-shot solver, called
+    as ``runner(system, u, t_end, steps)`` (``grid=(t_end, steps)`` with
+    ``pair``; no ``steps`` when the route does not need them; plus
+    ``method=<name>`` with ``scheme``), or ``None`` for a route that runs
+    on a :class:`~repro.engine.session.Simulator` session (a march when
+    ``marches`` or ``windows > 1``).  ``honours`` names the
+    :data:`SETTINGS` and features (``events``, ``sweep``, ``ensemble``)
+    the route takes; ``first_order`` routes need ``alpha == 1``.
+    """
+
+    name: str
+    summary: str
+    runner: str | None = None
+    honours: tuple[str, ...] = ()
+    first_order: bool = False
+    steps: bool = True
+    marches: bool = False
+    pair: bool = False
+    scheme: bool = False
+
+    def refusal(self, option: str) -> str:
+        """The one message every door gives for ``option`` on this route."""
+        routes = [
+            route.name
+            for route in ROUTES.values()
+            if (route.runner is None if option == "session" else option in route.honours)
+        ]
+        names = ", ".join(map(repr, routes[:-1]))
+        names = f"{names} or {routes[-1]!r}" if names else repr(routes[-1])
+        return f"method {self.name!r} " + _REFUSALS[option].format(f"method={names}")
+
+    def require(self, option: str, error=OptionError) -> None:
+        """Raise ``error`` (with :meth:`refusal`) unless the route
+        honours ``option`` (``'session'``: runs on a warm session)."""
+        honoured = self.runner is None if option == "session" else option in self.honours
+        if not honoured:
+            raise error(self.refusal(option))
+
+    def solve(self, system, u, options, *, events=(), **extra):
+        """Run ``system`` driven by ``u`` with the resolved ``options``
+        (a :class:`~repro.engine.netlist_session.DeckOptions`); ``extra``
+        keywords go to the solver (``rtol``/``atol`` for an adaptive run)."""
+        alpha = getattr(system, "alpha", 1.0)
+        if self.first_order and alpha != 1.0:
+            fractional = [r.name for r in ROUTES.values() if not r.first_order]
+            raise OptionError(
+                f"method {self.name!r} requires a first-order system (alpha=1), "
+                f"got alpha={alpha:g}; use one of {tuple(fractional)} for "
+                "fractional orders"
+            )
+        if events:
+            self.require("events")
+        if not self.steps:
+            return self._runner()(system, u, options.t_end, **extra)
+        t_end, steps = options.grid()
+        if self.runner is not None:
+            kwargs = {name: getattr(options, name) for name in SETTINGS if name in self.honours}
+            if self.scheme:
+                kwargs["method"] = self.name
+            grid = ((t_end, steps),) if self.pair else (t_end, steps)
+            return self._runner()(system, u, *grid, **kwargs, **extra)
+        windows = options.windows
+        if self.marches or windows > 1:
+            if steps % windows:
+                raise OptionError(
+                    f"steps={steps} must be divisible by windows={windows} "
+                    "(every window carries the same number of basis terms)"
+                )
+            sim = options.session(system, (t_end / windows, steps // windows))
+            return sim.march(u, t_end, events=events, **extra)
+        if events:
+            raise OptionError(
+                "events fire at window boundaries: pass windows >= 2 (the "
+                "CLI's --windows K) so event times land strictly inside the "
+                "horizon"
+            )
+        start = time.perf_counter()
+        result = options.session(system).run(u, **extra)
+        # one-shot call: charge session assembly + factorisation to the run
+        result.wall_time = time.perf_counter() - start
+        return result
+
+    def _runner(self):
+        module, _, function = self.runner.partition(":")
+        return getattr(importlib.import_module(module), function)
+
+
+_ZOO = ("basis", "backend", "sweep")
+_TRANSIENT = "repro.baselines.transient:simulate_transient"
+
+#: Every route, by method name, in the order the CLI help and the
+#: README list them; the first is the default.
+ROUTES = {
+    route.name: route
+    for route in (
+        Route("opm", "OPM column sweep (default; uniform or adaptive grids, any order)",
+              honours=SETTINGS + ("events", "sweep", "ensemble")),
+        Route("opm-windowed", "windowed time-marching (long horizons, mid-run events, any order)",
+              honours=SETTINGS + ("events",), marches=True),
+        Route("opm-adaptive", "OPM with on-the-fly step-doubling error control (first order)",
+              runner="repro.core.opm_adaptive:simulate_opm_adaptive", first_order=True,
+              steps=False),
+        Route("opm-kron", "explicit Kronecker reference solve of eqs. (15)/(27) (validation)",
+              runner="repro.core.kron_solver:simulate_opm_kron", pair=True),
+        Route("backward-euler", "classical one-step transient baseline (first order)",
+              runner=_TRANSIENT, first_order=True, scheme=True),
+        Route("trapezoidal", "classical one-step transient baseline (first order)",
+              runner=_TRANSIENT, first_order=True, scheme=True),
+        Route("gear2", "BDF2 transient baseline (first order)",
+              runner=_TRANSIENT, first_order=True, scheme=True),
+        Route("fft", "frequency-domain (FFT) baseline, fractional-capable",
+              runner="repro.baselines.fft_method:simulate_fft"),
+        Route("grunwald-letnikov", "fractional time-stepping baseline",
+              runner="repro.fractional.grunwald:simulate_grunwald_letnikov",
+              honours=("memory",)),
+        Route("expm", "matrix-exponential reference (first order, regular `E`)",
+              runner="repro.baselines.expm:simulate_expm", first_order=True),
+        Route("gl", "fractional method zoo: GL convolution quadrature as an operational matrix",
+              honours=_ZOO),
+        Route("jacobi", "fractional method zoo: Jacobi–Gauss spectral collocation matrix",
+              honours=_ZOO),
+        Route("oustaloup",
+              "fractional method zoo: band-limited Oustaloup/CFE rational fit of `s^-α`",
+              honours=_ZOO),
+    )
+}
 
 #: Method names accepted by :func:`simulate`.
-SIMULATION_METHODS = (
-    "opm",
-    "opm-windowed",
-    "opm-adaptive",
-    "opm-kron",
-    "backward-euler",
-    "trapezoidal",
-    "gear2",
-    "fft",
-    "grunwald-letnikov",
-    "expm",
-) + FRACTIONAL_ZOO_METHODS
+SIMULATION_METHODS = tuple(ROUTES)
 
-#: Methods restricted to first-order (``alpha == 1``) systems.
-_FIRST_ORDER_ONLY = ("backward-euler", "trapezoidal", "gear2", "expm")
-
-
-#: Methods that accept a ``basis=`` argument (the basis-generic engine).
-_BASIS_GENERIC = ("opm", "opm-windowed") + FRACTIONAL_ZOO_METHODS
+#: The deck-option keywords :func:`simulate` resolves (the rest of its
+#: ``**kwargs`` go to the route's solver).
+_DECK_KEYWORDS = ("backend", "reduce", "mor_order", "memory", "memory_rtol", "windows")
 
 
 def simulate(
@@ -79,16 +224,13 @@ def simulate(
         :func:`repro.engine.netlist_session.build_system` (honouring
         their ``.ic`` card), their ``.tran`` / ``.options`` cards fill
         every setting not given here (``t_end=None`` / ``steps=None``
-        defer to the cards; see
-        :func:`repro.engine.netlist_session.resolve_deck_options`), and
-        ``u=None`` means "drive with the deck's own source
-        waveforms" -- or an
+        defer to the cards), and ``u=None`` means "drive with the deck's
+        own source waveforms" -- or an
         :class:`~repro.engine.executor.Ensemble` of ``(system, u)``
         members, executed across ``jobs`` workers and returning a
-        :class:`~repro.core.result.BatchResult`.  (Method
-        support varies: the classical one-step schemes need
-        ``alpha == 1``; the FFT and Grünwald-Letnikov baselines accept
-        fractional orders; ensembles require the default ``'opm'``.)
+        :class:`~repro.core.result.BatchResult`.  What each method
+        supports (``alpha != 1``, ensembles, a basis, ...) is its
+        :data:`ROUTES` row.
     u:
         Input specification (callable, scalar, or -- for the OPM
         fixed-grid methods -- a coefficient array).  ``None`` is only
@@ -97,18 +239,12 @@ def simulate(
         Horizon.
     steps:
         Resolution: basis terms for OPM methods, time steps for the
-        one-step schemes, sampling points for the FFT method.  Not used
-        by ``'opm-adaptive'`` (pass ``rtol``/``atol`` instead).
+        one-step schemes, sampling points for the FFT method.  Routes
+        that need none (an adaptive controller) take ``rtol``/``atol``.
     method:
-        ``None`` (``'opm'``, or a netlist's ``.options method=``
-        card) or one of :data:`SIMULATION_METHODS`: the OPM variants, the
-        classical baselines, or a fractional zoo method from
-        :data:`FRACTIONAL_ZOO_METHODS` (``'gl'``, ``'oustaloup'``,
-        ``'jacobi'`` -- alternative discretisations of the fractional
-        operator solved on a :class:`~repro.engine.session.Simulator`
-        through the cached-pencil machinery; see
-        :mod:`repro.fractional.methods`).  Unknown names raise with a
-        typo suggestion and the full registered list.
+        ``None`` (the first :data:`ROUTES` row, or a netlist's
+        ``.options method=`` card) or a :data:`ROUTES` name.  Unknown
+        names raise with a typo suggestion and the full list.
     jobs:
         Worker count for ensemble execution (default: the usable CPU
         count).  Only meaningful when ``system`` is an
@@ -118,19 +254,18 @@ def simulate(
         Ensemble executor backend: ``'process'`` (default) or
         ``'serial'``.
     basis:
-        Basis family for the basis-generic OPM methods (``'opm'`` and
-        ``'opm-windowed'``): ``None`` (block pulse), a name from
-        :func:`repro.engine.bundle.basis_names`, or a
-        :class:`~repro.basis.base.BasisSet` instance.  Unknown names
+        Basis family for the basis-generic routes: ``None`` (block
+        pulse), a name from :func:`repro.engine.bundle.basis_names`, or
+        a :class:`~repro.basis.base.BasisSet` instance.  Unknown names
         raise with a typo suggestion and the list of valid families.
     **kwargs:
-        Forwarded to the underlying solver.  Notably, the OPM methods
-        (``'opm'``, ``'opm-windowed'``, and ensembles) accept
-        ``reduce='auto' | int | ReductionPlan`` for certified
-        reduce-then-sweep (see :mod:`repro.engine.reduction`).  A
-        netlist takes the deck vocabulary (``backend``, ``reduce``,
-        ``mor_order``, ``memory``, ``memory_rtol``, ``windows``) and
-        ``events``.
+        The deck vocabulary (``backend``, ``reduce``, ``mor_order``,
+        ``memory``, ``memory_rtol``, ``windows``), merged with the
+        cards by :func:`repro.engine.options.resolve_deck_options`
+        exactly as every other door merges it, and ``events``; anything
+        else is forwarded to the route's solver.  A route refuses a
+        setting its row does not honour with a
+        :class:`~repro.errors.OptionError`.
 
     Returns
     -------
@@ -139,22 +274,29 @@ def simulate(
         both expose ``outputs(times)`` /
         :func:`repro.analysis.sample_outputs`.
     """
-    # ensembles and netlists sit in layers this module does not import
-    # (the executor, repro.circuits): an instance can only exist once its
-    # module is loaded, so detect them through sys.modules
+    from ..engine.options import resolve_deck_options
+
+    # netlists and ensembles sit in layers this module does not import
+    # (repro.circuits, the executor): an instance can only exist once
+    # its module is loaded, so detect them through sys.modules
     netlist_module = sys.modules.get("repro.circuits.netlist")
     is_netlist = netlist_module is not None and isinstance(
         system, netlist_module.Netlist
     )
-    if not is_netlist:
-        method = method or "opm"
-        if method not in SIMULATION_METHODS:
-            raise SolverError(unknown_method_message(method, SIMULATION_METHODS))
     executor_module = sys.modules.get("repro.engine.executor")
-    if executor_module is not None and isinstance(system, executor_module.Ensemble):
-        return _simulate_ensemble(
-            system, u, t_end, steps, method=method, basis=basis,
-            jobs=jobs, parallel=parallel, **kwargs,
+    is_ensemble = executor_module is not None and isinstance(
+        system, executor_module.Ensemble
+    )
+    settings = {name: kwargs.pop(name) for name in _DECK_KEYWORDS if name in kwargs}
+    options = resolve_deck_options(
+        system.analysis if is_netlist else None,
+        t_end=t_end, steps=steps, method=method, basis=basis, **settings,
+    )
+    if is_ensemble:
+        from ..engine import netlist_session
+
+        return netlist_session._solve_ensemble(
+            None, options, system, None, u=u, jobs=jobs, parallel=parallel, **kwargs,
         )
     if jobs is not None:
         raise SolverError(
@@ -162,150 +304,14 @@ def simulate(
             "many inputs on one system use Simulator.sweep(inputs)"
         )
     if is_netlist:
-        return _simulate_netlist(
-            system, u, t_end, steps, method=method, basis=basis, **kwargs
+        from ..engine import netlist_session
+
+        return netlist_session._solve_transient(
+            system, netlist_session.build_system(system), options, u=u, **kwargs
         )
     if u is None:
         raise SolverError(
             "u=None is only valid for Netlist systems (whose decks carry "
             "their own source waveforms)"
         )
-    if basis is not None:
-        if method not in _BASIS_GENERIC:
-            raise SolverError(
-                f"method {method!r} does not take a basis; only "
-                f"{_BASIS_GENERIC} are basis-generic"
-            )
-        if not isinstance(basis, BasisSet):
-            basis = validate_basis_name(basis)  # raises with suggestions
-    if method in _FIRST_ORDER_ONLY:
-        alpha = getattr(system, "alpha", 1.0)
-        if alpha != 1.0:
-            raise SolverError(
-                f"method {method!r} requires a first-order system (alpha=1), "
-                f"got alpha={alpha:g}; use 'opm', 'fft' or 'grunwald-letnikov' "
-                "for fractional orders"
-            )
-    if method == "opm-adaptive":
-        from .opm_adaptive import simulate_opm_adaptive
-
-        return simulate_opm_adaptive(system, u, t_end, **kwargs)
-    if steps is None:
-        raise SolverError(f"method {method!r} requires steps")
-    if method in FRACTIONAL_ZOO_METHODS:
-        from ..engine import Simulator
-
-        sim = Simulator(system, (t_end, steps), basis=basis, method=method, **kwargs)
-        return sim.run(u)
-    if method == "opm":
-        return simulate_opm(system, u, (t_end, steps), basis=basis, **kwargs)
-    if method == "opm-windowed":
-        return _simulate_windowed(system, u, t_end, steps, basis=basis, **kwargs)
-    if method == "opm-kron":
-        from .kron_solver import simulate_opm_kron
-
-        return simulate_opm_kron(system, u, (t_end, steps), **kwargs)
-    if method in ("backward-euler", "trapezoidal", "gear2"):
-        from ..baselines.transient import simulate_transient
-
-        return simulate_transient(system, u, t_end, steps, method=method, **kwargs)
-    if method == "fft":
-        from ..baselines.fft_method import simulate_fft
-
-        return simulate_fft(system, u, t_end, steps, **kwargs)
-    if method == "grunwald-letnikov":
-        from ..fractional.grunwald import simulate_grunwald_letnikov
-
-        return simulate_grunwald_letnikov(system, u, t_end, steps, **kwargs)
-    # method == "expm"
-    from ..baselines.expm import simulate_expm
-
-    return simulate_expm(system, u, t_end, steps, **kwargs)
-
-
-def _simulate_netlist(netlist, u, t_end, steps, *, method, basis, events=(), **kwargs):
-    """Netlist dispatch: assemble the deck and solve its transient with
-    the settings :func:`~repro.engine.netlist_session.resolve_deck_options`
-    merges from the arguments (``kwargs``: its deck vocabulary) and the
-    deck's cards."""
-    from ..engine import netlist_session
-
-    options = netlist_session.resolve_deck_options(
-        netlist.analysis, basis=basis, method=method, t_end=t_end,
-        steps=steps, **kwargs,
-    )
-    system = netlist_session.build_system(netlist)
-    return netlist_session._solve_transient(
-        netlist, system, options, u=u, events=events
-    )
-
-
-def _simulate_ensemble(
-    ensemble,
-    u,
-    t_end: float,
-    steps: int | None,
-    *,
-    method: str,
-    basis,
-    jobs: int | None,
-    parallel: str,
-    **kwargs,
-):
-    """Ensemble dispatch (``system`` was an :class:`Ensemble`).
-
-    Shards the members across ``jobs`` workers; ``u`` (if given) is the
-    default input for members that carry none.
-    """
-    if method != "opm":
-        raise SolverError(
-            f"ensembles support method='opm' only, got {method!r}"
-        )
-    if steps is None:
-        raise SolverError("ensemble simulation requires steps")
-    from ..engine.executor import ParallelExecutor
-
-    backend = kwargs.pop("backend", "auto")
-    with ParallelExecutor(parallel, jobs=jobs) as executor:
-        return executor.run(
-            ensemble,
-            (t_end, steps),
-            basis=basis,
-            u=u,
-            solver_backend=backend,
-            **kwargs,
-        )
-
-
-def _simulate_windowed(
-    system,
-    u,
-    t_end: float,
-    steps: int,
-    *,
-    windows: int = 1,
-    events=(),
-    basis=None,
-    **kwargs,
-):
-    """One-shot windowed marching (``method='opm-windowed'``).
-
-    ``steps`` is the *total* number of basis terms over ``[0, t_end]``;
-    it must divide evenly into ``windows`` windows.  Repeated-march
-    workloads should hold a :class:`~repro.engine.session.Simulator`
-    bound to one window grid and call :meth:`march` directly.  With a
-    spectral ``basis`` this is hybrid-function marching: ``steps /
-    windows`` spectral coefficients per window.
-    """
-    from ..engine import Simulator
-
-    windows = int(windows)
-    if windows < 1:
-        raise SolverError(f"windows must be >= 1, got {windows}")
-    if steps % windows:
-        raise SolverError(
-            f"steps={steps} must be divisible by windows={windows} "
-            "(every window carries the same number of basis terms)"
-        )
-    sim = Simulator(system, (t_end / windows, steps // windows), basis=basis, **kwargs)
-    return sim.march(u, t_end, events=events)
+    return options.route.solve(system, u, options, **kwargs)

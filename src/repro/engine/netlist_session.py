@@ -45,18 +45,16 @@ Example
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..circuits.cards import OPTION_ROWS, AcCard
+from ..circuits.cards import AcCard
 from ..circuits.graph import CircuitGraph, LintReport
 from ..circuits.mna import assemble_mna
 from ..circuits.netlist import Netlist
 from ..errors import NetlistError, SolverError
-from ..fractional.methods import FractionalMethod, validate_method_name
-from ..fractional.soe import resolve_memory
-from .reduction import combine_reduce_options
+from .options import DeckOptions, resolve_deck_options
 from .session import Simulator
 
 __all__ = [
@@ -71,11 +69,6 @@ __all__ = [
     "NetlistRun",
 ]
 
-#: Transient methods served natively by the cached-session engine; any
-#: other name is routed through :func:`repro.core.dispatch.simulate`.
-_SESSION_METHODS = ("opm", "opm-windowed")
-
-
 def _as_netlist(source, title: str = "") -> Netlist:
     """Coerce a :class:`Netlist`, deck text, or file path to a netlist.
 
@@ -87,188 +80,6 @@ def _as_netlist(source, title: str = "") -> Netlist:
     if isinstance(source, str) and "\n" in source:
         return Netlist.from_spice(source, title=title)
     return Netlist.from_spice_file(source)
-
-
-@dataclass(frozen=True)
-class DeckOptions:
-    """The resolved settings of one deck solve.
-
-    Built only by :func:`resolve_deck_options`, which applies the
-    "explicit argument > ``.options``/``.tran`` card > default" rule
-    once for every front door (library, CLI, service daemon).
-    ``memory`` is the resolved fractional-memory plan: ``None`` (exact)
-    or an :class:`~repro.fractional.soe.SoePlan` carrying the deck's
-    ``memory_rtol``.
-    """
-
-    basis: object
-    method: object
-    backend: str
-    reduce: object
-    memory: object
-    windows: int
-    t_end: float | None
-    steps: int | None
-
-    @property
-    def native(self) -> bool:
-        """True for the native cached-session routes (``_SESSION_METHODS``)."""
-        return self.method in _SESSION_METHODS
-
-    def grid(self) -> tuple[float, int]:
-        """The transient grid ``(t_end, steps)``; raises when unknown."""
-        if self.t_end is None:
-            raise NetlistError(
-                "no transient horizon: the deck has no .tran card; pass "
-                "t_end= (or grid=(t_end, m)) explicitly"
-            )
-        if self.steps is None:
-            raise NetlistError(
-                "transient requested without a term count: add a .tran card "
-                "or pass steps="
-            )
-        return self.t_end, self.steps
-
-    def session(self, system, grid=None) -> Simulator:
-        """A warm :class:`Simulator` with these settings on ``grid``
-        (default: :meth:`grid`)."""
-        from ..core.dispatch import FRACTIONAL_ZOO_METHODS
-
-        method = None if self.native else self.method
-        if method is not None and not (
-            isinstance(method, FractionalMethod) or method in FRACTIONAL_ZOO_METHODS
-        ):
-            raise NetlistError(
-                f"method {method!r} is a one-shot baseline and cannot run on a "
-                "warm session; use simulate_netlist() for it, or pick 'opm' or "
-                f"one of {FRACTIONAL_ZOO_METHODS}"
-            )
-        return Simulator(
-            system,
-            grid if grid is not None else self.grid(),
-            basis=self.basis,
-            backend=self.backend,
-            method=method,
-            reduce=self.reduce,
-            memory=self.memory,
-        )
-
-
-#: The deck-option rows by library keyword (``steps`` is the ``m`` row).
-_ROWS_BY_KEYWORD = {row.keyword: row for row in OPTION_ROWS.values()}
-
-
-def resolve_deck_options(analysis, *, t_end=None, **given) -> DeckOptions:
-    """Merge explicit settings with a deck's cards into :class:`DeckOptions`.
-
-    ``given`` holds the explicit settings by library keyword (the rows
-    of :data:`repro.circuits.cards.OPTION_ROWS`; ``steps`` sets the
-    ``m`` row), ``None`` meaning "not given".  Each is parsed by its
-    row, then falls back to its ``.options`` card (``analysis`` is the
-    deck's :class:`~repro.circuits.cards.AnalysisSpec`), then to the
-    default.  The rules every front door shares:
-
-    * grid: ``t_end`` falls back to the ``.tran`` horizon; ``steps`` to
-      ``.options m=``, then the ``.tran`` card's ``tstop / tstep``;
-    * reduction: ``reduce`` / ``mor_order`` combine through
-      :func:`~repro.engine.reduction.combine_reduce_options` (a moment
-      count implies reduction);
-    * memory: resolves to ``None`` (exact) or an
-      :class:`~repro.fractional.soe.SoePlan`; an explicit
-      ``memory_rtol`` alone implies ``'soe'`` and with exact memory is
-      an error; the ``.options memory_rtol=`` card applies only to a
-      plan named ``'soe'`` (by a card or explicitly), so a bare card
-      never turns compression on and never retunes a ready plan;
-    * ``basis`` and ``method`` names are validated with a did-you-mean
-      diagnostic (a ready :class:`~repro.fractional.methods.
-      FractionalMethod` or basis instance passes through);
-    * a method other than ``'opm'`` / ``'opm-windowed'`` rejects
-      windowed marching and reduction, and memory compression needs
-      the native route or the ``'grunwald-letnikov'`` baseline.
-    """
-    from ..core.dispatch import SIMULATION_METHODS
-    from .bundle import basis_names, validate_basis_name
-
-    explicit = {}
-    for keyword, value in given.items():
-        row = _ROWS_BY_KEYWORD.get(keyword)
-        if row is None:
-            raise TypeError(
-                f"resolve_deck_options() got an unexpected keyword argument "
-                f"{keyword!r}"
-            )
-        if value is not None:
-            explicit[row.name] = row.parse(value, instances=True)
-    merged = {**analysis.options, **explicit}
-
-    tran = analysis.tran
-    if t_end is None and tran is not None:
-        t_end = tran.tstop
-    steps = merged.get("m") or (tran.steps if tran is not None else None)
-
-    basis = merged.get("basis")
-    if isinstance(basis, str):
-        basis = validate_basis_name(basis)
-        if basis == "laguerre":
-            raise NetlistError(
-                "basis 'laguerre' needs an explicit time scale, which a name "
-                "cannot carry: use the library API with a LaguerreBasis(a, m) "
-                "instance, or pick one of "
-                + ", ".join(n for n in basis_names() if n != "laguerre")
-            )
-    method = merged.get("method", "opm")
-    if not isinstance(method, FractionalMethod):
-        method = validate_method_name(
-            method, SIMULATION_METHODS, context="method", error=NetlistError
-        )
-    reduce = combine_reduce_options(merged.get("reduce"), merged.get("mor_order"))
-    memory = merged.get("memory")
-    if memory is None and "memory_rtol" in explicit:
-        memory = "soe"
-    plan = resolve_memory(memory)
-    rtol = explicit.get("memory_rtol")
-    if rtol is None and isinstance(memory, str):
-        rtol = analysis.memory_rtol
-    if plan is not None and rtol is not None:
-        plan = replace(plan, rtol=rtol)
-    elif plan is None and "memory_rtol" in explicit:
-        raise SolverError(
-            "memory_rtol is only meaningful with memory='soe' "
-            "(exact memory has no approximation tolerance)"
-        )
-    windows = merged.get("windows", 1)
-
-    name = getattr(method, "name", method)
-    if method not in _SESSION_METHODS:
-        if windows > 1:
-            raise NetlistError(
-                f"method {name!r} only supports a plain transient: windowed "
-                "marching is an engine-session feature; drop the method or "
-                "the windows setting"
-            )
-        if reduce is not None:
-            raise NetlistError(
-                f"method {name!r} does not support model-order reduction; "
-                "reduce/mor_order apply to the OPM engine only"
-            )
-    if plan is not None and method not in (
-        _SESSION_METHODS + ("grunwald-letnikov",)
-    ):
-        raise NetlistError(
-            f"method {name!r} has no fractional memory tail to compress; "
-            "memory/memory_rtol apply to the OPM engine and the "
-            "grunwald-letnikov baseline only"
-        )
-    return DeckOptions(
-        basis=basis,
-        method=method,
-        backend=merged.get("backend", "auto"),
-        reduce=reduce,
-        memory=plan,
-        windows=windows,
-        t_end=None if t_end is None else float(t_end),
-        steps=steps,
-    )
 
 
 def lint_netlist(source, title: str = "") -> LintReport:
@@ -510,60 +321,29 @@ class NetlistRun:
 
 
 def _solve_transient(
-    netlist: Netlist, system, options: DeckOptions, *, u=None, events=()
+    netlist: Netlist, system, options: DeckOptions, *, u=None, events=(), **extra
 ):
-    """Run the deck's transient on the route ``options`` select.
-
-    Non-session methods go through :func:`repro.core.dispatch.simulate`;
-    ``windows > 1`` (or ``'opm-windowed'``) marches one cached session,
-    firing ``events`` at window boundaries; anything else is one session
-    run.  ``u=None`` drives the deck's own source waveforms.
-    """
-    windows = options.windows
-    marches = options.native and (windows > 1 or options.method == "opm-windowed")
-    if events and not marches:
-        raise NetlistError(
-            "events fire at window boundaries: pass windows >= 2 so event "
-            "times can land strictly inside the horizon"
-        )
-    t_end, m = options.grid()
+    """Run the deck's transient on the route ``options`` select (see
+    :meth:`repro.core.dispatch.Route.solve`); ``u=None`` drives the
+    deck's own source waveforms."""
     if u is None:
         u = netlist.input_function()
-    if not options.native:
-        from ..core.dispatch import FRACTIONAL_ZOO_METHODS, simulate
-
-        method_kwargs: dict[str, object] = {}
-        if options.method == "grunwald-letnikov":
-            # The GL baseline is the only non-session method with a
-            # history tail to compress.
-            method_kwargs["memory"] = options.memory
-        elif options.method in FRACTIONAL_ZOO_METHODS:
-            # zoo methods run on a Simulator inside dispatch: give
-            # them the session backend the deck/caller picked
-            method_kwargs["backend"] = options.backend
-        return simulate(
-            system, u, t_end, m, method=options.method, basis=options.basis,
-            **method_kwargs,
-        )
-    if marches:
-        if m % windows:
-            raise NetlistError(f"steps={m} must be divisible by windows={windows}")
-        sim = options.session(system, (t_end / windows, m // windows))
-        return sim.march(u, t_end, events=events)
-    return options.session(system).run(u)
+    return options.route.solve(system, u, options, events=events, **extra)
 
 
 def _solve_ensemble(
-    netlist: Netlist, options: DeckOptions, ensemble, outputs, *,
-    jobs=None, parallel: str = "process", use_ic: bool = True,
+    netlist: Netlist | None, options: DeckOptions, ensemble, outputs, *,
+    u=None, jobs=None, parallel: str = "process", use_ic: bool = True,
 ):
     """Solve an ensemble (spec dict or ready
     :class:`~repro.engine.executor.Ensemble`) on the deck's grid; spec
     members start from the deck's ``.ic`` voltages unless ``use_ic`` is
-    off, like the deck's own transient."""
+    off, like the deck's own transient.  ``u`` drives members that
+    carry no input."""
+    options.route.require("ensemble")
+    grid = options.grid()
     from .executor import Ensemble, ParallelExecutor
 
-    grid = options.grid()
     if not isinstance(ensemble, Ensemble):
         ensemble = Ensemble.from_spec(
             netlist, ensemble, outputs=outputs,
@@ -571,8 +351,9 @@ def _solve_ensemble(
         )
     with ParallelExecutor(parallel, jobs=jobs) as executor:
         return executor.run(
-            ensemble, grid, basis=options.basis, solver_backend=options.backend,
-            reduce=options.reduce, memory=options.memory,
+            ensemble, grid, basis=options.basis, u=u,
+            solver_backend=options.backend, reduce=options.reduce,
+            memory=options.memory,
         )
 
 
@@ -596,11 +377,10 @@ def simulate_netlist(
     backend / reduction / memory -- and every keyword argument that is
     not ``None`` overrides its card; :func:`resolve_deck_options` does
     the merge, the same one the CLI and the service daemon use.  The
-    transient routes through a cached :class:`Simulator` session
-    (``run``, or ``march`` when ``windows > 1``); other ``method``
-    names (``'trapezoidal'``, ``'fft'``, ...) route through
-    :func:`repro.core.dispatch.simulate`.  An ``.ac`` card adds a
-    small-signal :func:`ac_scan`.
+    transient runs on the method's :data:`~repro.core.dispatch.ROUTES`
+    row: a cached :class:`Simulator` session (``run``, or ``march``
+    when ``windows > 1``) or a one-shot baseline solver.  An ``.ac``
+    card adds a small-signal :func:`ac_scan`.
 
     Parameters
     ----------
@@ -615,13 +395,13 @@ def simulate_netlist(
         a ``.tran`` card or ``t_end`` is given.
     **settings:
         Overrides for the deck's ``.options`` cards, one keyword per row
-        of :data:`repro.circuits.cards.OPTION_ROWS`: ``steps`` (the term
+        of :data:`repro.engine.options.OPTION_ROWS`: ``steps`` (the term
         count, card ``m``), ``basis``, ``method``, ``windows``,
         ``backend``, ``reduce`` / ``mor_order`` (certified model-order
-        reduction, session methods and ensembles only; see
-        :mod:`repro.engine.reduction`) and ``memory`` / ``memory_rtol``
-        (fractional-memory compression, session methods and the
-        ``'grunwald-letnikov'`` baseline; see :mod:`repro.fractional.soe`).
+        reduction; see :mod:`repro.engine.reduction`) and ``memory`` /
+        ``memory_rtol`` (fractional-memory compression; see
+        :mod:`repro.fractional.soe`), each where the method's route
+        honours it.
     sparse, use_ic:
         Forwarded to :func:`build_system`.
     ensemble:
@@ -663,15 +443,15 @@ def simulate_netlist(
     system = build_system(netlist, outputs=output_names, sparse=sparse, use_ic=use_ic)
     options = resolve_deck_options(spec, t_end=t_end, **settings)
 
-    tran = None
-    if options.t_end is not None:
-        tran = _solve_transient(netlist, system, options)
     ensemble_result = None
     if ensemble is not None:
         ensemble_result = _solve_ensemble(
             netlist, options, ensemble, output_names,
             jobs=jobs, parallel=parallel, use_ic=use_ic,
         )
+    tran = None
+    if options.t_end is not None:
+        tran = _solve_transient(netlist, system, options)
 
     ac = None
     if spec.ac is not None:

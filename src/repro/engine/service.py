@@ -37,9 +37,11 @@ One JSON object per line, both directions.  Request ``op`` values:
     ``samples`` (at most :data:`MAX_SAMPLES`), ``values``
     (``"outputs"`` / ``"states"``), ``format`` (``"json"`` / ``"csv"``),
     and the deck options the daemon honours (the rows of
-    :data:`repro.circuits.cards.OPTION_ROWS` without a ``refusal``):
-    ``basis``, ``backend``, ``method`` (``"opm"`` or a zoo name; typos
-    fail with a did-you-mean suggestion), ``memory`` / ``memory_rtol``.
+    :data:`repro.engine.options.OPTION_ROWS` without a ``refusal``):
+    ``basis``, ``backend``, ``method`` (a route of
+    :data:`repro.core.dispatch.ROUTES` that honours ``sweep``; another
+    route is refused with its reason, a typo with a did-you-mean
+    suggestion), ``memory`` / ``memory_rtol``.
 ``lint``
     ``{"op": "lint", "netlist": "<deck>"}`` (plus ``id``).  Parses and
     graph-lints the deck (floating nodes, missing DC paths; see
@@ -83,9 +85,11 @@ from functools import partial
 
 import numpy as np
 
-from ..circuits.cards import OPTION_ROWS, AnalysisSpec
+from ..core.dispatch import ROUTES
 from ..errors import ReproError, ServiceError
+from ..fractional.methods import validate_method_name
 from .inputs import scaled_input
+from .options import OPTION_ROWS
 from .session import Simulator
 
 __all__ = [
@@ -310,13 +314,13 @@ class _SessionSpec:
                 None if value is None else row.parse(value, ServiceError)
             )
         if options["method"] is not None:
-            # a typo'd method must fail at request validation (with the
-            # shared did-you-mean diagnostic), not on a worker thread
-            from ..fractional.methods import validate_method_name
-
+            # a typo'd method, or a route that cannot serve batched
+            # sweeps, must fail at request validation (with the shared
+            # messages), not on a worker thread
             options["method"] = validate_method_name(
-                options["method"], context="method", error=ServiceError
+                options["method"], ROUTES, context="method", error=ServiceError
             )
+            ROUTES[options["method"]].require("sweep", ServiceError)
         if netlist is not None:
             content: tuple = ("netlist", netlist)
         else:
@@ -347,7 +351,7 @@ class _SessionSpec:
             )
         t_end, steps = self.grid
         return resolve_deck_options(
-            AnalysisSpec(), t_end=t_end, steps=steps, **self.options
+            None, t_end=t_end, steps=steps, **self.options
         ).session(_parse_system(self.system))
 
 

@@ -20,6 +20,8 @@ The hierarchy mirrors the package layout:
   defect the graph lint can name (floating node, no ground reference).
 * :class:`NetlistError` -- malformed circuit descriptions
   (``repro.circuits.netlist``).
+* :class:`OptionError` -- a solve setting no front door can honour
+  (``repro.core.dispatch.ROUTES``).
 * :class:`EnsembleError` -- invalid ensemble specifications or failed
   ensemble members (``repro.engine.executor``).
 * :class:`ServiceError` -- malformed simulation-service requests or
@@ -39,6 +41,7 @@ __all__ = [
     "SolverError",
     "SingularPencilError",
     "NetlistError",
+    "OptionError",
     "ConvergenceError",
     "EnsembleError",
     "ServiceError",
@@ -113,6 +116,14 @@ class NetlistError(ReproError):
     Examples: two-terminal element with both terminals on the same node,
     a non-positive element value, an unknown node name referenced by an
     element, or a card with the wrong number of fields.
+    """
+
+
+class OptionError(NetlistError, SolverError):
+    """Raised for a solve setting no door can honour: a bad value, an
+    unknown method, or a setting or feature the method's
+    :data:`~repro.core.dispatch.ROUTES` row does not take.  Every door
+    gives the same message (the daemon as a :class:`ServiceError`).
     """
 
 

@@ -59,7 +59,6 @@ _EXPORTS = {
     "JacobiMethod": ".methods",
     "FRACTIONAL_METHODS": ".methods",
     "method_names": ".methods",
-    "describe_methods": ".methods",
     "resolve_method": ".methods",
     "validate_method_name": ".methods",
     "ReferenceCase": ".battery",

@@ -74,7 +74,6 @@ __all__ = [
     "FRACTIONAL_METHODS",
     "NATIVE_METHOD",
     "method_names",
-    "describe_methods",
     "normalise_method_name",
     "unknown_method_message",
     "validate_method_name",
@@ -368,30 +367,6 @@ def method_names(*, include_native: bool = True) -> tuple:
     names, with the native ``'opm'`` first by default)."""
     names = tuple(sorted(FRACTIONAL_METHODS))
     return ((NATIVE_METHOD,) + names) if include_native else names
-
-
-def describe_methods() -> tuple:
-    """One summary row per method (name / summary / citation / basis),
-    for the CLI help text and the README method table."""
-    rows = [
-        {
-            "name": NATIVE_METHOD,
-            "summary": "native operational-matrix route (the paper's)",
-            "citation": "Wang, Liu, Pan & Wang (DATE 2012)",
-            "basis": "any family",
-        }
-    ]
-    for name in sorted(FRACTIONAL_METHODS):
-        method = FRACTIONAL_METHODS[name]
-        rows.append(
-            {
-                "name": name,
-                "summary": method.summary,
-                "citation": method.citation,
-                "basis": method.default_basis or "block-pulse / walsh / haar",
-            }
-        )
-    return tuple(rows)
 
 
 def normalise_method_name(name) -> str:

@@ -12,6 +12,7 @@ from repro.circuits import (
     CurrentSource,
     Inductor,
     MutualInductance,
+    Netlist,
     Resistor,
     VoltageSource,
 )
@@ -137,3 +138,29 @@ class TestFiniteValues:
     def test_messages_of_the_other_rules(self, make, message):
         with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
             make()
+
+
+class TestNumericValues:
+    """A value that is not a number is a typed error naming the element
+    and the field, from the record and from the netlist helpers alike."""
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Resistor("R1", "a", "0", resistance="abc"), "R1: resistance must be a number, got 'abc'"),
+            (lambda: Netlist().add_resistor("R1", "a", "0", "abc"), "R1: resistance must be a number, got 'abc'"),
+            (lambda: Netlist().add_capacitor("C1", "a", "0", None), "C1: capacitance must be a number, got None"),
+            (lambda: CPE("P1", "a", "0", q=1e-6, alpha="half"), "P1: alpha must be a number, got 'half'"),
+            (lambda: Netlist().add_vccs("G1", "a", "0", "b", "0", [1]), "G1: gm must be a number, got [1]"),
+            (lambda: Netlist().add_current_source("I1", "0", "a", scale="x"), "I1: scale must be a number, got 'x'"),
+            (lambda: MutualInductance("K1", "L1", "L2", coupling="k"), "K1: coupling must be a number, got 'k'"),
+        ],
+    )
+    def test_rejects_non_numbers(self, make, message):
+        with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_values_are_stored_as_floats(self):
+        resistor = Resistor("R1", "a", "0", resistance=1000)
+        assert resistor.resistance == 1000.0 and type(resistor.resistance) is float
+        assert type(CPE("P1", "a", "0", q="1e-6", alpha=1).alpha) is float

@@ -54,6 +54,31 @@ class TestAssembly:
         assert isinstance(system, MultiTermSystem)
         assert [o for o, _ in system.terms] == [2.0, 1.5, 1.0, 0.0]
 
+    def test_alpha_one_cpe_is_a_capacitor(self):
+        """An alpha = 1 CPE joins C, as MNA merges it into E: its NA
+        terms are byte-equal to those of the capacitor it equals."""
+
+        def csr_bytes(matrix):
+            csr = sp.csr_matrix(matrix)
+            return csr.shape, [a.tobytes() for a in (csr.data, csr.indices, csr.indptr)]
+
+        deck = "I1 0 a 1m\nR1 a 0 1k\n{}\n"
+        cpe = assemble_na(Netlist.from_spice(deck.format("P1 a 0 1u 1")))
+        cap = assemble_na(Netlist.from_spice(deck.format("C1 a 0 1u")))
+        assert type(cpe) is type(cap) is SecondOrderSystem
+        assert [o for o, _ in cpe.terms] == [o for o, _ in cap.terms]
+        for (_, m1), (_, m2) in zip(cpe.terms, cap.terms):
+            assert csr_bytes(m1) == csr_bytes(m2)
+        assert np.asarray(cpe.B).tobytes() == np.asarray(cap.B).tobytes()
+
+    def test_alpha_one_cpe_beside_a_capacitor_and_a_fractional_cpe(self):
+        nl = Netlist.from_spice(
+            "I1 0 a 1m\nR1 a 0 1k\nC1 a 0 1u\nP1 a 0 2u 1\nP2 a 0 3u 0.5\n"
+        )
+        system = assemble_na(nl)
+        assert [o for o, _ in system.terms] == [2.0, 1.5, 1.0, 0.0]
+        np.testing.assert_allclose(dense(system.terms[0][1]), [[3e-6]])
+
     def test_rejects_voltage_sources(self):
         nl = Netlist()
         nl.add_voltage_source("V1", "a", "0", Constant(1.0))

@@ -147,7 +147,7 @@ def fingerprint(text: str) -> dict[str, dict]:
     if not netlist.voltage_sources:
         try:
             out["na"] = system_blocks(assemble_na(netlist, outputs))
-        except ReproError as exc:  # an alpha = 1 CPE repeats the C order
+        except ReproError as exc:  # a deck NA cannot model
             out["na"] = {"error": [type(exc).__name__]}
     return out
 

@@ -1,9 +1,12 @@
-"""Tests for the unified simulate() dispatcher."""
+"""Tests for the unified simulate() dispatcher and its route table."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import SIMULATION_METHODS, simulate
+from repro.core import ROUTES, SIMULATION_METHODS, simulate
 from repro.core.result import SampledResult, SimulationResult
 from repro.errors import SolverError
 
@@ -193,3 +196,31 @@ class TestBasisArgument:
     def test_default_is_block_pulse(self, scalar_ode):
         res = simulate(scalar_ode, 1.0, 1.0, 64)
         assert res.basis.name == "BlockPulse"
+
+
+class TestRouteTable:
+    """:data:`ROUTES` is the one list of methods and what they honour."""
+
+    def test_readme_method_table_is_the_route_table(self):
+        readme = (Path(__file__).resolve().parents[2] / "README.md").read_text()
+        section = readme.split("## Simulation methods", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `([^`]+)` +\| (.+?) \|$", section, re.MULTILINE)
+        assert rows == [(route.name, route.summary) for route in ROUTES.values()]
+
+    def test_method_names_are_the_table(self):
+        assert SIMULATION_METHODS == tuple(ROUTES)
+        for route in ROUTES.values():
+            assert route.summary
+
+    def test_every_refusal_names_the_route_and_the_option(self):
+        options = ("basis", "backend", "reduce", "memory", "windows",
+                   "events", "sweep", "ensemble")
+        for route in ROUTES.values():
+            for option in options:
+                if option not in route.honours:
+                    message = route.refusal(option)
+                    assert repr(route.name) in message and option in message
+
+    def test_one_shot_runners_import(self):
+        for route in ROUTES.values():
+            assert (route.runner is None) or callable(route._runner())

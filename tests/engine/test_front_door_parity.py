@@ -1,6 +1,10 @@
 """Front-door parity: the CLI, the library and the service daemon
 resolve a deck's solve settings through one merge and one route.
 
+Every route of :data:`repro.core.dispatch.ROUTES` meets every setting
+and feature at every door that offers it: each door honours it alike or
+refuses it with the route row's one message.
+
 Every door funnels its options through
 :func:`repro.engine.netlist_session.resolve_deck_options`; for the
 same settings they must produce equal :class:`DeckOptions` and warm
@@ -11,6 +15,7 @@ one set of session options.
 """
 
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +28,15 @@ from repro.__main__ import _deck_options, build_parser, run
 from repro.circuits.cards import OPTION_ROWS
 from repro.circuits.netlist import Netlist
 from repro.core import DescriptorSystem, simulate_opm
-from repro.core.dispatch import simulate
+from repro.core.dispatch import ROUTES, simulate
+from repro.core.result import MarchingResult
 from repro.engine import Simulator
-from repro.engine.executor import ParallelExecutor
+from repro.engine.executor import Ensemble, ParallelExecutor
+from repro.engine.marching import Event
 from repro.engine.netlist_session import build_system, from_netlist, simulate_netlist
 from repro.engine.service import _SessionSpec
-from repro.errors import NetlistError, ReproError, ServiceError, SolverError
-from repro.fractional import SoePlan
+from repro.errors import NetlistError, OptionError, ReproError, ServiceError, SolverError
+from repro.fractional import OustaloupMethod, SoePlan
 
 EXAMPLES = sorted((Path(__file__).resolve().parents[2] / "examples").glob("*.cir"))
 
@@ -386,6 +393,73 @@ class TestFixedDisagreements:
         assert explicit.basis.name.startswith("Walsh")
         assert explicit.coefficients.shape[1] == 16
 
+    def test_ensemble_is_refused_off_its_route(self, tmp_path, capsys):
+        """A deck's ensemble on a route that cannot solve one is refused
+        (it was solved on native OPM, saying so nowhere)."""
+        spec = {"mode": "monte-carlo", "n": 2, "seed": 3, "params": {"R1": 0.1}}
+        for method in ("gl", "trapezoidal"):
+            message = ROUTES[method].refusal("ensemble")
+            with pytest.raises(OptionError) as library:
+                simulate_netlist(RC_DECK, method=method, ensemble=spec, parallel="serial")
+            with pytest.raises(OptionError) as card:
+                simulate_netlist(
+                    RC_DECK + f".options method={method}\n", ensemble=spec,
+                    parallel="serial",
+                )
+            assert str(library.value) == str(card.value) == message
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        deck = tmp_path / "rc.cir"
+        deck.write_text(RC_DECK)
+        assert run([str(deck), "--method", "gl", "--ensemble", str(path)]) == 1
+        assert ROUTES["gl"].refusal("ensemble") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, setting", [
+        ("trapezoidal", {"memory": "soe"}),
+        ("gear2", {"backend": "dense"}),
+        ("fft", {"reduce": "auto"}),
+        ("gl", {"windows": 2}),
+    ])
+    def test_model_door_refuses_a_setting_like_the_deck_door(self, method, setting):
+        """The library door raised an untyped TypeError here."""
+        netlist = Netlist.from_spice(RC_DECK)
+        system = build_system(netlist)
+        with pytest.raises(OptionError) as model:
+            simulate(system, 1.0, 1.6e-3, 32, method=method, **setting)
+        with pytest.raises(OptionError) as deck:
+            simulate_netlist(RC_DECK, method=method, **setting)
+        (option,) = setting
+        assert str(model.value) == str(deck.value) == ROUTES[method].refusal(option)
+
+    def test_backend_card_on_a_baseline_is_refused(self):
+        """The card was silently dropped."""
+        deck = RC_DECK + ".options method=trapezoidal backend=dense\n"
+        with pytest.raises(OptionError, match="backend"):
+            simulate_netlist(deck)
+
+    def test_opm_marches_windows_at_the_model_door(self):
+        netlist = Netlist.from_spice(RC_DECK)
+        system = build_system(netlist, outputs=list(netlist.nodes))
+        marched = simulate(system, netlist.input_function(), 1.6e-3, 32, windows=2)
+        deck = simulate_netlist(RC_DECK, windows=2).tran
+        assert isinstance(marched, MarchingResult) and marched.n_windows == 2
+        assert np.array_equal(marched.coefficients, deck.coefficients)
+
+    @pytest.mark.parametrize("method", ["trapezoidal", "opm-kron", "opm-windowed"])
+    def test_daemon_refuses_a_known_route_with_its_reason(self, method):
+        """The daemon answered 'unknown method'."""
+        with pytest.raises(ServiceError) as daemon:
+            _SessionSpec.from_request({"netlist": RC_DECK, "method": method})
+        assert str(daemon.value) == ROUTES[method].refusal("sweep")
+
+    def test_deck_door_takes_a_method_instance(self):
+        """A method instance routes by its name (the transient raised
+        'unknown method OustaloupMethod(8, None)')."""
+        tran = simulate_netlist(CPE_DECK, method=OustaloupMethod(8)).tran
+        assert tran.info["method"].startswith("oustaloup")
+        from_card = simulate_netlist(CPE_DECK, method="oustaloup").tran
+        assert not np.array_equal(tran.coefficients, from_card.coefficients)
+
 
 def keyword_options(func) -> set:
     return {
@@ -411,3 +485,128 @@ def test_engine_doors_take_the_same_session_options():
     # the basis ships to workers as the session's resolved instance
     executor = as_session_names(sim._executor_options)
     assert executor == session - {"method", "basis"}
+
+
+#: The settings and features every route meets at every door.
+ROUTE_OPTIONS = ("basis", "backend", "reduce", "memory", "windows", "events", "sweep", "ensemble")
+
+#: Each setting as a library keyword, a CLI flag (or, without one, a
+#: ``.options`` card) and a daemon field (or card: the daemon takes
+#: ``windows`` and ``reduce`` from cards only).
+LIBRARY_SETTINGS = {
+    "basis": {"basis": "walsh"},
+    "backend": {"backend": "dense"},
+    "reduce": {"reduce": "auto"},
+    "memory": {"memory": "soe"},
+    "windows": {"windows": 2},
+}
+ENSEMBLE_SPEC = {"mode": "cartesian", "params": {"R1": [90.0, 110.0]}}
+EVENT_T = 0.8e-3
+
+
+def outcome_of(call) -> tuple:
+    """``('ok',)``, or ``('error', message)`` for a :class:`ReproError`."""
+    try:
+        call()
+    except ReproError as exc:
+        return "error", str(exc)
+    return ("ok",)
+
+
+def route_doors(method: str, option: str, tmp_path, capsys) -> dict:
+    """The outcome of ``option`` on ``method`` at every door offering it."""
+    netlist = Netlist.from_spice(RC_DECK)
+    system = build_system(netlist, outputs=list(netlist.nodes))
+    u = netlist.input_function()
+    settings = LIBRARY_SETTINGS.get(option, {})
+    card = f".options {option}={settings[option]}\n" if option in ("backend",) else ""
+    deck = tmp_path / "rc.cir"
+    deck.write_text(RC_DECK + card)
+    argv = [str(deck), "--method", method, "--points", "2"]
+    doors = {}
+
+    def cli():
+        code = run(argv)
+        err = capsys.readouterr().err.strip()
+        return ("ok",) if code == 0 else ("error", err.removeprefix("error: "))
+
+    if option in LIBRARY_SETTINGS:
+        doors["dispatch"] = outcome_of(
+            lambda: simulate(system, u, 1.6e-3, 32, method=method, **settings)
+        )
+        doors["simulate_netlist"] = outcome_of(
+            lambda: simulate_netlist(RC_DECK, method=method, **settings)
+        )
+        if not card:
+            argv += [OPTION_ROWS[option].flag, str(settings[option])]
+        doors["cli"] = cli()
+        field = OPTION_ROWS[option].refusal is None
+        request = {"netlist": RC_DECK + ("" if field else f".options {option}={settings[option]}\n"),
+                   "method": method, **(settings if field else {})}
+        doors["daemon"] = outcome_of(lambda: _SessionSpec.from_request(request).build())
+    elif option == "events":
+        event = Event(t=EVENT_T, scale=2.0)
+        doors["dispatch"] = outcome_of(
+            lambda: simulate(system, u, 1.6e-3, 32, method=method, events=[event])
+        )
+        argv += ["--event", f"t={EVENT_T}", "scale=2"]
+        doors["cli"] = cli()
+    elif option == "sweep":
+        argv += ["--sweep", "1", "2"]
+        doors["cli"] = cli()
+        doors["daemon"] = outcome_of(
+            lambda: _SessionSpec.from_request(
+                {"netlist": RC_DECK, "method": method, "scales": [1.0, 2.0]}
+            ).build()
+        )
+    else:  # ensemble
+        members = Ensemble.from_spec(netlist, ENSEMBLE_SPEC)
+        doors["dispatch"] = outcome_of(
+            lambda: simulate(members, None, 1.6e-3, 32, method=method, parallel="serial")
+        )
+        doors["simulate_netlist"] = outcome_of(
+            lambda: simulate_netlist(
+                RC_DECK, method=method, ensemble=ENSEMBLE_SPEC, parallel="serial"
+            )
+        )
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(ENSEMBLE_SPEC))
+        argv += ["--ensemble", str(spec), "--parallel", "serial"]
+        doors["cli"] = cli()
+    return doors
+
+
+@pytest.mark.parametrize("option", ROUTE_OPTIONS)
+@pytest.mark.parametrize("method", list(ROUTES))
+def test_every_route_meets_every_option_alike_at_every_door(
+    method, option, tmp_path, capsys
+):
+    """Each door honours the setting or feature alike, or refuses it
+    with the row's one message; the daemon serves only routes that batch
+    sweeps, and refuses the rest with that reason first."""
+    route = ROUTES[method]
+    doors = route_doors(method, option, tmp_path, capsys)
+    if "daemon" in doors and "sweep" not in route.honours:
+        assert doors.pop("daemon") == ("error", route.refusal("sweep"))
+    if option not in route.honours:
+        assert set(doors.values()) == {("error", route.refusal(option))}, doors
+    else:
+        assert len(set(doors.values())) == 1, doors
+
+
+@pytest.mark.parametrize("option", ["basis", "backend", "reduce", "memory", "windows"])
+def test_refused_settings_are_option_errors(option):
+    netlist = Netlist.from_spice(RC_DECK)
+    system = build_system(netlist)
+    for route in ROUTES.values():
+        if option in route.honours:
+            continue
+        settings = LIBRARY_SETTINGS[option]
+        for door in (
+            lambda: simulate(system, 1.0, 1.6e-3, 32, method=route.name, **settings),
+            lambda: simulate_netlist(RC_DECK, method=route.name, **settings),
+        ):
+            with pytest.raises(OptionError) as refused:
+                door()
+            assert repr(route.name) in str(refused.value)
+            assert option in str(refused.value)

@@ -20,7 +20,6 @@ from repro.fractional import (
     GrunwaldLetnikovMethod,
     JacobiMethod,
     OustaloupMethod,
-    describe_methods,
     fde_step_response,
     method_names,
     resolve_method,
@@ -50,12 +49,6 @@ class TestRegistry:
 
     def test_method_names_zoo_only(self):
         assert "opm" not in method_names(include_native=False)
-
-    def test_describe_methods_has_one_row_per_method(self):
-        rows = describe_methods()
-        assert [row["name"] for row in rows] == ["opm", "gl", "jacobi", "oustaloup"]
-        for row in rows:
-            assert row["summary"] and row["citation"] and row["basis"]
 
     def test_registry_instances_are_methods(self):
         for method in FRACTIONAL_METHODS.values():
