@@ -196,10 +196,6 @@ ROUTES = {
 #: Method names accepted by :func:`simulate`.
 SIMULATION_METHODS = tuple(ROUTES)
 
-#: The deck-option keywords :func:`simulate` resolves (the rest of its
-#: ``**kwargs`` go to the route's solver).
-_DECK_KEYWORDS = ("backend", "reduce", "mor_order", "memory", "memory_rtol", "windows")
-
 
 def simulate(
     system,
@@ -274,7 +270,7 @@ def simulate(
         both expose ``outputs(times)`` /
         :func:`repro.analysis.sample_outputs`.
     """
-    from ..engine.options import resolve_deck_options
+    from ..engine.options import OPTION_ROWS, resolve_deck_options
 
     # netlists and ensembles sit in layers this module does not import
     # (repro.circuits, the executor): an instance can only exist once
@@ -287,7 +283,12 @@ def simulate(
     is_ensemble = executor_module is not None and isinstance(
         system, executor_module.Ensemble
     )
-    settings = {name: kwargs.pop(name) for name in _DECK_KEYWORDS if name in kwargs}
+    # the deck vocabulary resolves; the rest goes to the route's solver
+    settings = {
+        row.keyword: kwargs.pop(row.keyword)
+        for row in OPTION_ROWS.values()
+        if row.keyword in kwargs
+    }
     options = resolve_deck_options(
         system.analysis if is_netlist else None,
         t_end=t_end, steps=steps, method=method, basis=basis, **settings,
