@@ -11,6 +11,9 @@ accuracy against the analytic solution:
   different truncation behaviour);
 * Legendre / Chebyshev -- spectral integral-form OPM: far higher
   accuracy per degree of freedom on smooth problems at dense-solve cost.
+
+Every row is ``simulate_opm(system, u, basis)``: one throwaway session
+per call, so each timing includes the session bind.
 """
 
 from __future__ import annotations
@@ -18,16 +21,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.basis import (
-    BlockPulseBasis,
-    ChebyshevBasis,
-    HaarBasis,
-    LegendreBasis,
-    TimeGrid,
-    WalshBasis,
-)
+from repro.basis import ChebyshevBasis, HaarBasis, LegendreBasis, WalshBasis
 from repro.circuits import Constant, assemble_mna, rc_ladder_netlist
-from repro.core import simulate_opm, simulate_opm_integral, simulate_opm_transformed
+from repro.core import simulate_opm
 
 from conftest import format_ms, register_row
 
@@ -81,7 +77,7 @@ def test_transformed_rows(benchmark, problem, family):
     )
 
     def run():
-        return simulate_opm_transformed(problem["system"], problem["u"], basis)
+        return simulate_opm(problem["system"], problem["u"], basis)
 
     result = benchmark(run)
     err = float(
@@ -108,7 +104,7 @@ def test_spectral_rows(benchmark, problem, family):
     )
 
     def run():
-        return simulate_opm_integral(problem["system"], problem["u"], basis)
+        return simulate_opm(problem["system"], problem["u"], basis)
 
     result = benchmark(run)
     err = float(np.max(np.abs(result.outputs(problem["t"])[0] - problem["y_ref"])))

@@ -7,6 +7,9 @@ Mittag-Leffler) solved four ways at equal resolution:
 * OPM integral form, Tustin construction -- exact inverse of the above;
 * OPM integral form, Riemann-Liouville construction -- the classical
   block-pulse operational matrix (paper refs [2], [4]);
+
+(the two integral-form rows plug their block-pulse integration matrix
+into a session as a :class:`~repro.fractional.FractionalMethod`);
 * Grünwald-Letnikov stepping -- the classical time-domain scheme.
 
 Reports runtime and exact error for each, quantifying the paper's
@@ -19,8 +22,8 @@ import numpy as np
 import pytest
 
 from repro.basis import BlockPulseBasis, TimeGrid
-from repro.core import FractionalDescriptorSystem, simulate_opm, simulate_opm_integral
-from repro.fractional import fde_step_response, simulate_grunwald_letnikov
+from repro.core import FractionalDescriptorSystem, Simulator, simulate_opm
+from repro.fractional import FractionalMethod, fde_step_response, simulate_grunwald_letnikov
 
 from conftest import format_ms, register_row
 
@@ -29,6 +32,25 @@ COLUMNS = ["Construction", "m", "CPU time", "Max error vs Mittag-Leffler"]
 
 T_END = 2.0
 M = 800
+
+
+class BlockPulseIntegration(FractionalMethod):
+    """The block-pulse integral form with the ``'tustin'`` or ``'rl'``
+    fractional integration matrix."""
+
+    name = "block-pulse-integral"
+
+    def __init__(self, construction: str) -> None:
+        self.construction = construction
+
+    def params(self) -> tuple:
+        return (self.construction,)
+
+    def integration_operator(self, bundle, alpha: float) -> np.ndarray:
+        self.check_bundle(bundle)
+        return bundle.basis.fractional_integration_matrix(
+            alpha, construction=self.construction
+        )
 
 
 @pytest.fixture(scope="module")
@@ -60,10 +82,10 @@ def test_opm_differential_row(benchmark, problem):
 def test_opm_integral_rows(benchmark, problem, construction):
     basis = BlockPulseBasis(TimeGrid.uniform(T_END, M))
 
+    method = BlockPulseIntegration(construction)
+
     def run():
-        return simulate_opm_integral(
-            problem["system"], 1.0, basis, construction=construction
-        )
+        return Simulator(problem["system"], basis, method=method).run(1.0)
 
     result = benchmark(run)
     err = _err(result.states_smooth(problem["t"])[0], problem)

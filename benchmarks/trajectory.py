@@ -62,7 +62,7 @@ OUT_DIR = Path(__file__).parent / "out"
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Ceiling on ``src_loc`` (non-blank lines under ``src/repro``).
-SRC_LOC_CEILING = 17509
+SRC_LOC_CEILING = 17229
 
 #: (metric name, claimed trajectory value, enforcement floor) -- every
 #: entry must be *present* in the merged trajectory; under --enforce

@@ -7,10 +7,12 @@ per degree of freedom and the Walsh "trend extraction" the paper
 mentions: keeping only low-sequency coefficients recovers the overall
 waveform shape.
 
-It closes with the basis-generic session API: ``Simulator(system,
-grid, basis="chebyshev")`` binds a *spectral* session whose warm calls
-reuse one cached Kronecker factorisation -- spectral accuracy at
-session-cache speed.
+Every row is the same call, ``simulate_opm(system, u, basis)``: one
+throwaway session per basis.  It closes with the basis-generic session
+API: ``Simulator(system, grid, basis="chebyshev")`` binds a *spectral*
+session whose warm calls reuse its cached pencil factorisations (one
+per real eigenvalue or conjugate pair of the integration matrix) --
+spectral accuracy at session-cache speed.
 
 Run:  python examples/basis_gallery.py
 """
@@ -24,8 +26,6 @@ from repro import (
     Simulator,
     WalshBasis,
     simulate_opm,
-    simulate_opm_integral,
-    simulate_opm_transformed,
 )
 from repro.circuits import Constant, assemble_mna, rc_ladder_netlist
 from repro.io import Table
@@ -52,9 +52,9 @@ def main():
          f"{bpf.wall_time * 1e3:.2f} ms"]
     )
 
-    walsh = simulate_opm_transformed(system, u, WalshBasis(t_end, 256))
+    walsh = simulate_opm(system, u, WalshBasis(t_end, 256))
     runs["walsh"] = walsh
-    haar = simulate_opm_transformed(system, u, HaarBasis(t_end, 256))
+    haar = simulate_opm(system, u, HaarBasis(t_end, 256))
     for label, res in [("Walsh (sequency)", walsh), ("Haar", haar)]:
         table.add_row(
             [label, 256,
@@ -66,7 +66,7 @@ def main():
         ("Legendre", LegendreBasis(t_end, 24)),
         ("Chebyshev", ChebyshevBasis(t_end, 24)),
     ]:
-        res = simulate_opm_integral(system, u, basis)
+        res = simulate_opm(system, u, basis)
         table.add_row(
             [label, 24,
              f"{np.max(np.abs(res.outputs(t)[0] - y_ref)):.2e}",
@@ -85,10 +85,10 @@ def main():
         print(f"  keep {keep:3d}/256 sequency terms -> max deviation {err:.2e}")
     print("a handful of low-sequency terms already track the waveform trend.")
 
-    # Basis-generic sessions: warm spectral calls reuse one Kronecker LU
-    print("\nWarm Chebyshev session (24 coefficients, one factorisation):")
+    # Basis-generic sessions: warm spectral calls reuse the cached LUs
+    print("\nWarm Chebyshev session (24 coefficients, cached factorisations):")
     sim = Simulator(system, (t_end, 24), basis="chebyshev")
-    sim.run(u)  # cold: builds the integral-form operator + LU
+    sim.run(u)  # cold: builds the integral-form operator + LUs
     warm = sim.run(u)
     err = np.max(np.abs(warm.outputs(t)[0] - y_ref))
     print(

@@ -69,9 +69,6 @@ _EXPORTS = {
     "SIMULATION_METHODS": ".core",
     "simulate_opm": ".core",
     "simulate_opm_adaptive": ".core",
-    "simulate_opm_integral": ".core",
-    "simulate_opm_kron": ".core",
-    "simulate_opm_transformed": ".core",
     "simulate_multiterm": ".core",
     "equidistributed_steps": ".core",
     "krylov_reduce": ".core",

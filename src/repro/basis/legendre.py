@@ -15,8 +15,9 @@ Polynomial bases admit **no** differentiation operational matrix in the
 OPM sense: the derivative loses the constant term, i.e. the
 integration-from-zero operator has no inverse on the span, so
 :meth:`differentiation_matrix` raises and systems must be solved in the
-integral formulation (see
-:func:`repro.core.opm_integral.simulate_opm_integral`).
+integral formulation (the session's integral plan,
+:class:`repro.engine.session._IntegralPlan`, which
+``simulate_opm(system, u, LegendreBasis(t_end, m))`` runs).
 
 Fractional integration matrices are built by exact Gauss-Jacobi
 quadrature of the Riemann-Liouville integral of each basis polynomial

@@ -11,12 +11,10 @@ Public surface:
   many inputs in one batched multi-RHS column sweep, returning a
   :class:`BatchResult`;
 * one-shot solvers -- :func:`simulate_opm` (sections III-IV, column
-  sweep), :func:`simulate_opm_adaptive` (section III-B, on-the-fly step
-  control), :func:`simulate_opm_kron` (the explicit Kronecker reference
-  of eqs. (15)/(27)), :func:`simulate_opm_integral` (classical
-  integral-form OPM on any basis), :func:`simulate_opm_transformed`
-  (Walsh/Haar change of basis), :func:`simulate_multiterm` -- all thin
-  wrappers over throwaway sessions;
+  sweep, on any basis: Walsh/Haar by the exact change of basis, the
+  polynomial families in integral form), :func:`simulate_opm_adaptive`
+  (section III-B, on-the-fly step control), :func:`simulate_multiterm`
+  -- thin wrappers over throwaway sessions;
 * :class:`SimulationResult` -- coefficient container with waveform
   sampling; :class:`BatchResult` stacks ``k`` runs (a sweep or an
   ensemble) along a leading axis and samples them in one pass.
@@ -46,9 +44,6 @@ _EXPORTS = {
     "ROUTES": ".dispatch",
     "simulate_opm": ".opm_solver",
     "simulate_opm_adaptive": ".opm_adaptive",
-    "simulate_opm_integral": ".opm_integral",
-    "simulate_opm_kron": ".kron_solver",
-    "simulate_opm_transformed": ".opm_solver",
     "simulate_multiterm": ".highorder",
     "equidistributed_steps": ".opm_adaptive",
     "krylov_reduce": ".mor",

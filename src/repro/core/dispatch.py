@@ -10,8 +10,7 @@ from the row, and refuses anything else with the row's one message:
 
 >>> ROUTES["trapezoidal"].refusal("windows")  # doctest: +NORMALIZE_WHITESPACE
 "method 'trapezoidal' only supports a plain transient: windowed marching
-runs on method='opm' or 'opm-windowed' only; drop the method or the
-windows setting"
+runs on method='opm' only; drop the method or the windows setting"
 
 :func:`simulate` routes one call signature to every row, so scripts and
 benchmarks can switch methods with a string:
@@ -67,11 +66,11 @@ class Route:
     """One ``method=`` route: how it runs and what it honours.
 
     ``runner`` is the ``"module:function"`` of a one-shot solver, called
-    as ``runner(system, u, t_end, steps)`` (``grid=(t_end, steps)`` with
-    ``pair``; no ``steps`` when the route does not need them; plus
-    ``method=<name>`` with ``scheme``), or ``None`` for a route that runs
-    on a :class:`~repro.engine.session.Simulator` session (a march when
-    ``marches`` or ``windows > 1``).  ``honours`` names the
+    as ``runner(system, u, t_end, steps)`` (no ``steps`` when the route
+    does not need them; plus ``method=<name>`` with ``scheme``), or
+    ``None`` for a route that runs on a
+    :class:`~repro.engine.session.Simulator` session (a march when
+    ``windows > 1``).  ``honours`` names the
     :data:`SETTINGS` and features (``events``, ``sweep``, ``ensemble``)
     the route takes; ``first_order`` routes need ``alpha == 1``.
     """
@@ -82,8 +81,6 @@ class Route:
     honours: tuple[str, ...] = ()
     first_order: bool = False
     steps: bool = True
-    marches: bool = False
-    pair: bool = False
     scheme: bool = False
 
     def refusal(self, option: str) -> str:
@@ -125,10 +122,9 @@ class Route:
             kwargs = {name: getattr(options, name) for name in SETTINGS if name in self.honours}
             if self.scheme:
                 kwargs["method"] = self.name
-            grid = ((t_end, steps),) if self.pair else (t_end, steps)
-            return self._runner()(system, u, *grid, **kwargs, **extra)
+            return self._runner()(system, u, t_end, steps, **kwargs, **extra)
         windows = options.windows
-        if self.marches or windows > 1:
+        if windows > 1:
             if steps % windows:
                 raise OptionError(
                     f"steps={steps} must be divisible by windows={windows} "
@@ -161,15 +157,12 @@ _TRANSIENT = "repro.baselines.transient:simulate_transient"
 ROUTES = {
     route.name: route
     for route in (
-        Route("opm", "OPM column sweep (default; uniform or adaptive grids, any order)",
+        Route("opm", "OPM column sweep (default; any grid, any order; "
+              "`windows=K` marches long horizons with mid-run events)",
               honours=SETTINGS + ("events", "sweep", "ensemble")),
-        Route("opm-windowed", "windowed time-marching (long horizons, mid-run events, any order)",
-              honours=SETTINGS + ("events",), marches=True),
         Route("opm-adaptive", "OPM with on-the-fly step-doubling error control (first order)",
               runner="repro.core.opm_adaptive:simulate_opm_adaptive", first_order=True,
               steps=False),
-        Route("opm-kron", "explicit Kronecker reference solve of eqs. (15)/(27) (validation)",
-              runner="repro.core.kron_solver:simulate_opm_kron", pair=True),
         Route("backward-euler", "classical one-step transient baseline (first order)",
               runner=_TRANSIENT, first_order=True, scheme=True),
         Route("trapezoidal", "classical one-step transient baseline (first order)",

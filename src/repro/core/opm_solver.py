@@ -21,35 +21,23 @@ construction, and the pencil LU factorisation.
 
 Multi-term systems (the paper's high-order case) run on the same
 session; :func:`repro.core.highorder.simulate_multiterm` is the
-multi-term-only spelling.
-
-:func:`simulate_opm_transformed` runs the same algorithm in a Walsh or
-Haar basis using the exact change-of-basis (section I's "switch to
-other basis functions"), and :func:`project_input` (re-exported from
-:mod:`repro.engine.inputs`) is the shared input projection helper.
+multi-term-only spelling.  Every other basis runs through the same
+call: Walsh and Haar by the exact change of basis from block pulses
+(section I's "switch to other basis functions"), Laguerre by the
+same Toeplitz sweep, the polynomial families in integral form.
+:func:`project_input` (re-exported from :mod:`repro.engine.inputs`) is
+the shared input projection helper.
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
-
-from ..basis.pwconst import PiecewiseConstantBasis
 from ..engine.inputs import project_input
 from ..engine.session import InputLike, Simulator, resolve_grid
 from .result import SimulationResult
 
-__all__ = ["simulate_opm", "simulate_opm_transformed", "project_input", "resolve_grid"]
-
-
-def _right_hand_side(system, U: np.ndarray) -> np.ndarray:
-    """``R = B U`` plus the constant zero-IC shift term ``A x0`` (if any)."""
-    R = system.B @ U
-    offset = system.shifted_input_offset()
-    if offset is not None:
-        R = R + offset[:, None]
-    return R
+__all__ = ["simulate_opm", "project_input", "resolve_grid"]
 
 
 def simulate_opm(
@@ -130,36 +118,3 @@ def simulate_opm(
     result.wall_time = time.perf_counter() - start
     return result
 
-
-def simulate_opm_transformed(
-    system,
-    u: InputLike,
-    basis: PiecewiseConstantBasis,
-) -> SimulationResult:
-    """Run OPM in a Walsh or Haar basis via the exact change of basis.
-
-    Walsh and Haar families are invertible linear images of the
-    block-pulse basis (``psi = W phi``), so the OPM solution in those
-    bases equals the block-pulse solution with coefficients transformed
-    by ``W^{-T}``.  This function performs the block-pulse solve (fast,
-    triangular) and transforms -- mathematically identical to solving
-    ``E X_psi D_psi = A X_psi + B U_psi`` with the conjugated
-    operational matrix, but without giving up triangularity.
-
-    Returns a result whose ``basis`` is the given Walsh/Haar family, so
-    truncating its coefficient spectrum exposes the low-pass behaviour
-    the paper describes for Walsh functions.  The basis instance
-    carries the input projection rule (e.g. ``WalshBasis(t_end, m,
-    projection='midpoint')``).
-
-    Since the basis-generic engine refactor this is a pure alias for
-    ``simulate_opm(system, u, basis)``: the session itself performs the
-    block-pulse solve and the exact change of basis (no more reaching
-    through ``basis.block_pulse.grid``).
-    """
-    if not isinstance(basis, PiecewiseConstantBasis):
-        raise TypeError(
-            "basis must be a Walsh/Haar PiecewiseConstantBasis, "
-            f"got {type(basis).__name__}"
-        )
-    return simulate_opm(system, u, basis)

@@ -1,11 +1,10 @@
-"""Operational-operator assembly shared by the engine and reference solvers.
+"""Operational-operator assembly for the engine's block-pulse sweeps.
 
 The uniform-grid OPM sweep needs only the first-row Toeplitz
 coefficients of ``D^alpha`` (paper eq. (22)); the adaptive sweep needs
-the full upper-triangular matrix (eqs. (17)/(25)); the Kronecker
-reference solver needs dense matrices for every order.  This module is
-the one place those operators are built, with a process-wide memo on
-the Toeplitz coefficients so repeated sessions on the same
+the full upper-triangular matrix (eqs. (17)/(25)).  This module is the
+one place those operators are built, with a process-wide memo on the
+Toeplitz coefficients so repeated sessions on the same
 ``(alpha, m, h)`` signature skip the recurrence entirely.
 """
 
@@ -19,14 +18,12 @@ from ..basis.grid import TimeGrid
 from ..opmat.differential import differentiation_matrix_adaptive
 from ..opmat.fractional import (
     fractional_differentiation_coefficients,
-    fractional_differentiation_matrix,
     fractional_differentiation_matrix_adaptive,
 )
 
 __all__ = [
     "toeplitz_coefficients",
     "adaptive_operator",
-    "dense_operator",
 ]
 
 
@@ -58,16 +55,3 @@ def adaptive_operator(grid: TimeGrid, alpha: float) -> np.ndarray:
         return differentiation_matrix_adaptive(grid.steps)
     return fractional_differentiation_matrix_adaptive(alpha, grid.steps)
 
-
-def dense_operator(grid: TimeGrid, alpha: float) -> np.ndarray:
-    """Full dense ``D^alpha`` for any grid and order (Kronecker reference).
-
-    Uniform grids use the series closed form (paper eq. (22)); adaptive
-    grids the scaled/matrix-power constructions; ``alpha = 0`` is the
-    identity.
-    """
-    if grid.is_uniform:
-        return fractional_differentiation_matrix(alpha, grid.m, grid.h)
-    if alpha == 0.0:
-        return np.eye(grid.m)
-    return adaptive_operator(grid, alpha)

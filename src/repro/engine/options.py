@@ -145,7 +145,9 @@ OPTION_ROWS = {
             "march the horizon as this many windows of steps/windows block "
             "pulses each (default: .options windows, else 1: one "
             "single-window solve)",
-            refusal=_CARD_ONLY,
+            refusal="the daemon serves batched sweeps on one session and "
+            "cannot march; solve a windowed deck with the CLI or "
+            "simulate_netlist",
         ),
         OptionRow("backend", "name", cli=False),
         OptionRow(

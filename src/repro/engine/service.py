@@ -55,9 +55,10 @@ One JSON object per line, both directions.  Request ``op`` values:
     :data:`LINGER_S` seconds; idle connections close at once).
 
 Any other field fails the request with an error line naming it -- a
-refused deck option (``m`` travels in ``grid``; ``windows``,
-``reduce`` and ``mor_order`` come from ``.options`` cards only) with
-the reason, an unknown one with a did-you-mean -- and the connection
+refused deck option (``m`` travels in ``grid``; ``reduce`` and
+``mor_order`` come from ``.options`` cards only; ``windows`` is refused
+as a card too, since the daemon cannot march) with the reason, an
+unknown one with a did-you-mean -- and the connection
 keeps serving.
 
 A ``simulate`` response is a *header* line (``kind: "header"``, run
@@ -343,11 +344,18 @@ class _SessionSpec:
         :func:`~repro.engine.netlist_session.resolve_deck_options` merge
         the library and the CLI use.
         """
-        from .netlist_session import from_netlist, resolve_deck_options
+        from .netlist_session import _as_netlist, from_netlist, resolve_deck_options
 
         if self.netlist is not None:
+            netlist = _as_netlist(self.netlist)
+            windows = resolve_deck_options(netlist.analysis, **self.options).windows
+            if windows > 1:
+                raise ServiceError(
+                    f"option 'windows' (.options windows={windows}) is refused: "
+                    + OPTION_ROWS["windows"].refusal
+                )
             return from_netlist(
-                self.netlist, self.grid, outputs=self.outputs, **self.options
+                netlist, self.grid, outputs=self.outputs, **self.options
             )
         t_end, steps = self.grid
         return resolve_deck_options(

@@ -105,15 +105,6 @@ def gl_integration_weights(alpha: float, m: int) -> np.ndarray:
     return w
 
 
-def _upper_toeplitz(g: np.ndarray) -> np.ndarray:
-    """Upper-triangular Toeplitz ``F[i, j] = g[j - i]`` (causal kernel)."""
-    m = g.size
-    F = np.zeros((m, m))
-    i, j = np.triu_indices(m)
-    F[i, j] = g[j - i]
-    return F
-
-
 class FractionalMethod:
     """One pluggable discretisation of the fractional integral.
 
@@ -194,10 +185,12 @@ class GrunwaldLetnikovMethod(FractionalMethod):
     routes = ("block-pulse",)
 
     def integration_operator(self, bundle, alpha: float) -> np.ndarray:
+        from ..opmat.nilpotent import upper_toeplitz
+
         self.check_bundle(bundle)
         grid = _uniform_grid(bundle, self.name)
         g = grid.h ** float(alpha) * gl_integration_weights(alpha, grid.m)
-        return _upper_toeplitz(g)
+        return upper_toeplitz(g)
 
 
 class OustaloupMethod(FractionalMethod):
@@ -243,6 +236,8 @@ class OustaloupMethod(FractionalMethod):
         return (self.sections, self.band)
 
     def integration_operator(self, bundle, alpha: float) -> np.ndarray:
+        from ..opmat.nilpotent import upper_toeplitz
+
         self.check_bundle(bundle)
         grid = _uniform_grid(bundle, self.name)
         n_int = int(np.floor(float(alpha)))
@@ -252,7 +247,7 @@ class OustaloupMethod(FractionalMethod):
             return np.linalg.matrix_power(
                 np.asarray(bundle.integration_matrix(), dtype=float), n_int
             )
-        F = _upper_toeplitz(self._impulse_response(frac, grid.m, grid.h))
+        F = upper_toeplitz(self._impulse_response(frac, grid.m, grid.h))
         if n_int:
             F = F @ np.linalg.matrix_power(
                 np.asarray(bundle.integration_matrix(), dtype=float), n_int

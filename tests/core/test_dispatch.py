@@ -43,11 +43,6 @@ class TestDispatch:
         )
         assert res.info["method"] == "fft"
 
-    def test_kron_method(self, scalar_ode):
-        fast = simulate(scalar_ode, 1.0, 1.0, 16)
-        ref = simulate(scalar_ode, 1.0, 1.0, 16, method="opm-kron")
-        np.testing.assert_allclose(fast.coefficients, ref.coefficients, atol=1e-12)
-
     def test_unknown_method(self, scalar_ode):
         with pytest.raises(SolverError, match="unknown method"):
             simulate(scalar_ode, 1.0, 1.0, 8, method="rk45")
@@ -59,9 +54,7 @@ class TestDispatch:
     def test_method_list_complete(self):
         assert set(SIMULATION_METHODS) == {
             "opm",
-            "opm-windowed",
             "opm-adaptive",
-            "opm-kron",
             "backward-euler",
             "trapezoidal",
             "gear2",
@@ -122,7 +115,7 @@ class TestDispatchErrors:
 
     @pytest.mark.parametrize(
         "method",
-        ["opm", "opm-kron", "backward-euler", "trapezoidal", "gear2", "fft",
+        ["opm", "backward-euler", "trapezoidal", "gear2", "fft",
          "grunwald-letnikov", "expm"],
     )
     def test_every_stepped_method_requires_steps(self, scalar_ode, method):
@@ -168,8 +161,7 @@ class TestBasisArgument:
 
     def test_windowed_with_spectral_basis(self, scalar_ode):
         res = simulate(
-            scalar_ode, 1.0, 4.0, 64, method="opm-windowed", windows=4,
-            basis="legendre",
+            scalar_ode, 1.0, 4.0, 64, windows=4, basis="legendre",
         )
         assert res.n_windows == 4
         t = np.linspace(0.2, 3.8, 9)

@@ -9,7 +9,6 @@ from repro.core import (
     DescriptorSystem,
     FractionalDescriptorSystem,
     simulate_opm,
-    simulate_opm_transformed,
 )
 from repro.core.opm_solver import project_input, resolve_grid
 from repro.basis import BlockPulseBasis
@@ -199,22 +198,16 @@ class TestAdaptiveGrids:
 class TestTransformedBases:
     def test_walsh_equals_block_pulse(self, scalar_ode):
         walsh = WalshBasis(2.0, 64)
-        res_w = simulate_opm_transformed(scalar_ode, 1.0, walsh)
+        res_w = simulate_opm(scalar_ode, 1.0, walsh)
         res_b = simulate_opm(scalar_ode, 1.0, walsh.block_pulse.grid)
         t = np.linspace(0.1, 1.9, 13)
         np.testing.assert_allclose(res_w.states(t), res_b.states(t), atol=1e-10)
 
     def test_walsh_result_carries_walsh_basis(self, scalar_ode):
         walsh = WalshBasis(2.0, 16)
-        res = simulate_opm_transformed(scalar_ode, 1.0, walsh)
+        res = simulate_opm(scalar_ode, 1.0, walsh)
         assert res.basis is walsh
         assert "Walsh" in res.info["method"]
-
-    def test_rejects_non_piecewise_basis(self, scalar_ode):
-        from repro.basis import LegendreBasis
-
-        with pytest.raises(TypeError):
-            simulate_opm_transformed(scalar_ode, 1.0, LegendreBasis(1.0, 8))
 
 
 class TestSparseLargeSystem:

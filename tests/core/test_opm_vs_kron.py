@@ -4,10 +4,10 @@ The paper presents eq. (15)/(27) as the defining linear system and the
 column sweep as the efficient evaluation; these tests assert the two
 agree to machine precision on randomised systems (hypothesis) for all
 dispatch paths: first-order/fractional x uniform/adaptive x dense/sparse.
+The Kronecker side is the dense oracle of :mod:`tests.kron_oracle`.
 """
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +18,9 @@ from repro.core import (
     FractionalDescriptorSystem,
     MultiTermSystem,
     simulate_opm,
-    simulate_opm_kron,
 )
-from repro.errors import SolverError
+
+from ..kron_oracle import opm_coefficients
 
 
 def random_system(seed: int, n: int, alpha: float = 1.0, sparse: bool = False):
@@ -45,10 +45,10 @@ def random_system(seed: int, n: int, alpha: float = 1.0, sparse: bool = False):
 def test_uniform_grid_agreement(seed, n, m, alpha_key):
     system = random_system(seed, n, alpha_key)
     fast = simulate_opm(system, 1.0, (1.0, m))
-    ref = simulate_opm_kron(system, 1.0, (1.0, m))
-    scale = np.max(np.abs(ref.coefficients)) + 1.0
+    ref = opm_coefficients(system, 1.0, (1.0, m))
+    scale = np.max(np.abs(ref)) + 1.0
     np.testing.assert_allclose(
-        fast.coefficients, ref.coefficients, atol=1e-8 * scale
+        fast.coefficients, ref, atol=1e-8 * scale
     )
 
 
@@ -63,10 +63,10 @@ def test_adaptive_grid_agreement(seed, n, ratio, alpha_key):
     system = random_system(seed, n, alpha_key)
     grid = TimeGrid.geometric(1.0, 8, ratio)
     fast = simulate_opm(system, 1.0, grid)
-    ref = simulate_opm_kron(system, 1.0, grid)
-    scale = np.max(np.abs(ref.coefficients)) + 1.0
+    ref = opm_coefficients(system, 1.0, grid)
+    scale = np.max(np.abs(ref)) + 1.0
     np.testing.assert_allclose(
-        fast.coefficients, ref.coefficients, atol=1e-6 * scale
+        fast.coefficients, ref, atol=1e-6 * scale
     )
 
 
@@ -97,19 +97,13 @@ def test_multiterm_agreement(seed, n, orders):
     ]
     system = MultiTermSystem(terms, rng.standard_normal((n, 1)))
     fast = simulate_opm(system, 1.0, (1.0, 10))
-    ref = simulate_opm_kron(system, 1.0, (1.0, 10))
-    scale = np.max(np.abs(ref.coefficients)) + 1.0
-    np.testing.assert_allclose(fast.coefficients, ref.coefficients, atol=1e-8 * scale)
-
-
-def test_kron_size_guard():
-    system = random_system(0, 20)
-    with pytest.raises(SolverError, match="MAX_KRON_SIZE"):
-        simulate_opm_kron(system, 1.0, (1.0, 1000))
+    ref = opm_coefficients(system, 1.0, (1.0, 10))
+    scale = np.max(np.abs(ref)) + 1.0
+    np.testing.assert_allclose(fast.coefficients, ref, atol=1e-8 * scale)
 
 
 def test_kron_x0_shift_agrees():
     system = DescriptorSystem([[1.0]], [[-1.0]], [[1.0]], x0=[2.0])
     fast = simulate_opm(system, 1.0, (1.0, 12))
-    ref = simulate_opm_kron(system, 1.0, (1.0, 12))
-    np.testing.assert_allclose(fast.coefficients, ref.coefficients, atol=1e-10)
+    ref = opm_coefficients(system, 1.0, (1.0, 12))
+    np.testing.assert_allclose(fast.coefficients, ref, atol=1e-10)

@@ -5,14 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.baselines.transient import TRANSIENT_METHODS, simulate_transient
-from repro.basis import BlockPulseBasis, TimeGrid
 from repro.circuits import Netlist
-from repro.core import (
-    DescriptorSystem,
-    FractionalDescriptorSystem,
-    MultiTermSystem,
-    simulate_opm_integral,
-)
+from repro.core import DescriptorSystem, FractionalDescriptorSystem, MultiTermSystem
 from repro.engine import (
     DenseBackend,
     PencilBank,
@@ -442,9 +436,6 @@ ROUTES = {
     "grunwald-letnikov": lambda: simulate_grunwald_letnikov(
         _fractional(), drive, 5.0, 120
     ).states(np.linspace(0.0, 5.0, 31)),
-    "opm-integral": lambda: simulate_opm_integral(
-        rc_chain(12), drive, BlockPulseBasis(TimeGrid.uniform(5.0, 48))
-    ).coefficients,
 }
 
 

@@ -359,10 +359,10 @@ class TestSessionConstruction:
     def test_instance_projection_survives_default_wrappers(self, rc):
         """A midpoint-projection Walsh instance keeps its rule by default."""
         from repro.basis import WalshBasis
-        from repro.core import simulate_opm_transformed
+        from repro.core import simulate_opm
 
         basis = WalshBasis(T_END, 32, projection="midpoint")
-        res = simulate_opm_transformed(rc, lambda t: np.sin(t), basis)
+        res = simulate_opm(rc, lambda t: np.sin(t), basis)
         assert res.basis is basis
         assert res.basis.projection == "midpoint"
         sim = Simulator(rc, basis)

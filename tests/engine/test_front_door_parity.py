@@ -37,6 +37,7 @@ from repro.engine.netlist_session import build_system, from_netlist, simulate_ne
 from repro.engine.service import _SessionSpec
 from repro.errors import NetlistError, OptionError, ReproError, ServiceError, SolverError
 from repro.fractional import OustaloupMethod, SoePlan
+from repro.fractional.methods import unknown_method_message
 
 EXAMPLES = sorted((Path(__file__).resolve().parents[2] / "examples").glob("*.cir"))
 
@@ -445,12 +446,45 @@ class TestFixedDisagreements:
         assert isinstance(marched, MarchingResult) and marched.n_windows == 2
         assert np.array_equal(marched.coefficients, deck.coefficients)
 
-    @pytest.mark.parametrize("method", ["trapezoidal", "opm-kron", "opm-windowed"])
+    @pytest.mark.parametrize("method", ["trapezoidal", "opm-adaptive", "expm"])
     def test_daemon_refuses_a_known_route_with_its_reason(self, method):
         """The daemon answered 'unknown method'."""
         with pytest.raises(ServiceError) as daemon:
             _SessionSpec.from_request({"netlist": RC_DECK, "method": method})
         assert str(daemon.value) == ROUTES[method].refusal("sweep")
+
+    @pytest.mark.parametrize("method", ["opm-kron", "opm-windowed"])
+    def test_retired_route_is_unknown_alike_at_every_door(self, method, tmp_path, capsys):
+        """``opm-kron`` (a Kronecker oracle, now a test helper) and
+        ``opm-windowed`` (``opm`` with ``windows=K``) are gone: every door
+        answers the one unknown-method message over the surviving routes."""
+        message = unknown_method_message(method, ROUTES)
+        system = build_system(Netlist.from_spice(RC_DECK))
+        for door in (
+            lambda: simulate(system, 1.0, 1.6e-3, 32, method=method),
+            lambda: simulate_netlist(RC_DECK, method=method),
+            lambda: simulate_netlist(RC_DECK + f".options method={method}\n"),
+        ):
+            with pytest.raises(OptionError) as library:
+                door()
+            assert str(library.value) == message
+        with pytest.raises(ServiceError) as daemon:
+            _SessionSpec.from_request({"netlist": RC_DECK, "method": method})
+        assert str(daemon.value) == message
+        deck = tmp_path / "rc.cir"
+        deck.write_text(RC_DECK)
+        assert run([str(deck), "--method", method]) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: {message}" and "Traceback" not in err
+        assert "'opm'" in message and method not in ROUTES
+
+    def test_events_without_windows_ask_for_windows(self):
+        """An event on a single-window ``opm`` solve asks for
+        ``windows >= 2`` (``opm-windowed`` with ``windows=1`` failed on
+        the march's "window boundary" check instead)."""
+        system = build_system(Netlist.from_spice(RC_DECK))
+        with pytest.raises(OptionError, match=r"pass windows >= 2 \(the CLI's --windows K\)"):
+            simulate(system, 1.0, 1.6e-3, 32, events=[Event(t=EVENT_T, scale=2.0)])
 
     def test_deck_door_takes_a_method_instance(self):
         """A method instance routes by its name (the transient raised
@@ -583,11 +617,15 @@ def test_every_route_meets_every_option_alike_at_every_door(
 ):
     """Each door honours the setting or feature alike, or refuses it
     with the row's one message; the daemon serves only routes that batch
-    sweeps, and refuses the rest with that reason first."""
+    sweeps, and refuses the rest with that reason first.  It cannot
+    march either, so it refuses a ``windows`` card the route honours."""
     route = ROUTES[method]
     doors = route_doors(method, option, tmp_path, capsys)
     if "daemon" in doors and "sweep" not in route.honours:
         assert doors.pop("daemon") == ("error", route.refusal("sweep"))
+    if "daemon" in doors and option == "windows" and option in route.honours:
+        outcome, message = doors.pop("daemon")
+        assert outcome == "error" and OPTION_ROWS["windows"].refusal in message
     if option not in route.honours:
         assert set(doors.values()) == {("error", route.refusal(option))}, doors
     else:

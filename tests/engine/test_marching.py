@@ -397,11 +397,9 @@ class TestGuards:
 
 
 class TestDispatch:
-    def test_opm_windowed_method(self):
+    def test_windows_march_on_opm(self):
         system = dense_system()
-        windowed = simulate(
-            system, sine, 4.0, 128, method="opm-windowed", windows=8
-        )
+        windowed = simulate(system, sine, 4.0, 128, windows=8)
         reference = simulate(system, sine, 4.0, 128, method="opm")
         np.testing.assert_allclose(
             windowed.coefficients, reference.coefficients, atol=1e-10
@@ -410,12 +408,8 @@ class TestDispatch:
 
     def test_indivisible_steps_rejected(self):
         with pytest.raises(SolverError, match="divisible"):
-            simulate(
-                dense_system(), sine, 4.0, 100, method="opm-windowed", windows=7
-            )
+            simulate(dense_system(), sine, 4.0, 100, windows=7)
 
     def test_bad_window_count_rejected(self):
         with pytest.raises(SolverError, match="windows"):
-            simulate(
-                dense_system(), sine, 4.0, 100, method="opm-windowed", windows=0
-            )
+            simulate(dense_system(), sine, 4.0, 100, windows=0)

@@ -1,13 +1,15 @@
 """The Schur-rotated integral sweep against a dense Kronecker oracle.
 
 Spectral sessions, the ``jacobi`` zoo method, the spectral march and
-:func:`~repro.core.opm_integral.simulate_opm_integral` solve the
+the kernel pair :func:`~repro.engine.kernels.schur_form` +
+:func:`~repro.engine.kernels.sweep_integral` on any ``F`` (the
+defective Walsh/Haar integration matrices included) solve the
 integral form ``E Z - A Z F = S`` as a block column sweep in the real
 Schur coordinates of ``F``.  Every test here solves the same
 equation through the explicit ``nm x nm`` Kronecker system
-``(I (x) E - F^T (x) A) vec(Z) = vec(S)`` and compares at a stated
-relative tolerance: the two routes round differently, so agreement is
-to the last few bits, not bit for bit.
+``(I (x) E - F^T (x) A) vec(Z) = vec(S)`` (:mod:`tests.kron_oracle`)
+and compares at a stated relative tolerance: the two routes round
+differently, so agreement is to the last few bits, not bit for bit.
 """
 
 from __future__ import annotations
@@ -20,25 +22,15 @@ import scipy.sparse as sp
 
 from repro.basis import HaarBasis, WalshBasis
 from repro.core import DescriptorSystem, FractionalDescriptorSystem
-from repro.core.opm_integral import simulate_opm_integral
 from repro.engine import Event, Simulator, kernels
 from repro.engine.backends import PencilBank, select_backend
+from repro.engine.inputs import project_input
+
+from ..kron_oracle import integral_solve
 
 RTOL = 1e-11
 
 EXAMPLES = sorted((Path(__file__).resolve().parents[2] / "examples").glob("*.cir"))
-
-
-def dense(matrix) -> np.ndarray:
-    return matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, float)
-
-
-def kron_solve(E, A, F, S) -> np.ndarray:
-    """Dense Kronecker solve of ``E Z - A Z F = S`` (column-major vec)."""
-    E, A = dense(E), dense(A)
-    n, m = S.shape
-    big = np.kron(np.eye(m), E) - np.kron(F.T, A)
-    return np.linalg.solve(big, S.T.reshape(-1)).reshape(m, n).T
 
 
 def session_oracle(sim, F, u) -> np.ndarray:
@@ -50,7 +42,7 @@ def session_oracle(sim, F, u) -> np.ndarray:
     x0 = system.x0
     if x0 is not None:
         R = R + np.outer(np.asarray(system.A @ x0).reshape(-1), ones)
-    X = kron_solve(system.E, system.A, F, R @ F)
+    X = integral_solve(system.E, system.A, F, R @ F)
     return X if x0 is None else X + np.outer(x0, ones)
 
 
@@ -140,7 +132,7 @@ class TestSpectralMarch:
             if k == 2:
                 A = A_after
             R = system.B @ U + np.outer(np.asarray(A @ w0).reshape(-1), ones)
-            X = kron_solve(system.E, A, F, R @ F) + np.outer(w0, ones)
+            X = integral_solve(system.E, A, F, R @ F) + np.outer(w0, ones)
             assert_relative(window.coefficients, X)
             w0 = X @ terminal
 
@@ -162,8 +154,9 @@ class TestIntegralSolver:
     @pytest.mark.parametrize("m", [16, 64, 256])
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_walsh_haar_match_kron_oracle(self, family, m, alpha):
-        """Walsh/Haar F is defective, yet the Schur sweep matches the
-        Kronecker solve of ``simulate_opm_integral``'s formulation."""
+        """Walsh/Haar F is defective, yet the Schur sweep of the
+        integral form ``E Z - A Z F = B U F`` matches the Kronecker
+        solve."""
         system = FractionalDescriptorSystem(
             alpha,
             [[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 2.0]],
@@ -171,16 +164,17 @@ class TestIntegralSolver:
             [[1.0], [0.0], [0.5]],
         )
         basis = family(1.0, m)
-        res = simulate_opm_integral(system, drive, basis)
-        assert res.info["method"] == "opm-integral[schur]"
         F = (
             basis.integration_matrix()
             if alpha == 1.0
             else basis.fractional_integration_matrix(alpha)
         )
-        R = system.B @ res.input_coefficients
-        want = kron_solve(system.E, system.A, F, R) @ F
-        assert_relative(res.coefficients, want)
+        R = system.B @ project_input(drive, basis, system.n_inputs)
+        T, Q = kernels.schur_form(F)
+        assert Q is not None  # the rotated sweep, not the triangular one
+        bank = PencilBank(select_backend(-1.0 * system.A, -1.0 * system.E))
+        Z = kernels.sweep_integral(bank, R, T, Q)
+        assert_relative(Z @ F, integral_solve(system.E, system.A, F, R) @ F)
 
 
 class TestKernels:
@@ -210,7 +204,7 @@ class TestKernels:
         pairs = np.count_nonzero(np.diag(T, -1))
         assert pairs and bank.factorisations == m - pairs
         for i in range(k):
-            assert_relative(Z[:, :, i], kron_solve(E, A, F, S[:, :, i]))
+            assert_relative(Z[:, :, i], integral_solve(E, A, F, S[:, :, i]))
 
     def test_complex_shifts_use_complex_pencils(self):
         bank = PencilBank(select_backend(np.eye(2), -np.eye(2)))

@@ -280,6 +280,18 @@ class TestProtocol:
         if field == "basiss":
             assert "did you mean 'basis'?" in reply["error"]
 
+    def test_windows_card_is_refused_and_the_connection_survives(self, daemon):
+        """The daemon cannot march: a deck's ``.options windows=2`` card
+        answers ``ok: false`` naming ``windows`` (it was solved as one
+        window), and the next request on the connection is served."""
+        request = {"op": "simulate", "netlist": DECK + ".options windows=2\n"}
+        with daemon.client() as c:
+            reply = raw_round_trip(c, request)
+            assert c.ping()
+        assert (reply["ok"], reply["kind"]) == (False, "error")
+        assert "'windows'" in reply["error"]
+        assert OPTION_ROWS["windows"].refusal in reply["error"]
+
     @pytest.mark.parametrize("samples", [1e30, 2**40])
     def test_samples_above_limit_fail_before_queueing(self, daemon, samples):
         """An oversized ``samples`` is a typed error naming the field

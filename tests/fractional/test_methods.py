@@ -68,7 +68,7 @@ class TestNameValidation:
     def test_normalise(self):
         assert normalise_method_name("  GL ") == "gl"
         assert normalise_method_name("Oustaloup") == "oustaloup"
-        assert normalise_method_name("opm_windowed") == "opm-windowed"
+        assert normalise_method_name("opm_adaptive") == "opm-adaptive"
 
     def test_validate_accepts_case_variants(self):
         assert validate_method_name("GL") == "gl"
@@ -125,6 +125,25 @@ class TestOperators:
         F = GrunwaldLetnikovMethod().integration_operator(bundle, 0.5)
         assert np.allclose(F, np.triu(F))
         np.testing.assert_allclose(np.diag(F, 1), np.full(15, F[0, 1]))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_toeplitz_operators_place_their_kernel_exactly(self, alpha):
+        """GL and Oustaloup put their causal kernel ``g`` at
+        ``F[i, j] = g[j - i]``, bit for bit."""
+        bundle = make_bundle(m=16)
+        grid = bundle.grid
+        method = OustaloupMethod()
+        kernels = {
+            GrunwaldLetnikovMethod(): grid.h**alpha * gl_integration_weights(alpha, 16),
+            method: method._impulse_response(alpha % 1.0, 16, grid.h),
+        }
+        for zoo, g in kernels.items():
+            expected = np.zeros((16, 16))
+            i, j = np.triu_indices(16)
+            expected[i, j] = g[j - i]
+            if zoo is method and alpha > 1.0:
+                expected = expected @ np.asarray(bundle.integration_matrix(), dtype=float)
+            np.testing.assert_array_equal(zoo.integration_operator(bundle, alpha), expected)
 
     def test_gl_alpha_one_is_rectangle_rule(self):
         bundle = make_bundle(m=16)

@@ -624,18 +624,6 @@ class TestCliNetlistMode:
         assert code == 1
         assert ".ac card" in capsys.readouterr().err
 
-    def test_options_method_opm_windowed_marches(self, tmp_path, capsys):
-        """method=opm-windowed routes to march, matching simulate_netlist."""
-        path = tmp_path / "win.cir"
-        path.write_text(
-            "I1 0 a 1m\nR1 a 0 1k\nC1 a 0 1u\n.tran 100u 20m\n"
-            ".options method=opm-windowed\n"
-        )
-        code = run(["--netlist", str(path), "--points", "3"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "marched" in out
-
     def test_options_card_defaults(self, tmp_path, capsys):
         path = tmp_path / "opt.cir"
         path.write_text(

@@ -31,7 +31,6 @@ NOT_FOR_A_DECK_SOLVE = {
     "repro.fractional.grunwald",
     "repro.baselines",
     "repro.core.mor",
-    "repro.core.kron_solver",
     "repro.core.opm_adaptive",
 }
 
