@@ -843,12 +843,8 @@ def run(argv=None) -> int:
                 "--jobs shards --ensemble members; pass --ensemble with it"
             )
         if options.t_end is not None:
-            if args.ensemble is not None and (
-                args.sweep or options.windows > 1 or args.event
-            ):
-                raise ReproError(
-                    "--ensemble cannot be combined with --sweep/--windows/--event"
-                )
+            if args.ensemble is not None and (args.sweep or args.event):
+                raise ReproError("--ensemble cannot be combined with --sweep/--event")
             if args.sweep and (options.windows > 1 or args.event):
                 raise ReproError("--sweep cannot be combined with --windows/--event")
             if args.ensemble is not None:

@@ -53,7 +53,7 @@ from ..circuits.cards import AcCard
 from ..circuits.graph import CircuitGraph, LintReport
 from ..circuits.mna import assemble_mna
 from ..circuits.netlist import Netlist
-from ..errors import NetlistError, SolverError
+from ..errors import NetlistError, OptionError, SolverError
 from .options import DeckOptions, resolve_deck_options
 from .session import Simulator
 
@@ -339,8 +339,12 @@ def _solve_ensemble(
     :class:`~repro.engine.executor.Ensemble`) on the deck's grid; spec
     members start from the deck's ``.ic`` voltages unless ``use_ic`` is
     off, like the deck's own transient.  ``u`` drives members that
-    carry no input."""
+    carry no input; each solves on one window (``windows > 1`` is refused)."""
     options.route.require("ensemble")
+    if options.windows > 1:
+        raise OptionError(
+            f"an ensemble solves each member in one window: drop windows={options.windows}"
+        )
     grid = options.grid()
     from .executor import Ensemble, ParallelExecutor
 

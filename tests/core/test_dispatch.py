@@ -10,6 +10,8 @@ from repro.core import ROUTES, SIMULATION_METHODS, simulate
 from repro.core.result import SampledResult, SimulationResult
 from repro.errors import SolverError
 
+from ..kron_oracle import opm_coefficients
+
 
 class TestDispatch:
     def test_default_is_opm(self, scalar_ode):
@@ -42,6 +44,13 @@ class TestDispatch:
             scalar_fde, lambda t: np.sin(2 * np.pi * t / 4.0), 4.0, 64, method="fft"
         )
         assert res.info["method"] == "fft"
+
+    def test_kron_method(self, scalar_ode):
+        """The default route solves eq. (15), checked against the dense
+        Kronecker oracle (once the ``opm-kron`` route)."""
+        fast = simulate(scalar_ode, 1.0, 1.0, 16)
+        ref = opm_coefficients(scalar_ode, 1.0, (1.0, 16))
+        np.testing.assert_allclose(fast.coefficients, ref, atol=1e-12)
 
     def test_unknown_method(self, scalar_ode):
         with pytest.raises(SolverError, match="unknown method"):

@@ -9,6 +9,7 @@ through the public method-instance extension point.
 """
 
 import numpy as np
+import pytest
 
 from repro.basis import (
     BlockPulseBasis,
@@ -19,7 +20,10 @@ from repro.basis import (
 )
 from repro.core import DescriptorSystem, FractionalDescriptorSystem, simulate_opm
 from repro.engine import Simulator
+from repro.errors import BasisError
 from repro.fractional import FractionalMethod, fde_step_response
+
+from ..kron_oracle import session_oracle
 
 
 class BlockPulseIntegration(FractionalMethod):
@@ -154,3 +158,73 @@ class TestLaguerreHorizon:
         np.testing.assert_allclose(
             lag.states(t)[0], bpf.states_smooth(t)[0], atol=2e-3
         )
+
+
+def two_state(alpha: float, x0=None):
+    """A coupled two-state system of order ``alpha``."""
+    E, A, B = [[1.0, 0.0], [0.0, 2.0]], [[-1.0, 0.5], [0.3, -2.0]], [[1.0], [0.0]]
+    if alpha == 1.0:
+        return DescriptorSystem(E, A, B, x0=x0)
+    return FractionalDescriptorSystem(alpha, E, A, B, x0=x0)
+
+
+def drive(t):
+    return 1.0 + np.sin(3.0 * t)
+
+
+class TestKronOracle:
+    """The triangular integral sweeps (block pulses through a method
+    instance, Laguerre natively) against the dense Kronecker solve."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("construction", ["tustin", "rl"])
+    def test_block_pulse_method_matches_kron_oracle(self, construction, alpha):
+        basis = BlockPulseBasis(TimeGrid.uniform(2.0, 32))
+        sim = Simulator(two_state(alpha), basis, method=BlockPulseIntegration(construction))
+        F = basis.fractional_integration_matrix(alpha, construction=construction)
+        expected = session_oracle(sim, F, drive)
+        np.testing.assert_allclose(sim.run(drive).coefficients, expected, rtol=1e-10, atol=1e-12)
+
+    def test_block_pulse_x0_matches_kron_oracle(self):
+        basis = BlockPulseBasis(TimeGrid.uniform(1.5, 32))
+        system = two_state(1.0, x0=[0.4, -0.2])
+        sim = Simulator(system, basis, method=BlockPulseIntegration("rl"))
+        F = basis.fractional_integration_matrix(1.0, construction="rl")
+        expected = session_oracle(sim, F, drive)
+        np.testing.assert_allclose(sim.run(drive).coefficients, expected, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_laguerre_matches_kron_oracle(self, alpha):
+        sim = Simulator(two_state(alpha), LaguerreBasis(1.0, 24))
+        F = sim.bundle.fractional_integration_matrix(alpha)
+        expected = session_oracle(sim, F, lambda t: np.exp(-t))
+        got = sim.run(lambda t: np.exp(-t)).coefficients
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
+
+
+class TestValidation:
+    def test_rejects_non_system(self):
+        with pytest.raises(TypeError):
+            simulate_opm("x", 1.0, LegendreBasis(1.0, 4))
+
+    def test_rejects_non_basis(self, scalar_ode):
+        with pytest.raises(TypeError):
+            simulate_opm(scalar_ode, 1.0, "basis")
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_rejects_unknown_construction(self, alpha):
+        system = FractionalDescriptorSystem(alpha, [[1.0]], [[-1.0]], [[1.0]])
+        with pytest.raises(BasisError, match="'tustin' or 'rl'.*'bogus'"):
+            integral_form(system, 1.0, 16, 1.0, construction="bogus")
+
+    def test_method_labels(self, scalar_ode):
+        res = integral_form(scalar_ode, 1.0, 16, 1.0)
+        assert res.info["method"] == "block-pulse-integral[BlockPulse]"
+        # a triangular F sweeps with one factorisation and no rotation
+        assert res.info["factorisations"] == 1 and not res.info["schur"]
+        # a full spectral F sweeps in Schur coordinates, one
+        # factorisation per real eigenvalue or conjugate pair
+        for basis in (LegendreBasis(1.0, 8), ChebyshevBasis(1.0, 8)):
+            res = simulate_opm(scalar_ode, 1.0, basis)
+            assert res.info["method"] == f"opm-spectral[{basis.name}]"
+            assert 1 <= res.info["factorisations"] <= 8

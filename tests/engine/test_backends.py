@@ -5,8 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 from repro.baselines.transient import TRANSIENT_METHODS, simulate_transient
+from repro.basis import BlockPulseBasis, TimeGrid
 from repro.circuits import Netlist
-from repro.core import DescriptorSystem, FractionalDescriptorSystem, MultiTermSystem
+from repro.core import DescriptorSystem, FractionalDescriptorSystem, MultiTermSystem, simulate
 from repro.engine import (
     DenseBackend,
     PencilBank,
@@ -20,6 +21,8 @@ from repro.engine import (
 from repro.engine.backends import SPARSE_SIZE_THRESHOLD, handle_nbytes
 from repro.errors import SolverError
 from repro.fractional.grunwald import simulate_grunwald_letnikov
+
+from ..core.test_integral_form import BlockPulseIntegration
 
 
 def tridiag(n: int) -> sp.csr_matrix:
@@ -420,6 +423,12 @@ ROUTES = {
     "chebyshev": lambda: Simulator(rc_chain(12), (5.0, 16), basis="chebyshev")
     .run(1.0)
     .coefficients,
+    "walsh": lambda: Simulator(rc_chain(12), (5.0, 32), basis="walsh").run(drive).coefficients,
+    "opm-integral": lambda: Simulator(
+        rc_chain(12), BlockPulseBasis(TimeGrid.uniform(5.0, 48)),
+        method=BlockPulseIntegration("tustin"),
+    ).run(drive).coefficients,
+    "march": lambda: simulate(rc_chain(12), drive, 5.0, 48, windows=4).coefficients,
     "multi-term": lambda: Simulator(
         MultiTermSystem(
             [(1.0, np.eye(2)), (0.5, 0.1 * np.eye(2)), (0.0, np.eye(2))],

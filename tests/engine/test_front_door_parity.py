@@ -547,16 +547,21 @@ def outcome_of(call) -> tuple:
     return ("ok",)
 
 
-def route_doors(method: str, option: str, tmp_path, capsys) -> dict:
-    """The outcome of ``option`` on ``method`` at every door offering it."""
+def route_doors(method: str, option: str, tmp_path, capsys, *, windows: int = 1) -> dict:
+    """The outcome of ``option`` on ``method`` at every door offering it;
+    ``windows > 1`` asks every door to march that many windows too."""
     netlist = Netlist.from_spice(RC_DECK)
     system = build_system(netlist, outputs=list(netlist.nodes))
     u = netlist.input_function()
-    settings = LIBRARY_SETTINGS.get(option, {})
+    march = {"windows": windows} if windows > 1 else {}
+    settings = {**march, **LIBRARY_SETTINGS.get(option, {})}
     card = f".options {option}={settings[option]}\n" if option in ("backend",) else ""
+    windows_card = f".options windows={windows}\n" if march else ""
     deck = tmp_path / "rc.cir"
     deck.write_text(RC_DECK + card)
     argv = [str(deck), "--method", method, "--points", "2"]
+    if march:
+        argv += [OPTION_ROWS["windows"].flag, str(windows)]
     doors = {}
 
     def cli():
@@ -575,13 +580,14 @@ def route_doors(method: str, option: str, tmp_path, capsys) -> dict:
             argv += [OPTION_ROWS[option].flag, str(settings[option])]
         doors["cli"] = cli()
         field = OPTION_ROWS[option].refusal is None
-        request = {"netlist": RC_DECK + ("" if field else f".options {option}={settings[option]}\n"),
-                   "method": method, **(settings if field else {})}
+        request = {"netlist": RC_DECK + windows_card
+                   + ("" if field else f".options {option}={settings[option]}\n"),
+                   "method": method, **({option: settings[option]} if field else {})}
         doors["daemon"] = outcome_of(lambda: _SessionSpec.from_request(request).build())
     elif option == "events":
         event = Event(t=EVENT_T, scale=2.0)
         doors["dispatch"] = outcome_of(
-            lambda: simulate(system, u, 1.6e-3, 32, method=method, events=[event])
+            lambda: simulate(system, u, 1.6e-3, 32, method=method, events=[event], **march)
         )
         argv += ["--event", f"t={EVENT_T}", "scale=2"]
         doors["cli"] = cli()
@@ -590,17 +596,19 @@ def route_doors(method: str, option: str, tmp_path, capsys) -> dict:
         doors["cli"] = cli()
         doors["daemon"] = outcome_of(
             lambda: _SessionSpec.from_request(
-                {"netlist": RC_DECK, "method": method, "scales": [1.0, 2.0]}
+                {"netlist": RC_DECK + windows_card, "method": method, "scales": [1.0, 2.0]}
             ).build()
         )
     else:  # ensemble
         members = Ensemble.from_spec(netlist, ENSEMBLE_SPEC)
         doors["dispatch"] = outcome_of(
-            lambda: simulate(members, None, 1.6e-3, 32, method=method, parallel="serial")
+            lambda: simulate(
+                members, None, 1.6e-3, 32, method=method, parallel="serial", **march
+            )
         )
         doors["simulate_netlist"] = outcome_of(
             lambda: simulate_netlist(
-                RC_DECK, method=method, ensemble=ENSEMBLE_SPEC, parallel="serial"
+                RC_DECK, method=method, ensemble=ENSEMBLE_SPEC, parallel="serial", **march
             )
         )
         spec = tmp_path / "spec.json"
@@ -628,6 +636,27 @@ def test_every_route_meets_every_option_alike_at_every_door(
         assert outcome == "error" and OPTION_ROWS["windows"].refusal in message
     if option not in route.honours:
         assert set(doors.values()) == {("error", route.refusal(option))}, doors
+    else:
+        assert len(set(doors.values())) == 1, doors
+
+
+@pytest.mark.parametrize("option", [o for o in ROUTE_OPTIONS if o != "windows"])
+def test_marched_opm_meets_every_option_alike_at_every_door(option, tmp_path, capsys):
+    """``opm`` with ``windows=2`` (once the ``opm-windowed`` route) meets
+    every other setting and feature alike at every door; the daemon
+    cannot march, so it refuses the ``windows`` card with its row's reason.
+    An ensemble solves each member in one window, so every door refuses
+    the pair (the library doors dropped ``windows`` silently)."""
+    route = ROUTES["opm"]
+    doors = route_doors("opm", option, tmp_path, capsys, windows=2)
+    if "daemon" in doors:
+        outcome, message = doors.pop("daemon")
+        assert outcome == "error" and OPTION_ROWS["windows"].refusal in message
+    if option not in route.honours:
+        assert set(doors.values()) == {("error", route.refusal(option))}, doors
+    elif option == "ensemble":
+        ((outcome, message),) = set(doors.values())
+        assert outcome == "error" and "windows=2" in message, doors
     else:
         assert len(set(doors.values())) == 1, doors
 

@@ -26,24 +26,11 @@ from repro.engine import Event, Simulator, kernels
 from repro.engine.backends import PencilBank, select_backend
 from repro.engine.inputs import project_input
 
-from ..kron_oracle import integral_solve
+from ..kron_oracle import integral_solve, session_oracle
 
 RTOL = 1e-11
 
 EXAMPLES = sorted((Path(__file__).resolve().parents[2] / "examples").glob("*.cir"))
-
-
-def session_oracle(sim, F, u) -> np.ndarray:
-    """The session's integral form solved through the Kronecker oracle:
-    ``E Z = A Z F + (B U + A x0 1^T) F``, ``X = Z + x0 1^T``."""
-    system = sim.system
-    ones = sim.bundle.ones_coefficients()
-    R = system.B @ sim.project(u)
-    x0 = system.x0
-    if x0 is not None:
-        R = R + np.outer(np.asarray(system.A @ x0).reshape(-1), ones)
-    X = integral_solve(system.E, system.A, F, R @ F)
-    return X if x0 is None else X + np.outer(x0, ones)
 
 
 def assert_relative(got, want, rtol=RTOL):

@@ -624,6 +624,19 @@ class TestCliNetlistMode:
         assert code == 1
         assert ".ac card" in capsys.readouterr().err
 
+    def test_options_windows_card_marches(self, tmp_path, capsys):
+        """A windows card marches on the default route, as
+        simulate_netlist does (it once took method=opm-windowed)."""
+        path = tmp_path / "win.cir"
+        path.write_text(
+            "I1 0 a 1m\nR1 a 0 1k\nC1 a 0 1u\n.tran 100u 20m\n"
+            ".options windows=2\n"
+        )
+        code = run(["--netlist", str(path), "--points", "3"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "marched" in out and "2 windows" in out
+
     def test_options_card_defaults(self, tmp_path, capsys):
         path = tmp_path / "opt.cir"
         path.write_text(

@@ -11,8 +11,9 @@ and notes it never needs solving.  The tests solve it anyway: an
 ``nm x nm`` dense solve is slow but algebraically transparent, so the
 engine's column sweeps are checked against it.  :func:`kron_solve`
 solves any equation ``sum_k M_k Z G_k = S`` this way;
-:func:`opm_coefficients` is the differential form on block pulses and
-:func:`integral_solve` the integral form ``E Z - A Z F = S``.
+:func:`opm_coefficients` is the differential form on block pulses,
+:func:`integral_solve` the integral form ``E Z - A Z F = S`` and
+:func:`session_oracle` that form for a session's own input and ``F``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,19 @@ def kron_solve(terms, S: np.ndarray) -> np.ndarray:
 def integral_solve(E, A, F, S) -> np.ndarray:
     """The integral form ``E Z - A Z F = S``."""
     return kron_solve([(E, np.eye(F.shape[0])), (-dense(A), F)], S)
+
+
+def session_oracle(sim, F, u) -> np.ndarray:
+    """The session's integral form solved through the Kronecker oracle:
+    ``E Z = A Z F + (B U + A x0 1^T) F``, ``X = Z + x0 1^T``."""
+    system = sim.system
+    ones = sim.bundle.ones_coefficients()
+    R = system.B @ sim.project(u)
+    x0 = system.x0
+    if x0 is not None:
+        R = R + np.outer(np.asarray(system.A @ x0).reshape(-1), ones)
+    X = integral_solve(system.E, system.A, F, R @ F)
+    return X if x0 is None else X + np.outer(x0, ones)
 
 
 def opm_coefficients(system, u, grid) -> np.ndarray:
